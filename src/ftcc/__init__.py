@@ -8,7 +8,6 @@ from .consensus import (
     exact_average_fixed_rounds,
     finite_time_average,
     m_bar,
-    ratio_step,
 )
 from .gains import (
     PlacementTargets,
@@ -19,24 +18,9 @@ from .gains import (
     run_token_protocol,
 )
 from .graph import Digraph, SyncFabric, is_strongly_connected, out_weight_matrix
-from .linalg import (
-    EigenPair,
-    eigen_left,
-    hankel_from_differences,
-    is_schur_stable,
-    kernel_vector,
-    numerical_rank,
-    pbh_controllable,
-)
-from .plant import LtiSystem, joint_rank_checks, local_indices, plant_step
-from .runtime import (
-    ClosedLoopTrace,
-    InitializationResult,
-    agreement_phase,
-    estimate_and_control_step,
-    initialize,
-    run_closed_loop,
-)
+from .linalg import EigenPair, eigen_left, is_schur_stable, numerical_rank
+from .plant import LtiSystem, joint_rank_checks, local_indices
+from .runtime import ClosedLoopTrace, InitializationResult, initialize, run_closed_loop
 from .scenario import ScenarioConfig, load_scenario, save_scenario
 
 __version__ = "0.1.0"
@@ -52,29 +36,22 @@ __all__ = [
     "ScenarioConfig",
     "SyncFabric",
     "TokenResult",
-    "agreement_phase",
     "diameter_upper_bound",
     "eigen_left",
     "elect_leader",
-    "estimate_and_control_step",
     "exact_average_fixed_rounds",
     "finite_time_average",
-    "hankel_from_differences",
     "initialize",
     "is_schur_stable",
     "is_strongly_connected",
     "joint_rank_checks",
-    "kernel_vector",
     "load_scenario",
     "local_indices",
     "m_bar",
     "numerical_rank",
     "out_weight_matrix",
-    "pbh_controllable",
     "place_for_agent",
     "place_single",
-    "plant_step",
-    "ratio_step",
     "run_closed_loop",
     "run_token_protocol",
     "save_scenario",

@@ -194,7 +194,8 @@ def criterion_5(ctx: AcceptanceContext) -> CriterionResult:
     )
 
 
-def _random_strongly_connected(rng, n_nodes: int) -> Digraph:
+def random_strongly_connected(rng, n_nodes: int) -> Digraph:
+    """Random digraph containing a random Hamiltonian cycle."""
     perm = rng.permutation(n_nodes)
     edges = {(int(perm[i]), int(perm[(i + 1) % n_nodes])) for i in range(n_nodes)}
     extra = int(rng.integers(0, n_nodes * (n_nodes - 1) // 2 + 1))
@@ -210,7 +211,7 @@ def criterion_6(ctx: AcceptanceContext, trials: int = 100) -> CriterionResult:
     worst_err, late = 0.0, 0
     for trial in range(trials):
         n_nodes = int(rng.integers(2, 11))
-        g = _random_strongly_connected(rng, n_nodes)
+        g = random_strongly_connected(rng, n_nodes)
         width = 3 if trial % 3 == 0 else 1     # mix scalar and vector payloads
         x0 = rng.normal(size=(n_nodes, width))
         res = finite_time_average(g, x0)

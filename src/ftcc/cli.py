@@ -78,8 +78,6 @@ def _write_trace_csv(trace, path) -> None:
 
 def _simulate(args, require_out: bool) -> int:
     cfg = load_scenario(args.scenario)
-    if args.seed is not None:
-        cfg.seed = args.seed
     horizon = args.horizon if args.horizon is not None else cfg.horizon
     tau = args.tau if args.tau is not None else cfg.taus[0]
     if require_out and not args.out:
@@ -96,8 +94,6 @@ def _simulate(args, require_out: bool) -> int:
         f"|ebar| = {trace.norm_ebar[-1]:.3e}, t = {trace.times[-1]:.1f}"
     )
     if args.out:
-        if args.format != "csv":
-            raise FtccError(f"unsupported format {args.format!r}")
         _write_trace_csv(trace, args.out)
         print(f"trace written to {args.out}")
     return 0
@@ -144,8 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tau", type=float, default=None)
         p.add_argument("--horizon", type=int, default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--format", default="csv", choices=["csv"])
         p.set_defaults(fn=fn)
 
     p_verify = sub.add_parser("verify", help="run the acceptance suite")

@@ -54,20 +54,6 @@ def diameter_upper_bound(m_values) -> int:
     return max(ms)
 
 
-def ratio_step(alpha, pi, p):
-    """One synchronous ratio-consensus update: alpha <- P alpha, pi <- P pi.
-
-    ``alpha`` is (N,) or (N, n); ``pi`` is (N,).  Column stochasticity of P
-    preserves the totals of both iterations exactly.
-    """
-    pm = as_matrix(p, "P")
-    a = np.asarray(alpha)
-    pv = np.asarray(pi)
-    if a.shape[0] != pm.shape[0] or pv.shape != (pm.shape[0],):
-        raise InvalidInputError("state shapes do not match P")
-    return pm @ a, pm @ pv
-
-
 def validate_weights(g: Digraph, p) -> np.ndarray:
     """Check that P is column-stochastic and supported exactly on g."""
     pm = as_matrix(p, "P")
@@ -428,7 +414,9 @@ def exact_average_fixed_rounds(
 
     All nodes run exactly ``rounds`` exchanges; each monitors defectiveness
     along the way and evaluates its final-value quotient at the end.  Returns
-    the (N, n) per-node averages and the latest detection round.
+    the (N, n) per-node averages and the latest detection round.  Only the
+    even-round budget monitor runs: the distance degree the odd rounds
+    detect feeds the diameter bound, which an agreement does not use.
     """
     if g.node_count == 1:
         states = _init_states(g, initial_values, dtype)
@@ -438,7 +426,8 @@ def exact_average_fixed_rounds(
     fabric = SyncFabric(g)
     for round_index in range(1, rounds + 1):
         _consensus_round(g, p, fabric, states)
-        _detect(states, round_index, rel_tol)
+        if round_index % 2 == 0:
+            _detect(states, round_index, rel_tol)
     missing = [st.node_id for st in states if st.M is None]
     if missing:
         raise DegenerateInitializationError(

@@ -108,10 +108,7 @@ class PlacementTargets:
         first = self.take_real()
         if first is None:
             return None
-        second = self.take_real()
-        if second is None:
-            # only one real left; both pair members go there anyway
-            return complex(first), complex(first)
+        self.take_real()  # the second real, if any, is consumed but unused
         return complex(first), complex(first)
 
 

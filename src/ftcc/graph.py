@@ -50,9 +50,6 @@ class Digraph:
     def out_degree(self, j: int) -> int:
         return len(self.out_neighbors(j))
 
-    def in_degree(self, j: int) -> int:
-        return len(self.in_neighbors(j))
-
 
 def digraph_from_weight_matrix(p) -> Digraph:
     """Recover the digraph from the support of a weight matrix.

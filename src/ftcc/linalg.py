@@ -43,23 +43,6 @@ class EigenPair:
     left_vector: np.ndarray
 
 
-def hankel_from_differences(seq) -> np.ndarray:
-    """Build the (m+1) x (m+1) Hankel matrix from 2m+1 successive differences.
-
-    Entry (i, j) is seq[i + j]; anti-diagonals are constant by construction.
-    """
-    s = np.asarray(seq)
-    if s.ndim != 1 or len(s) < 1 or len(s) % 2 == 0:
-        raise InvalidInputError(
-            f"difference sequence must have odd length >= 1, got {s.shape}"
-        )
-    if not np.all(np.isfinite(s)):
-        raise InvalidInputError("difference sequence contains non-finite entries")
-    m = (len(s) - 1) // 2
-    idx = np.arange(m + 1)
-    return s[idx[:, None] + idx[None, :]]
-
-
 def numerical_rank(m, rel_tol: float | None = None) -> int:
     """Number of singular values above rel_tol times the largest one."""
     a = as_matrix(m)
@@ -109,14 +92,6 @@ def common_kernel_vector(stack, rel_tol: float | None = None) -> np.ndarray:
             f"kernel vector has vanishing last entry ({beta[-1]:.3e})"
         )
     return beta / beta[-1]
-
-
-def kernel_vector(m, rel_tol: float | None = None) -> np.ndarray:
-    """Kernel vector of a square rank-deficient matrix, last entry 1."""
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise InvalidInputError(f"kernel_vector expects a square matrix, got {a.shape}")
-    return common_kernel_vector(a, rel_tol)
 
 
 def _eigen_sort_key(value: complex):
@@ -210,11 +185,3 @@ def controllability_matrix(a, b) -> np.ndarray:
         blocks.append(am @ blocks[-1])
     return np.hstack(blocks)
 
-
-def pbh_controllable(a, b, lam: complex, rel_tol: float | None = None) -> bool:
-    """Popov-Belevitch-Hautus test: rank [A - lam I | B] == n."""
-    am = as_matrix(a, "A")
-    bm = as_matrix(b, "B")
-    n = am.shape[0]
-    pencil = np.hstack([am.astype(complex) - lam * np.eye(n), bm.astype(complex)])
-    return numerical_rank(pencil, rel_tol) == n

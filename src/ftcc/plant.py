@@ -48,41 +48,11 @@ class LtiSystem:
     def agent_count(self) -> int:
         return len(self.b_list)
 
-    @property
-    def input_dims(self) -> tuple[int, ...]:
-        return tuple(b.shape[1] for b in self.b_list)
-
-    @property
-    def output_dims(self) -> tuple[int, ...]:
-        return tuple(c.shape[0] for c in self.c_list)
-
     def b_stacked(self) -> np.ndarray:
         return np.hstack(self.b_list)
 
     def c_stacked(self) -> np.ndarray:
         return np.vstack(self.c_list)
-
-
-def plant_step(sys: LtiSystem, x, u_list):
-    """One plant update: outputs at the current state, then x <- Ax + sum B_i u_i.
-
-    Returns (x_next, [y_i]) with y_i = C_i x measured before the update.
-    """
-    xv = np.asarray(x)
-    if xv.shape != (sys.n,) and not (xv.dtype == object and len(xv) == sys.n):
-        raise InvalidInputError(f"state must have length {sys.n}")
-    if len(u_list) != sys.agent_count:
-        raise InvalidInputError("need one input per agent")
-    ys = [c @ xv for c in sys.c_list]
-    x_next = sys.a @ xv
-    for i, (b, u) in enumerate(zip(sys.b_list, u_list)):
-        uv = np.asarray(u).reshape(-1)
-        if len(uv) != b.shape[1]:
-            raise InvalidInputError(
-                f"input {i} must have length {b.shape[1]}, got {len(uv)}"
-            )
-        x_next = x_next + b @ uv
-    return x_next, ys
 
 
 def joint_rank_checks(sys: LtiSystem, rel_tol: float | None = None) -> tuple[bool, bool]:

@@ -1,9 +1,9 @@
 """The closed-loop schedule: initialization, agreement, estimation, control.
 
-Initialization runs three consecutive stages on the fabric: two bootstrap
-rounds of finite-time averaging (yielding the diameter bound D' and the
-round budget m_bar), a max-consensus leader election over D' rounds, and two
-token passes choosing the control gains K_i and then the observer gains L_i.
+Initialization runs three consecutive stages on the fabric: a bootstrap run
+of finite-time averaging (yielding the diameter bound D' and the round
+budget m_bar), a max-consensus leader election over D' rounds, and two token
+passes choosing the control gains K_i and then the observer gains L_i.
 
 Each closed-loop step k then grants exactly m_bar consensus rounds in which
 the nodes agree on the average of their state estimates, applies the local
@@ -27,9 +27,8 @@ from mpmath import mp, mpf
 from .consensus import exact_average_fixed_rounds, finite_time_average
 from .exceptions import InvalidInputError
 from .gains import TokenResult, elect_leader, run_token_protocol
-from .graph import Digraph
 from .linalg import eigenvalues
-from .plant import LtiSystem, require_jointly_controllable_observable
+from .plant import require_jointly_controllable_observable
 from .scenario import ScenarioConfig
 
 QUAD_PRECISION_BITS = 120
@@ -76,21 +75,21 @@ class InitializationResult:
     controller_spectrum: np.ndarray
     observer_spectrum: np.ndarray
 
-    @property
-    def observer_matrix_summand(self) -> np.ndarray:
-        """(1/N) sum_i L_i C_i is recoverable from the dual token's F."""
-        return -self.observer_token.f.T
-
 
 def initialize(cfg: ScenarioConfig) -> InitializationResult:
-    """Run P1 (bootstrap consensus twice), P2 (election), P3 (token passes)."""
+    """Run P1 (bootstrap consensus), P2 (election), P3 (token passes).
+
+    The bootstrap consensus averages the node ids.  Both the diameter bound
+    D' and the round budget m_bar come from that one run: a second run on
+    the same ids would repeat it exactly.
+    """
     g, sys = cfg.graph, cfg.plant
     require_jointly_controllable_observable(sys)
     ids = np.arange(g.node_count, dtype=float)
-    first = finite_time_average(g, ids, rel_tol=cfg.rank_rel_tol, weights=cfg.weights)
-    d_prime = first.diameter_bound
-    second = finite_time_average(g, ids, rel_tol=cfg.rank_rel_tol, weights=cfg.weights)
-    budget = second.m_bar
+    bootstrap = finite_time_average(
+        g, ids, rel_tol=cfg.rank_rel_tol, weights=cfg.weights
+    )
+    d_prime = bootstrap.diameter_bound
 
     leader = elect_leader(g, max(d_prime, 1), cfg.election_values)
 
@@ -117,7 +116,7 @@ def initialize(cfg: ScenarioConfig) -> InitializationResult:
         l @ c for l, c in zip(observer.gains, sys.c_list)
     ) / n_agents
     return InitializationResult(
-        m_bar=budget,
+        m_bar=bootstrap.m_bar,
         d_prime=d_prime,
         leader=leader,
         k_gains=control.gains,
@@ -125,32 +124,20 @@ def initialize(cfg: ScenarioConfig) -> InitializationResult:
         f_control=control.f,
         control_token=control,
         observer_token=observer,
-        bootstrap_degrees=second.degrees,
+        bootstrap_degrees=bootstrap.degrees,
         controller_spectrum=eigenvalues(sys.a + control.f),
         observer_spectrum=eigenvalues(obs_matrix),
     )
 
 
-def agreement_phase(
-    g: Digraph,
-    weights,
-    xhat_matrix,
-    rounds: int,
-    rel_tol: float = 1e-8,
-    dtype=float,
-) -> tuple[np.ndarray, int]:
-    """Finite-time agreement on the average of the per-node estimates.
-
-    All nodes are granted exactly ``rounds`` consensus rounds and return
-    their identical copies of mean_i xhat_i, plus the latest round at which
-    any node completed its Hankel detection.
-    """
-    return exact_average_fixed_rounds(
-        g, xhat_matrix, rounds, rel_tol=rel_tol, weights=weights, dtype=dtype
-    )
-
-
 def _estimate_and_control(a, b_list, c_list, k_gains, l_gains, f_control, x, xbar_nodes):
+    """One estimation-control update after agreement.
+
+    Inputs u_i = K_i xbar_i feed the plant; each estimate refreshes from the
+    agreed average, the local output innovation, and the network-wide
+    feedback sum (known to every node after initialization).  Outputs are
+    measured at the pre-update state.
+    """
     n_agents = len(k_gains)
     ys = [c @ x for c in c_list]
     us = [k_gains[i] @ xbar_nodes[i] for i in range(n_agents)]
@@ -164,26 +151,6 @@ def _estimate_and_control(a, b_list, c_list, k_gains, l_gains, f_control, x, xba
             a @ xbar_nodes[i] + l_gains[i] @ innovation + f_control @ xbar_nodes[i]
         )
     return x_next, xhat_next, us
-
-
-def estimate_and_control_step(
-    sys: LtiSystem,
-    k_gains,
-    l_gains,
-    f_control,
-    x,
-    xbar_nodes,
-):
-    """One estimation-control update after agreement.
-
-    Inputs u_i = K_i xbar_i feed the plant; each estimate refreshes from the
-    agreed average, the local output innovation, and the network-wide
-    feedback sum (known to every node after initialization).  Outputs are
-    measured at the pre-update state.
-    """
-    return _estimate_and_control(
-        sys.a, sys.b_list, sys.c_list, k_gains, l_gains, f_control, x, xbar_nodes
-    )
 
 
 @dataclass
@@ -260,12 +227,12 @@ def _run_loop(
     k_cast = [_cast(k, dtype) for k in init.k_gains]
     l_cast = [_cast(l, dtype) for l in init.l_gains]
     f_cast = _cast(init.f_control, dtype)
-    weights = cfg.weights
 
     trace = ClosedLoopTrace(m_bar=init.m_bar, tau=tau)
     for k in range(horizon + 1):
-        xbar_nodes, detect_round = agreement_phase(
-            g, weights, xhat, init.m_bar, rel_tol=cfg.rank_rel_tol, dtype=dtype
+        xbar_nodes, detect_round = exact_average_fixed_rounds(
+            g, xhat, init.m_bar, rel_tol=cfg.rank_rel_tol, weights=cfg.weights,
+            dtype=dtype,
         )
         xbar = xbar_nodes[0]
         ebar = x - xbar

@@ -61,7 +61,6 @@ class ScenarioConfig:
     xhat0: np.ndarray | None = None       # (N, n); zeros when omitted
     horizon: int = 60
     taus: tuple[float, ...] = (0.1, 1.0, 10.0)
-    seed: int = 0
     precision: str = "double"
 
     def validate(self) -> "ScenarioConfig":
@@ -121,7 +120,6 @@ class ScenarioConfig:
             "rank_rel_tol": self.rank_rel_tol,
             "horizon": self.horizon,
             "taus": list(self.taus),
-            "seed": self.seed,
             "precision": self.precision,
         }
         if self.election_values is not None:
@@ -191,7 +189,6 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         xhat0=np.asarray(doc["xhat0"], dtype=float) if "xhat0" in doc else None,
         horizon=int(doc.get("horizon", 60)),
         taus=tuple(float(t) for t in doc.get("taus", (0.1, 1.0, 10.0))),
-        seed=int(doc.get("seed", 0)),
         precision=str(doc.get("precision", "double")),
     )
     return cfg.validate()

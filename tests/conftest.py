@@ -3,7 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ftcc.graph import Digraph
+# random_strongly_connected is re-exported so that the tests draw the same
+# digraphs as acceptance criterion 6
+from ftcc.acceptance import AcceptanceContext, random_strongly_connected  # noqa: F401
 from ftcc.plant import LtiSystem, joint_rank_checks
 from ftcc.scenario import load_scenario
 
@@ -20,16 +22,10 @@ def paper_init(paper_scenario):
     return initialize(paper_scenario)
 
 
-def random_strongly_connected(rng, n_nodes: int) -> Digraph:
-    """Random digraph containing a random Hamiltonian cycle."""
-    perm = rng.permutation(n_nodes)
-    edges = {(int(perm[i]), int(perm[(i + 1) % n_nodes])) for i in range(n_nodes)}
-    extra = int(rng.integers(0, n_nodes * (n_nodes - 1) // 2 + 1))
-    for _ in range(extra):
-        a, b = (int(v) for v in rng.integers(0, n_nodes, 2))
-        if a != b:
-            edges.add((a, b))
-    return Digraph(n_nodes, tuple(sorted(edges)))
+@pytest.fixture(scope="session")
+def acceptance_ctx():
+    """The acceptance context (initialization plus three traces), built once."""
+    return AcceptanceContext.build()
 
 
 def random_joint_system(rng, n_agents: int, n: int, unstable: bool = True) -> LtiSystem:

@@ -10,12 +10,6 @@ import numpy as np
 import pytest
 
 from ftcc import acceptance
-from ftcc.acceptance import AcceptanceContext
-
-
-@pytest.fixture(scope="module")
-def ctx():
-    return AcceptanceContext.build()
 
 
 def _report(result):
@@ -23,20 +17,20 @@ def _report(result):
     return result
 
 
-def test_criterion_1_round_budget(ctx):
-    assert _report(acceptance.criterion_1(ctx)).passed
+def test_criterion_1_round_budget(acceptance_ctx):
+    assert _report(acceptance.criterion_1(acceptance_ctx)).passed
 
 
-def test_criterion_2_structural_indices(ctx):
-    assert _report(acceptance.criterion_2(ctx)).passed
+def test_criterion_2_structural_indices(acceptance_ctx):
+    assert _report(acceptance.criterion_2(acceptance_ctx)).passed
 
 
-def test_criterion_3_control_gains(ctx):
-    assert _report(acceptance.criterion_3(ctx)).passed
+def test_criterion_3_control_gains(acceptance_ctx):
+    assert _report(acceptance.criterion_3(acceptance_ctx)).passed
 
 
-def test_criterion_4_observer_gains(ctx):
-    assert _report(acceptance.criterion_4(ctx)).passed
+def test_criterion_4_observer_gains(acceptance_ctx):
+    assert _report(acceptance.criterion_4(acceptance_ctx)).passed
 
 
 @pytest.mark.xfail(
@@ -44,11 +38,11 @@ def test_criterion_4_observer_gains(ctx):
     reason="recorded eigenvalues of the counterexample do not match its "
     "recorded matrices; the instability claim itself holds",
 )
-def test_criterion_5_counterexample_eigenvalues(ctx):
-    assert _report(acceptance.criterion_5(ctx)).passed
+def test_criterion_5_counterexample_eigenvalues(acceptance_ctx):
+    assert _report(acceptance.criterion_5(acceptance_ctx)).passed
 
 
-def test_criterion_5_counterexample_instability_claim(ctx):
+def test_criterion_5_counterexample_instability_claim():
     # the substantive claim behind the benchmark: independently designed
     # gains leave the summed closed loop unstable
     closed = (
@@ -59,25 +53,25 @@ def test_criterion_5_counterexample_instability_claim(ctx):
     assert np.max(np.abs(np.linalg.eigvals(closed))) > 1.0
 
 
-def test_criterion_6_finite_time_exactness(ctx):
-    assert _report(acceptance.criterion_6(ctx)).passed
+def test_criterion_6_finite_time_exactness(acceptance_ctx):
+    assert _report(acceptance.criterion_6(acceptance_ctx)).passed
 
 
-def test_criterion_7_error_recursions(ctx):
-    assert _report(acceptance.criterion_7(ctx)).passed
+def test_criterion_7_error_recursions(acceptance_ctx):
+    assert _report(acceptance.criterion_7(acceptance_ctx)).passed
 
 
-def test_criterion_8_convergence_rate(ctx):
-    assert _report(acceptance.criterion_8(ctx)).passed
+def test_criterion_8_convergence_rate(acceptance_ctx):
+    assert _report(acceptance.criterion_8(acceptance_ctx)).passed
 
 
-def test_criterion_9_placement_invariance(ctx):
-    assert _report(acceptance.criterion_9(ctx)).passed
+def test_criterion_9_placement_invariance(acceptance_ctx):
+    assert _report(acceptance.criterion_9(acceptance_ctx)).passed
 
 
-def test_criterion_10_token_complexity(ctx):
-    assert _report(acceptance.criterion_10(ctx)).passed
+def test_criterion_10_token_complexity(acceptance_ctx):
+    assert _report(acceptance.criterion_10(acceptance_ctx)).passed
 
 
-def test_criterion_11_tau_invariance(ctx):
-    assert _report(acceptance.criterion_11(ctx)).passed
+def test_criterion_11_tau_invariance(acceptance_ctx):
+    assert _report(acceptance.criterion_11(acceptance_ctx)).passed

@@ -4,14 +4,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ftcc.consensus import (
+    _consensus_round,
+    _init_states,
     diameter_upper_bound,
     exact_average_fixed_rounds,
     finite_time_average,
     m_bar,
-    ratio_step,
 )
 from ftcc.exceptions import DegenerateInitializationError, InvalidInputError
-from ftcc.graph import Digraph, diameter, digraph_from_weight_matrix, out_weight_matrix
+from ftcc.graph import (
+    Digraph,
+    SyncFabric,
+    diameter,
+    digraph_from_weight_matrix,
+    out_weight_matrix,
+)
 
 from conftest import random_strongly_connected
 
@@ -29,27 +36,36 @@ def three_cycle():
     return Digraph(3, ((0, 1), (1, 2), (2, 0)))
 
 
+def ratio_rounds(p, alpha, rounds: int = 1):
+    """Run ``rounds`` fabric rounds of ratio consensus from pi = 1.
+
+    Returns the stacked (N, n) numerators and the (N,) denominators.
+    """
+    g = digraph_from_weight_matrix(p)
+    states = _init_states(g, alpha, float)
+    fabric = SyncFabric(g)
+    for _ in range(rounds):
+        _consensus_round(g, p, fabric, states)
+    return np.stack([st.alpha for st in states]), np.array([st.pi for st in states])
+
+
 class TestRatioStep:
     def test_consensus_already_reached(self):
         p = out_weight_matrix(three_cycle())
-        alpha = np.full(3, 7.5)
-        pi = np.ones(3)
-        a2, p2 = ratio_step(alpha, pi, p)
-        assert np.allclose(a2 / p2, 7.5)
+        a2, p2 = ratio_rounds(p, np.full(3, 7.5))
+        assert np.allclose(a2[:, 0] / p2, 7.5)
 
     def test_two_node_hand_computed(self):
         p = np.full((2, 2), 0.5)
-        a2, p2 = ratio_step(np.array([0.0, 2.0]), np.ones(2), p)
-        assert np.allclose(a2, [1.0, 1.0])
-        assert np.allclose(a2 / p2, [1.0, 1.0])
+        a2, p2 = ratio_rounds(p, np.array([0.0, 2.0]))
+        assert np.allclose(a2[:, 0], [1.0, 1.0])
+        assert np.allclose(a2[:, 0] / p2, [1.0, 1.0])
 
     def test_mass_conservation_fournode(self):
         rng = np.random.default_rng(0)
         alpha = rng.normal(size=(4, 3))
-        pi = np.ones(4)
         total = alpha.sum(axis=0)
-        for _ in range(50):
-            alpha, pi = ratio_step(alpha, pi, FOURNODE_P)
+        alpha, pi = ratio_rounds(FOURNODE_P, alpha, 50)
         assert np.max(np.abs(alpha.sum(axis=0) - total)) < 1e-12
         assert abs(pi.sum() - 4.0) < 1e-12
 
@@ -58,18 +74,15 @@ class TestRatioStep:
     def test_mass_conservation_random(self, seed):
         rng = np.random.default_rng(seed)
         g = random_strongly_connected(rng, int(rng.integers(2, 8)))
-        p = out_weight_matrix(g)
         alpha = rng.normal(size=g.node_count)
-        pi = np.ones(g.node_count)
         total = alpha.sum()
-        for _ in range(30):
-            alpha, pi = ratio_step(alpha, pi, p)
+        alpha, pi = ratio_rounds(out_weight_matrix(g), alpha, 30)
         assert abs(alpha.sum() - total) < 1e-12 * max(1.0, abs(total))
         assert np.all(pi > 0)
 
     def test_shape_mismatch(self):
         with pytest.raises(InvalidInputError):
-            ratio_step(np.zeros(3), np.ones(2), np.eye(2))
+            ratio_rounds(np.full((2, 2), 0.5), np.zeros(3))
 
 
 class TestFormulas:

@@ -45,7 +45,6 @@ class TestDigraph:
         assert g.out_neighbors(0) == (1,)
         assert g.in_neighbors(1) == (0, 2)
         assert g.out_degree(2) == 1
-        assert g.in_degree(0) == 1
 
 
 class TestWeights:

@@ -3,20 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ftcc.consensus import _window_rows
 from ftcc.exceptions import (
     DegenerateKernelError,
     InvalidInputError,
     NoKernelError,
 )
 from ftcc.linalg import (
-    controllability_matrix,
+    common_kernel_vector,
     eigen_left,
     eigenvalues,
-    hankel_from_differences,
     is_schur_stable,
-    kernel_vector,
     numerical_rank,
-    pbh_controllable,
 )
 
 BENCH_A = np.array(
@@ -48,24 +46,22 @@ BENCH_A_SPECTRUM = sorted(
 
 
 class TestHankel:
+    """The square Hankel the consensus monitor builds from 2m+1 differences."""
+
     def test_zero_differences(self):
-        assert np.array_equal(hankel_from_differences([0, 0, 0]), np.zeros((2, 2)))
+        assert np.array_equal(_window_rows(np.zeros(3), 2), np.zeros((2, 2)))
 
     def test_layout(self):
         assert np.array_equal(
-            hankel_from_differences([1, 2, 3]), np.array([[1, 2], [2, 3]])
+            _window_rows(np.array([1, 2, 3]), 2), np.array([[1, 2], [2, 3]])
         )
-
-    @pytest.mark.parametrize("bad", [[], [1, 2], [1, 2, 3, 4]])
-    def test_rejects_even_or_empty(self, bad):
-        with pytest.raises(InvalidInputError):
-            hankel_from_differences(bad)
 
     @given(st.integers(1, 5), st.integers(0, 1000))
     @settings(max_examples=30, deadline=None)
     def test_antidiagonals_constant(self, m, seed):
         seq = np.random.default_rng(seed).normal(size=2 * m + 1)
-        h = hankel_from_differences(seq)
+        h = _window_rows(seq, m + 1)
+        assert h.shape == (m + 1, m + 1)
         for i in range(m + 1):
             for j in range(m + 1):
                 assert h[i, j] == seq[i + j]
@@ -94,26 +90,22 @@ class TestRank:
 
 class TestKernel:
     def test_symmetric_singular(self):
-        beta = kernel_vector(np.ones((2, 2)), 1e-8)
+        beta = common_kernel_vector(np.ones((2, 2)), 1e-8)
         assert np.allclose(beta, [-1.0, 1.0])
 
     def test_zero_matrix(self):
-        beta = kernel_vector(np.zeros((2, 2)), 1e-8)
+        beta = common_kernel_vector(np.zeros((2, 2)), 1e-8)
         assert np.allclose(beta, [0.0, 1.0])
 
     def test_full_rank_raises(self):
         with pytest.raises(NoKernelError):
-            kernel_vector(np.eye(3), 1e-8)
+            common_kernel_vector(np.eye(3), 1e-8)
 
     def test_degenerate_kernel_raises(self):
         # kernel is span(e1): last entry zero, not normalizable
         m = np.diag([0.0, 1.0])
         with pytest.raises(DegenerateKernelError):
-            kernel_vector(m, 1e-8)
-
-    def test_nonsquare_rejected(self):
-        with pytest.raises(InvalidInputError):
-            kernel_vector(np.zeros((2, 3)), 1e-8)
+            common_kernel_vector(m, 1e-8)
 
     @given(st.integers(2, 6), st.integers(0, 1000))
     @settings(max_examples=30, deadline=None)
@@ -121,7 +113,7 @@ class TestKernel:
         rng = np.random.default_rng(seed)
         m = rng.normal(size=(n, n))
         m[:, -1] = m[:, :-1] @ rng.normal(size=n - 1)  # force a kernel with last entry
-        beta = kernel_vector(m, 1e-8)
+        beta = common_kernel_vector(m, 1e-8)
         assert np.linalg.norm(m @ beta) <= 1e-8 * np.linalg.norm(m) * np.linalg.norm(
             beta
         ) * 10
@@ -140,8 +132,8 @@ class TestKernel:
                 ph.append(pi.copy())
         limit = alpha[0] / pi[0]  # converged to ~1e-12
         diffs = np.diff([a[0] for a in ah])[1:]
-        h = hankel_from_differences(diffs[:5])
-        beta = kernel_vector(h, 1e-8)
+        h = _window_rows(diffs[:5], 3)
+        beta = common_kernel_vector(h, 1e-8)
         mu = (np.array([a[0] for a in ah[1:4]]) @ beta) / (
             np.array([q[0] for q in ph[1:4]]) @ beta
         )
@@ -218,32 +210,3 @@ class TestSchur:
             a = rng.normal(size=(4, 4))
             by_eig = max(abs(p.value) for p in eigen_left(a)) < 1.0
             assert is_schur_stable(a, 0.0) == by_eig
-
-
-class TestPbh:
-    def test_controllable_mode(self):
-        assert pbh_controllable(np.diag([2.0, 0.5]), [[1.0], [0.0]], 2.0)
-
-    def test_uncontrollable_mode(self):
-        assert not pbh_controllable(np.diag([2.0, 0.5]), [[1.0], [0.0]], 0.5)
-
-    def test_bench_agent_one_sees_four_modes(self):
-        b1 = np.zeros((8, 1))
-        b1[1, 0] = 1.0
-        count = sum(
-            pbh_controllable(BENCH_A, b1, lam) for lam in np.unique(BENCH_A_SPECTRUM)
-        )
-        assert count == 4
-
-    def test_cross_oracle_with_kalman_rank(self):
-        rng = np.random.default_rng(23)
-        for _ in range(30):
-            a = rng.normal(size=(4, 4))
-            b = rng.normal(size=(4, 1))
-            kalman_full = (
-                numerical_rank(controllability_matrix(a, b)) == 4
-            )
-            pbh_all = all(
-                pbh_controllable(a, b, lam) for lam in np.linalg.eigvals(a)
-            )
-            assert kalman_full == pbh_all

@@ -6,9 +6,9 @@ from ftcc.plant import (
     LtiSystem,
     joint_rank_checks,
     local_indices,
-    plant_step,
     require_jointly_controllable_observable,
 )
+from ftcc.runtime import _estimate_and_control
 
 
 def two_agent_system():
@@ -33,55 +33,73 @@ class TestLtiSystem:
         sys = paper_scenario.plant
         assert sys.b_stacked().shape == (8, 4)
         assert sys.c_stacked().shape == (4, 8)
-        assert sys.input_dims == (1, 1, 1, 1)
+
+
+def loop_update(sys, x, xbar, k_gains=None, l_gains=None):
+    """The closed loop's estimation-control update, every node holding xbar.
+
+    Gains default to zero; F is zero.  Returns (x_next, [xhat_next_i]).
+    """
+    n = sys.n
+    if k_gains is None:
+        k_gains = [np.zeros((b.shape[1], n)) for b in sys.b_list]
+    if l_gains is None:
+        l_gains = [np.zeros((n, c.shape[0])) for c in sys.c_list]
+    x_next, xhat_next, _ = _estimate_and_control(
+        sys.a, sys.b_list, sys.c_list, k_gains, l_gains, np.zeros((n, n)), x,
+        [xbar] * sys.agent_count,
+    )
+    return x_next, xhat_next
 
 
 class TestPlantStep:
+    """The plant half of the loop update: x <- A x + sum_i B_i K_i xbar."""
+
     def test_identity_zero_input(self):
         sys = two_agent_system()
         x = np.array([1.0, -2.0])
-        x2, ys = plant_step(
+        x2, _ = loop_update(
             LtiSystem(a=np.eye(2), b_list=sys.b_list, c_list=sys.c_list),
             x,
-            [np.zeros(1), np.zeros(1)],
+            np.ones(2),
         )
         assert np.array_equal(x2, x)
 
     def test_zero_state_zero_input(self):
         sys = two_agent_system()
-        x2, ys = plant_step(sys, np.zeros(2), [np.zeros(1), np.zeros(1)])
+        l_gains = [c.T for c in sys.c_list]
+        x2, xhat2 = loop_update(sys, np.zeros(2), np.zeros(2), l_gains=l_gains)
         assert np.array_equal(x2, np.zeros(2))
-        assert all(np.array_equal(y, np.zeros(1)) for y in ys)
+        assert all(np.array_equal(xh, np.zeros(2)) for xh in xhat2)
 
     def test_outputs_measured_before_update(self):
+        # with L_i = C_i^T and xbar = 0 the estimate update is C_i^T y_i, so
+        # it exposes the outputs; A moves x, so post-update outputs would differ
         sys = two_agent_system()
         x = np.array([2.0, 3.0])
-        _, ys = plant_step(sys, x, [np.ones(1), np.ones(1)])
-        assert ys[0][0] == 2.0 and ys[1][0] == 3.0
+        l_gains = [c.T for c in sys.c_list]
+        x2, xhat2 = loop_update(sys, x, np.zeros(2), l_gains=l_gains)
+        assert xhat2[0][0] == 2.0 and xhat2[1][1] == 3.0
+        assert not np.array_equal(x2, x)
 
     def test_linearity(self):
         rng = np.random.default_rng(8)
         sys = two_agent_system()
+        k_gains = [rng.normal(size=(1, 2)) for _ in range(2)]
         x1, x2 = rng.normal(size=2), rng.normal(size=2)
-        u1 = [rng.normal(size=1) for _ in range(2)]
-        u2 = [rng.normal(size=1) for _ in range(2)]
-        lhs, _ = plant_step(sys, x1 + x2, [a + b for a, b in zip(u1, u2)])
-        r1, _ = plant_step(sys, x1, u1)
-        r2, _ = plant_step(sys, x2, u2)
+        v1, v2 = rng.normal(size=2), rng.normal(size=2)
+        lhs, _ = loop_update(sys, x1 + x2, v1 + v2, k_gains)
+        r1, _ = loop_update(sys, x1, v1, k_gains)
+        r2, _ = loop_update(sys, x2, v2, k_gains)
         assert np.max(np.abs(lhs - (r1 + r2))) < 1e-12
-
-    def test_input_dimension_mismatch(self):
-        sys = two_agent_system()
-        with pytest.raises(InvalidInputError):
-            plant_step(sys, np.zeros(2), [np.zeros(2), np.zeros(1)])
 
     def test_closed_loop_decay_with_designed_gains(self, paper_scenario, paper_init):
         sys = paper_scenario.plant
         x = paper_scenario.x0.copy()
         norms = []
         for _ in range(40):
-            u = [k @ x for k in paper_init.k_gains]   # state feedback from truth
-            x, _ = plant_step(sys, x, u)
+            # state feedback from truth: every node agrees on x itself
+            x, _ = loop_update(sys, x, x, paper_init.k_gains)
             norms.append(np.linalg.norm(x))
         assert norms[-1] < 1e-3 * norms[0]
 

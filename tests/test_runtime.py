@@ -1,14 +1,10 @@
 import numpy as np
 
+from ftcc.consensus import exact_average_fixed_rounds
 from ftcc.graph import Digraph, out_weight_matrix
 from ftcc.linalg import is_schur_stable
 from ftcc.plant import LtiSystem
-from ftcc.runtime import (
-    agreement_phase,
-    estimate_and_control_step,
-    initialize,
-    run_closed_loop,
-)
+from ftcc.runtime import _estimate_and_control, initialize, run_closed_loop
 from ftcc.scenario import ScenarioConfig
 
 from conftest import random_joint_system, random_strongly_connected, targets_for_spectrum
@@ -93,27 +89,34 @@ class TestInitialize:
         summand = sum(
             l @ c for l, c in zip(paper_init.l_gains, sys.c_list)
         ) / paper_scenario.graph.node_count
-        assert np.allclose(paper_init.observer_matrix_summand, summand, atol=1e-14)
+        # (1/N) sum_i L_i C_i is recoverable from the dual token's F
+        assert np.allclose(-paper_init.observer_token.f.T, summand, atol=1e-14)
 
 
 class TestAgreementPhase:
+    """One agreement of the closed loop: a fixed budget of m_bar rounds."""
+
     def test_equal_estimates(self, paper_scenario):
         cfg = paper_scenario
         xhat = np.tile([2.0, -1.0], (4, 1))
-        mu, rounds = agreement_phase(cfg.graph, cfg.weights, xhat, 11)
+        mu, rounds = exact_average_fixed_rounds(
+            cfg.graph, xhat, 11, weights=cfg.weights
+        )
         assert np.allclose(mu, [2.0, -1.0], atol=1e-12)
         assert rounds <= 11
 
     def test_three_cycle_scalar(self):
         g = Digraph(3, ((0, 1), (1, 2), (2, 0)))
-        mu, _ = agreement_phase(g, out_weight_matrix(g), np.array([[0.0], [3.0], [6.0]]), 11)
+        mu, _ = exact_average_fixed_rounds(
+            g, np.array([[0.0], [3.0], [6.0]]), 11, weights=out_weight_matrix(g)
+        )
         assert np.allclose(mu, 3.0, atol=1e-10)
 
     def test_agreement_spread_invariant(self, paper_scenario):
         rng = np.random.default_rng(2)
         cfg = paper_scenario
         xhat = rng.normal(size=(4, 8))
-        mu, _ = agreement_phase(cfg.graph, cfg.weights, xhat, 11)
+        mu, _ = exact_average_fixed_rounds(cfg.graph, xhat, 11, weights=cfg.weights)
         mean = xhat.mean(axis=0)
         scale = max(1.0, float(np.linalg.norm(mean)))
         for j in range(4):
@@ -121,6 +124,8 @@ class TestAgreementPhase:
 
 
 class TestStep:
+    """The loop's estimation-control update, with the designed gains."""
+
     def test_error_recursion_identities(self, paper_scenario, paper_init):
         cfg, init = paper_scenario, paper_init
         sys = cfg.plant
@@ -128,8 +133,9 @@ class TestStep:
         x = rng.normal(size=8)
         xbar = rng.normal(size=8)           # common agreed average
         xbar_nodes = [xbar.copy() for _ in range(4)]
-        x2, xhat2, us = estimate_and_control_step(
-            sys, init.k_gains, init.l_gains, init.f_control, x, xbar_nodes
+        x2, xhat2, us = _estimate_and_control(
+            sys.a, sys.b_list, sys.c_list, init.k_gains, init.l_gains, init.f_control,
+            x, xbar_nodes,
         )
         ebar = x - xbar
         n_agents = 4
@@ -152,8 +158,9 @@ class TestStep:
         rng = np.random.default_rng(4)
         x = rng.normal(size=8)
         xbar_nodes = [x.copy() for _ in range(4)]    # agreement equals truth
-        x2, xhat2, _ = estimate_and_control_step(
-            sys, init.k_gains, init.l_gains, init.f_control, x, xbar_nodes
+        x2, xhat2, _ = _estimate_and_control(
+            sys.a, sys.b_list, sys.c_list, init.k_gains, init.l_gains, init.f_control,
+            x, xbar_nodes,
         )
         for xh in xhat2:
             assert np.linalg.norm(x2 - xh) < 1e-12 * max(1.0, np.linalg.norm(x2))

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from ftcc.acceptance import AcceptanceContext
 from ftcc.cli import main
 from ftcc.exceptions import ConfigError, DisconnectedGraphError, JointSystemError
 from ftcc.scenario import (
@@ -166,7 +167,11 @@ class TestCli:
         assert out.exists()
         capsys.readouterr()
 
-    def test_verify_reports_every_criterion(self, capsys):
+    def test_verify_reports_every_criterion(self, capsys, monkeypatch, acceptance_ctx):
+        # every criterion still runs through `ftcc verify`, on the shared context
+        monkeypatch.setattr(
+            AcceptanceContext, "build", classmethod(lambda cls: acceptance_ctx)
+        )
         code = main(["verify", "--scenario", "paper-4node"])
         captured = capsys.readouterr().out
         for i in range(1, 12):
