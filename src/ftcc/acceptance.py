@@ -259,7 +259,7 @@ def criterion_7(ctx: AcceptanceContext) -> CriterionResult:
 def criterion_8(ctx: AcceptanceContext) -> CriterionResult:
     trace = ctx.trace
     ks = np.arange(5, 61)
-    ys = np.log([trace.norm_ebar[k] for k in ks])
+    ys = np.log(np.array(trace.norm_ebar)[ks])
     slope = float(np.polyfit(ks, ys, 1)[0])
     bound = math.log(0.27 + 0.05)
     ok = slope <= bound
@@ -365,12 +365,12 @@ def criterion_11(ctx: AcceptanceContext) -> CriterionResult:
     time_ok = True
     for tau in taus:
         tr = ctx.traces_by_tau[tau]
-        for k in tr.steps:
+        for k, t in zip(tr.steps, tr.times):
             if not np.array_equal(tr.x[k], ref.x[k]) or not np.array_equal(
                 tr.ebar[k], ref.ebar[k]
             ):
                 same = False
-            if abs(tr.times[k] - k * (tr.m_bar * tau + 1.0)) > 1e-12:
+            if abs(t - k * (tr.m_bar * tau + 1.0)) > 1e-12:
                 time_ok = False
     ok = same and time_ok
     return CriterionResult(

@@ -1,11 +1,12 @@
 """Ratio consensus, minimum-time exact averaging, and distributed termination.
 
-Each node runs two linear iterations (numerator alpha, denominator pi) driven
-by column-stochastic weights, watches the Hankel matrices of its iterate
-differences for rank loss, and recovers the exact network average from the
-defective Hankel kernel.  A max-consensus ladder over step counters lets all
-nodes agree on when to stop and, as a byproduct, yields the round budget
-m_bar and a diameter upper bound D'.
+Each node runs one linear iteration on the row [alpha | pi] (numerators and
+denominator) driven by column-stochastic weights, watches the Hankel matrices
+of its iterate differences for rank loss, and recovers the exact network
+average from the defective Hankel kernel.  The arithmetic is that of the
+initial values (float64, longdouble or mpmath mpf).  A max-consensus ladder
+over step counters lets all nodes agree on when to stop and, as a
+byproduct, yields the round budget m_bar and a diameter upper bound D'.
 
 Two indexing conventions matter and are easy to get wrong:
 
@@ -27,13 +28,13 @@ Two indexing conventions matter and are easy to get wrong:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import DegenerateInitializationError, InvalidInputError
 from .graph import Digraph, SyncFabric, out_weight_matrix, round_exchange
-from .linalg import as_matrix, common_kernel_vector
+from .linalg import as_matrix, common_kernel_vector, numerical_rank
 
 DEFAULT_REL_TOL = 1e-8
 
@@ -76,17 +77,13 @@ class RatioNodeState:
     """Per-node protocol state for one consensus run."""
 
     node_id: int
-    alpha: np.ndarray                 # information state, shape (n,)
-    pi: object                        # positive scalar
-    alpha_hist: list = field(default_factory=list)
-    pi_hist: list = field(default_factory=list)
+    hist: list                        # iterates [alpha | pi], each of shape (n+1,)
     c: int = 0                        # step counter, frozen at c0 after detection
     r: int = 0                        # rounds the max-consensus value has held
     phi: int = 0                      # max-consensus value
     M: int | None = None              # detected degree, shifted window (budget)
     distance_degree: int | None = None  # detected degree, unshifted window (D')
     c0: int | None = None             # frozen counter value 2*(M+1)
-    mu: np.ndarray | None = None      # exact average, filled at termination
     detection_round: int | None = None
     done_round: int | None = None
     phi_done: int | None = None       # max-consensus value certified at termination
@@ -94,12 +91,6 @@ class RatioNodeState:
     @property
     def done(self) -> bool:
         return self.done_round is not None
-
-
-def _differences(history, shift: int) -> np.ndarray:
-    """Differences of successive iterates, dropping the first ``shift``."""
-    arr = np.asarray(history)
-    return np.diff(arr, axis=0)[shift:]
 
 
 def _window_rows(seq: np.ndarray, width: int) -> np.ndarray:
@@ -119,7 +110,7 @@ def _live_difference_stack(
 ) -> np.ndarray | None:
     """Row-normalized Hankel blocks of the sequences that still carry signal.
 
-    Each scalar sequence (every alpha component plus pi) gets its own noise
+    Each scalar sequence (every column of [alpha | pi]) gets its own noise
     floor, 64 eps times the largest iterate magnitude it ever reached: a
     node whose sequence is constant up to arithmetic noise (for example when
     its row of the weight matrix is already proportional to the consensus
@@ -133,23 +124,17 @@ def _live_difference_stack(
     every available window contributes a row, which conditions the kernel
     better.
     """
-    da = _differences(state.alpha_hist, shift)
-    dp = _differences(state.pi_hist, shift)
-    eps = _dtype_eps(np.asarray(state.alpha_hist[0]).dtype)
-    take = 2 * width - 1 if square else len(dp)
-    hist = np.asarray(state.alpha_hist, dtype=object if da.dtype == object else None)
+    hist = np.asarray(state.hist)
+    diffs = np.diff(hist, axis=0)[shift:]
+    eps = _dtype_eps(hist.dtype)
+    take = 2 * width - 1 if square else len(diffs)
     blocks = []
-    for r in range(da.shape[1]):
-        seq_scale = float(max(abs(v) for v in np.asarray(hist)[:, r].ravel()))
-        d = np.asarray(da[:take, r], dtype=float)
+    for r in range(hist.shape[1]):
+        seq_scale = float(np.max(np.abs(hist[:, r])))
+        d = np.asarray(diffs[:take, r], dtype=float)
         d_scale = float(np.max(np.abs(d))) if len(d) else 0.0
         if d_scale <= 64.0 * eps * max(seq_scale, 1e-300):
             continue
-        blocks.append(_window_rows(d / d_scale, width))
-    pi_scale = float(max(abs(v) for v in state.pi_hist))
-    d = np.asarray(dp[:take], dtype=float)
-    d_scale = float(np.max(np.abs(d))) if len(d) else 0.0
-    if d_scale > 64.0 * eps * max(pi_scale, 1e-300):
         blocks.append(_window_rows(d / d_scale, width))
     if not blocks:
         return None
@@ -157,10 +142,7 @@ def _live_difference_stack(
 
 
 def _is_defective(stack: np.ndarray | None, rel_tol: float) -> bool:
-    if stack is None:
-        return True
-    sv = np.linalg.svd(stack, compute_uv=False)
-    return sv[0] == 0 or sv[-1] <= rel_tol * sv[0]
+    return stack is None or numerical_rank(stack, rel_tol) < stack.shape[1]
 
 
 def _final_value(state: RatioNodeState, rel_tol: float) -> np.ndarray:
@@ -173,8 +155,7 @@ def _final_value(state: RatioNodeState, rel_tol: float) -> np.ndarray:
     rank-deficient wins.  The quotient is then taken over the latest
     complete iterate window, which suppresses residual-mode contamination.
     """
-    dp = _differences(state.pi_hist, 1)
-    max_width = (len(dp) + 1) // 2
+    max_width = (len(state.hist) - 1) // 2
     beta = None
     for width in range(1, max_width + 1):
         stack = _live_difference_stack(state, width, square=False)
@@ -190,17 +171,16 @@ def _final_value(state: RatioNodeState, rel_tol: float) -> np.ndarray:
         raise DegenerateInitializationError(
             f"node {state.node_id}: no rank-deficient Hankel width up to "
             f"{max_width} at finalization",
-            history=[list(state.alpha_hist)],
+            history=_numerators([state]),
         )
-    r_last = len(state.alpha_hist) - 1
+    r_last = len(state.hist) - 1
     s0 = max(1, r_last - width + 1)
-    a_win = np.stack(state.alpha_hist[s0 : s0 + width])   # (width, n)
-    p_win = np.array(state.pi_hist[s0 : s0 + width])
-    beta_native = beta.astype(a_win.dtype) if a_win.dtype != object else np.array(
-        [a_win.flat[0] * 0 + b for b in beta], dtype=object
-    )
-    den = p_win @ beta_native
-    return (a_win.T @ beta_native) / den
+    win = np.stack(state.hist[s0 : s0 + width])   # (width, n+1)
+    beta = beta.astype(win.dtype)
+    # contiguous copies keep BLAS on the summation order of a plain array
+    a_win = np.ascontiguousarray(win[:, :-1])
+    p_win = np.ascontiguousarray(win[:, -1])
+    return (a_win.T @ beta) / (p_win @ beta)
 
 
 def max_consensus_step(
@@ -253,53 +233,43 @@ class AverageResult:
     phi_done: list[int] | None = None  # certified counter maximum per node
 
 
-def _init_states(g: Digraph, initial_values, dtype) -> list[RatioNodeState]:
+def _init_states(g: Digraph, initial_values) -> list[RatioNodeState]:
+    """One state per node, in the initial values' arithmetic (ints become float)."""
     vals = np.asarray(initial_values)
+    vals = vals.astype(np.result_type(vals.dtype, float), copy=False)
     if vals.ndim == 1:
         vals = vals[:, None]
     if vals.shape[0] != g.node_count:
         raise InvalidInputError(
             f"need one initial value per node, got {vals.shape[0]} for N={g.node_count}"
         )
-    if vals.dtype != object and not np.all(np.isfinite(vals.astype(float))):
+    if not np.all(np.abs(vals) < np.inf):
         raise InvalidInputError("initial values must be finite")
-    states = []
-    one = np.asarray(1, dtype=dtype)[()] if dtype != object else vals.flat[0] * 0 + 1
-    for j in range(g.node_count):
-        a = vals[j].astype(dtype) if dtype != object else vals[j]
-        st = RatioNodeState(node_id=j, alpha=a.copy(), pi=one)
-        st.alpha_hist.append(a.copy())
-        st.pi_hist.append(one)
-        states.append(st)
-    return states
+    rows = np.hstack([vals, vals[:, :1] * 0 + 1])
+    return [RatioNodeState(node_id=j, hist=[rows[j]]) for j in range(g.node_count)]
+
+
+def _numerators(states: list[RatioNodeState]) -> list[list[np.ndarray]]:
+    """Each node's alpha history, as carried by DegenerateInitializationError."""
+    return [[row[:-1] for row in st.hist] for st in states]
 
 
 def _consensus_round(
     g: Digraph, p: np.ndarray, fabric: SyncFabric, states: list[RatioNodeState]
 ) -> None:
-    """One lockstep exchange of weighted (alpha, pi) plus the counter pair."""
+    """One lockstep exchange of the weighted [alpha | pi] plus the counter pair."""
 
     def send(j):
         st = states[j]
-        return [
-            (l, (p[l, j] * st.alpha, p[l, j] * st.pi, st.phi, st.c))
-            for l in g.out_neighbors(j)
-        ]
+        return [(l, (p[l, j] * st.hist[-1], st.phi, st.c)) for l in g.out_neighbors(j)]
 
-    snapshot = [(st.alpha, st.pi) for st in states]
+    snapshot = [st.hist[-1] for st in states]
 
     def receive(j, inbox):
-        st = states[j]
-        a_prev, pi_prev = snapshot[j]
-        a_new = p[j, j] * a_prev
-        pi_new = p[j, j] * pi_prev
-        for _, (a_part, pi_part, _, _) in inbox:
-            a_new = a_new + a_part
-            pi_new = pi_new + pi_part
-        st.alpha = a_new
-        st.pi = pi_new
-        st.alpha_hist.append(a_new.copy())
-        st.pi_hist.append(pi_new)
+        new = p[j, j] * snapshot[j]
+        for _, (part, _, _) in inbox:
+            new = new + part
+        states[j].hist.append(new)
 
     round_exchange(fabric, send, receive)
 
@@ -338,7 +308,6 @@ def finite_time_average(
     rel_tol: float = DEFAULT_REL_TOL,
     weights=None,
     round_cap: int | None = None,
-    dtype=float,
 ) -> AverageResult:
     """Run ratio consensus with distributed termination until every node stops.
 
@@ -348,9 +317,9 @@ def finite_time_average(
     within the round cap (initial values on the measure-zero bad set).
     """
     if g.node_count == 1:
-        states = _init_states(g, initial_values, dtype)
+        states = _init_states(g, initial_values)
         return AverageResult(
-            mu=np.stack([states[0].alpha]),
+            mu=states[0].hist[0][None, :-1],
             degrees=[0],
             rounds_used=0,
             detection_rounds=[0],
@@ -362,7 +331,7 @@ def finite_time_average(
     p = out_weight_matrix(g) if weights is None else validate_weights(g, weights)
     if round_cap is None:
         round_cap = 4 * g.node_count + 2
-    states = _init_states(g, initial_values, dtype)
+    states = _init_states(g, initial_values)
     fabric = SyncFabric(g)
     for round_index in range(1, round_cap + 1):
         pre_phi = [st.phi for st in states]
@@ -383,14 +352,13 @@ def finite_time_average(
         raise DegenerateInitializationError(
             f"no Hankel defectiveness within {round_cap} rounds; "
             "perturb the initial values and retry",
-            history=[list(st.alpha_hist) for st in states],
+            history=_numerators(states),
         )
-    for st in states:
-        st.mu = _final_value(st, rel_tol)
+    mu = np.stack([_final_value(st, rel_tol) for st in states])
     degrees = [st.M for st in states]
     distance_degrees = [st.distance_degree for st in states]
     return AverageResult(
-        mu=np.stack([st.mu for st in states]),
+        mu=mu,
         degrees=degrees,
         rounds_used=fabric.round_index,
         detection_rounds=[st.detection_round for st in states],
@@ -408,7 +376,6 @@ def exact_average_fixed_rounds(
     rounds: int,
     rel_tol: float = DEFAULT_REL_TOL,
     weights=None,
-    dtype=float,
 ) -> tuple[np.ndarray, int]:
     """Agreement phase under a fixed round budget (no termination counters).
 
@@ -419,10 +386,10 @@ def exact_average_fixed_rounds(
     detect feeds the diameter bound, which an agreement does not use.
     """
     if g.node_count == 1:
-        states = _init_states(g, initial_values, dtype)
-        return np.stack([states[0].alpha]), 0
+        states = _init_states(g, initial_values)
+        return states[0].hist[0][None, :-1], 0
     p = out_weight_matrix(g) if weights is None else validate_weights(g, weights)
-    states = _init_states(g, initial_values, dtype)
+    states = _init_states(g, initial_values)
     fabric = SyncFabric(g)
     for round_index in range(1, rounds + 1):
         _consensus_round(g, p, fabric, states)
@@ -432,11 +399,9 @@ def exact_average_fixed_rounds(
     if missing:
         raise DegenerateInitializationError(
             f"nodes {missing} saw no Hankel defectiveness within {rounds} rounds",
-            history=[list(st.alpha_hist) for st in states],
+            history=_numerators(states),
         )
-    for st in states:
-        st.mu = _final_value(st, rel_tol)
     return (
-        np.stack([st.mu for st in states]),
+        np.stack([_final_value(st, rel_tol) for st in states]),
         max(st.detection_round for st in states),
     )

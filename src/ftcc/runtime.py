@@ -10,7 +10,9 @@ the nodes agree on the average of their state estimates, applies the local
 control u_i = K_i xbar, and updates the estimates with the network-wide
 feedback sum learned during initialization.
 
-The simulation arithmetic runs at a configurable precision.  The agreed
+The simulation arithmetic runs at a configurable precision, chosen here
+once: the loop casts its inputs to that arithmetic and the consensus layer
+computes in whatever arithmetic it receives.  The agreed
 average is representable only to one ulp of the state scale, so in plain
 double precision the measured average error ||x - xbar|| floors near
 1e-15 * ||x||; the "quad" backend (mpmath, 120-bit) keeps the error curve
@@ -19,7 +21,7 @@ clean over the horizons the diagnostics look at.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from mpmath import mp, mpf
@@ -50,13 +52,6 @@ def _cast(a, dtype):
         flat = [mpf(v) for v in arr.ravel()]
         return np.array(flat, dtype=object).reshape(arr.shape)
     return arr.astype(dtype)
-
-
-def _to_float(a) -> np.ndarray:
-    arr = np.asarray(a)
-    if arr.dtype == object:
-        return np.array([float(v) for v in arr.ravel()]).reshape(arr.shape)
-    return arr.astype(float)
 
 
 @dataclass
@@ -155,35 +150,49 @@ def _estimate_and_control(a, b_list, c_list, k_gains, l_gains, f_control, x, xba
 
 @dataclass
 class ClosedLoopTrace:
-    """Per-step records of one closed-loop run (all values float64 copies)."""
+    """Per-step records of one closed-loop run: float64 arrays, row k for step k."""
 
     m_bar: int
     tau: float
-    steps: list[int] = field(default_factory=list)
-    times: list[float] = field(default_factory=list)
-    x: list[np.ndarray] = field(default_factory=list)
-    xbar: list[np.ndarray] = field(default_factory=list)
-    xbar_nodes: list[np.ndarray] = field(default_factory=list)
-    xhat: list[np.ndarray] = field(default_factory=list)
-    ebar: list[np.ndarray] = field(default_factory=list)
-    errors: list[np.ndarray] = field(default_factory=list)      # (N, n) per step
-    norm_x: list[float] = field(default_factory=list)
-    norm_ebar: list[float] = field(default_factory=list)
-    norm_errors: list[list[float]] = field(default_factory=list)
-    rounds_used: list[int] = field(default_factory=list)
+    x: np.ndarray                     # (steps, n)
+    xbar_nodes: np.ndarray            # (steps, N, n)
+    xhat: np.ndarray                  # (steps, N, n)
+    ebar: np.ndarray                  # (steps, n)
+    errors: np.ndarray                # (steps, N, n)
+    rounds_used: list[int]
+
+    @property
+    def steps(self) -> list[int]:
+        return list(range(len(self.x)))
+
+    @property
+    def times(self) -> list[float]:
+        return [k * (self.m_bar * self.tau + 1.0) for k in self.steps]
+
+    @property
+    def norm_x(self) -> list[float]:
+        return [float(np.linalg.norm(v)) for v in self.x]
+
+    @property
+    def norm_ebar(self) -> list[float]:
+        return [float(np.linalg.norm(v)) for v in self.ebar]
+
+    @property
+    def norm_errors(self) -> list[list[float]]:
+        return [[float(np.linalg.norm(e)) for e in row] for row in self.errors]
 
     def csv_rows(self):
         """Rows matching the fixed trace schema."""
-        n_agents = len(self.norm_errors[0]) if self.norm_errors else 0
         header = ["k", "t", "norm_x", "norm_ebar"]
-        header += [f"norm_e_{i + 1}" for i in range(n_agents)]
+        header += [f"norm_e_{i + 1}" for i in range(self.errors.shape[1])]
         header += ["rounds_used"]
         yield header
-        for i, k in enumerate(self.steps):
-            row = [k, self.times[i], self.norm_x[i], self.norm_ebar[i]]
-            row += list(self.norm_errors[i])
-            row += [self.rounds_used[i]]
-            yield row
+        columns = zip(
+            self.steps, self.times, self.norm_x, self.norm_ebar,
+            self.norm_errors, self.rounds_used,
+        )
+        for k, t, nx, ne, errs, rounds in columns:
+            yield [k, t, nx, ne, *errs, rounds]
 
 
 def run_closed_loop(
@@ -228,38 +237,27 @@ def _run_loop(
     l_cast = [_cast(l, dtype) for l in init.l_gains]
     f_cast = _cast(init.f_control, dtype)
 
-    trace = ClosedLoopTrace(m_bar=init.m_bar, tau=tau)
-    for k in range(horizon + 1):
+    # each row is converted to float64 as it is recorded
+    steps, per_node = horizon + 1, (horizon + 1, n_agents, sys.n)
+    trace = ClosedLoopTrace(
+        m_bar=init.m_bar, tau=tau, x=np.empty((steps, sys.n)),
+        xbar_nodes=np.empty(per_node), xhat=np.empty(per_node),
+        ebar=np.empty((steps, sys.n)), errors=np.empty(per_node), rounds_used=[],
+    )
+    for k in range(steps):
         xbar_nodes, detect_round = exact_average_fixed_rounds(
-            g, xhat, init.m_bar, rel_tol=cfg.rank_rel_tol, weights=cfg.weights,
-            dtype=dtype,
+            g, xhat, init.m_bar, rel_tol=cfg.rank_rel_tol, weights=cfg.weights
         )
-        xbar = xbar_nodes[0]
-        ebar = x - xbar
-        errs = np.stack([_to_float(x - xhat[i]) for i in range(n_agents)])
-        trace.steps.append(k)
-        trace.times.append(k * (init.m_bar * tau + 1.0))
-        trace.x.append(_to_float(x))
-        trace.xbar.append(_to_float(xbar))
-        trace.xbar_nodes.append(
-            np.stack([_to_float(xbar_nodes[i]) for i in range(n_agents)])
-        )
-        trace.xhat.append(np.stack([_to_float(xhat[i]) for i in range(n_agents)]))
-        trace.ebar.append(_to_float(ebar))
-        trace.errors.append(errs)
-        trace.norm_x.append(float(np.linalg.norm(_to_float(x))))
-        trace.norm_ebar.append(float(np.linalg.norm(_to_float(ebar))))
-        trace.norm_errors.append(
-            [float(np.linalg.norm(errs[i])) for i in range(n_agents)]
-        )
+        trace.x[k] = x
+        trace.xbar_nodes[k] = xbar_nodes
+        trace.xhat[k] = xhat
+        trace.ebar[k] = x - xbar_nodes[0]
+        trace.errors[k] = x - xhat
         trace.rounds_used.append(detect_round)
         if k == horizon:
             break
-        x_next, new_xhat, _ = _estimate_and_control(
+        x, new_xhat, _ = _estimate_and_control(
             a_cast, b_cast, c_cast, k_cast, l_cast, f_cast, x, xbar_nodes
         )
-        xhat = np.stack(new_xhat) if dtype != object else np.array(
-            new_xhat, dtype=object
-        )
-        x = x_next
+        xhat = np.stack(new_xhat)
     return trace

@@ -92,6 +92,15 @@ class ScenarioConfig:
                 raise ConfigError(f"priorities[{j}] lists non-out-neighbors")
         if self.election_values is not None and len(self.election_values) != g.node_count:
             raise ConfigError("election_values must have one entry per node")
+        for nm in ("x0", "xhat0", "election_values"):
+            value = getattr(self, nm)
+            if value is not None and not np.all(np.isfinite(np.asarray(value, dtype=float))):
+                raise ConfigError(f"{nm} must be finite")
+        # the negated comparisons also reject NaN
+        if not 0 < self.rank_rel_tol < 1:
+            raise ConfigError("rank_rel_tol must lie strictly between 0 and 1")
+        if not 0 <= self.stability_margin < np.inf:
+            raise ConfigError("stability_margin must be finite and nonnegative")
         if self.x0 is not None and self.x0.shape != (sys.n,):
             raise ConfigError(f"x0 must have length {sys.n}")
         if self.xhat0 is not None and self.xhat0.shape != (g.node_count, sys.n):
@@ -100,8 +109,8 @@ class ScenarioConfig:
             raise ConfigError("horizon must be nonnegative")
         if self.precision not in PRECISIONS:
             raise ConfigError(f"precision must be one of {PRECISIONS}")
-        if any(t <= 0 for t in self.taus):
-            raise ConfigError("tau values must be positive")
+        if not all(0 < t < np.inf for t in self.taus):
+            raise ConfigError("taus must be positive and finite")
         return self
 
     def to_dict(self) -> dict:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mpf
 
 from ftcc.consensus import (
     _consensus_round,
@@ -19,6 +20,7 @@ from ftcc.graph import (
     digraph_from_weight_matrix,
     out_weight_matrix,
 )
+from ftcc.runtime import _cast, _dtype_for
 
 from conftest import random_strongly_connected
 
@@ -42,11 +44,12 @@ def ratio_rounds(p, alpha, rounds: int = 1):
     Returns the stacked (N, n) numerators and the (N,) denominators.
     """
     g = digraph_from_weight_matrix(p)
-    states = _init_states(g, alpha, float)
+    states = _init_states(g, alpha)
     fabric = SyncFabric(g)
     for _ in range(rounds):
         _consensus_round(g, p, fabric, states)
-    return np.stack([st.alpha for st in states]), np.array([st.pi for st in states])
+    rows = np.stack([st.hist[-1] for st in states])   # [alpha | pi] per node
+    return rows[:, :-1], rows[:, -1]
 
 
 class TestRatioStep:
@@ -108,7 +111,7 @@ class TestTerminationMechanics:
     def _state(self, **kw):
         from ftcc.consensus import RatioNodeState
 
-        st = RatioNodeState(node_id=0, alpha=np.zeros(1), pi=1.0)
+        st = RatioNodeState(node_id=0, hist=[np.array([0.0, 1.0])])
         for k, v in kw.items():
             setattr(st, k, v)
         return st
@@ -244,3 +247,26 @@ class TestFixedRounds:
         g = digraph_from_weight_matrix(FOURNODE_P)
         with pytest.raises(DegenerateInitializationError):
             exact_average_fixed_rounds(g, [0.0, 1.0, 2.0, 3.0], 3, weights=FOURNODE_P)
+
+
+class TestPrecision:
+    """Consensus computes in the arithmetic of the values it is given."""
+
+    ELEMENT_TYPE = {"double": np.float64, "extended": np.longdouble, "quad": mpf}
+
+    @pytest.mark.parametrize("precision", ["double", "extended", "quad"])
+    def test_non_finite_estimate_rejected(self, precision):
+        g = digraph_from_weight_matrix(FOURNODE_P)
+        vals = _cast([0.0, np.nan, 2.0, 3.0], _dtype_for(precision))
+        with pytest.raises(InvalidInputError):
+            exact_average_fixed_rounds(g, vals, 11, weights=FOURNODE_P)
+
+    @pytest.mark.parametrize("precision", ["double", "extended", "quad"])
+    def test_averages_keep_the_input_arithmetic(self, precision):
+        g = digraph_from_weight_matrix(FOURNODE_P)
+        rows = [[0.0, 1.0], [1.0, -2.0], [2.0, 0.5], [3.0, 4.0]]
+        vals = _cast(rows, _dtype_for(precision))
+        mu, _ = exact_average_fixed_rounds(g, vals, 11, weights=FOURNODE_P)
+        assert mu.shape == (4, 2)
+        assert all(isinstance(v, self.ELEMENT_TYPE[precision]) for v in mu.ravel())
+        assert np.allclose(mu.astype(float), [1.5, 0.875], atol=1e-10)

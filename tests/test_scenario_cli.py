@@ -91,6 +91,28 @@ class TestLoading:
         with pytest.raises(ConfigError):
             scenario_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "field_name, value",
+        [
+            ("rank_rel_tol", 1.0),
+            ("rank_rel_tol", 2.0),
+            ("rank_rel_tol", 0.0),
+            ("rank_rel_tol", -1.0),
+            ("rank_rel_tol", float("nan")),
+            ("stability_margin", -0.5),
+            ("stability_margin", float("nan")),
+            ("taus", [float("nan")]),
+            ("x0", [float("nan"), 1.0]),
+            ("xhat0", [[float("nan"), 0.0], [0.0, 0.0]]),
+            ("election_values", [float("nan"), 1.0]),
+        ],
+    )
+    def test_numeric_field_out_of_range_named(self, field_name, value):
+        doc = minimal_doc()
+        doc[field_name] = value
+        with pytest.raises(ConfigError, match=field_name):
+            scenario_from_dict(doc)
+
     def test_unknown_scenario_name(self):
         with pytest.raises(ConfigError):
             load_scenario("no-such-scenario")
@@ -190,6 +212,17 @@ class TestCli:
             main(["frobnicate"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    def test_nan_initial_state_is_a_config_error(self, tmp_path, capsys):
+        doc = minimal_doc()
+        doc["x0"] = [float("nan"), 1.0]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        code = main(["simulate", "--scenario", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error:" in err and "x0" in err
+        assert "Traceback" not in err
 
     def test_custom_scenario_file(self, tmp_path, capsys):
         path = tmp_path / "tiny.json"
