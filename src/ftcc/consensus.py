@@ -145,36 +145,38 @@ def _is_defective(stack: np.ndarray | None, rel_tol: float) -> bool:
     return stack is None or numerical_rank(stack, rel_tol) < stack.shape[1]
 
 
-def _final_value(state: RatioNodeState, rel_tol: float) -> np.ndarray:
-    """Exact average via the shared kernel quotient, evaluated late.
+def _kernel(state: RatioNodeState, rel_tol: float) -> np.ndarray:
+    """The node's Hankel kernel beta, normalized so beta[-1] == 1.
 
     Rather than trusting the minimal square Hankel that triggered detection
     (which can look singular out of sheer ill-conditioning), the kernel
     width is re-established on the full difference history: every available
     window contributes a row, and the first width whose stack is genuinely
-    rank-deficient wins.  The quotient is then taken over the latest
-    complete iterate window, which suppresses residual-mode contamination.
+    rank-deficient wins.  Sequences that all converged within arithmetic
+    noise give degree zero, beta = [1].
     """
     max_width = (len(state.hist) - 1) // 2
-    beta = None
     for width in range(1, max_width + 1):
         stack = _live_difference_stack(state, width, square=False)
         if stack is None:
-            # everything converged within arithmetic noise: degree zero
-            width = 1
-            beta = np.ones(1)
-            break
+            return np.ones(1)
         if _is_defective(stack, rel_tol):
-            beta = common_kernel_vector(stack, rel_tol)
-            break
-    if beta is None:
-        raise DegenerateInitializationError(
-            f"node {state.node_id}: no rank-deficient Hankel width up to "
-            f"{max_width} at finalization",
-            history=_numerators([state]),
-        )
-    r_last = len(state.hist) - 1
-    s0 = max(1, r_last - width + 1)
+            return common_kernel_vector(stack, rel_tol)
+    raise DegenerateInitializationError(
+        f"node {state.node_id}: no rank-deficient Hankel width up to "
+        f"{max_width} at finalization",
+        history=_numerators([state]),
+    )
+
+
+def _quotient(state: RatioNodeState, beta: np.ndarray, lag: int = 0) -> np.ndarray:
+    """Exact average as the kernel quotient over an iterate window.
+
+    The window is the latest complete one, which suppresses residual-mode
+    contamination, or the one ``lag`` rounds before it.
+    """
+    width = len(beta)
+    s0 = len(state.hist) - width - lag   # callers keep s0 >= 1, past the inputs
     win = np.stack(state.hist[s0 : s0 + width])   # (width, n+1)
     beta = beta.astype(win.dtype)
     # contiguous copies keep BLAS on the summation order of a plain array
@@ -229,6 +231,7 @@ class AverageResult:
     done_rounds: list[int]
     m_bar: int
     diameter_bound: int               # max over unshifted-window degrees
+    kernels: list[np.ndarray]         # float64 Hankel kernel beta_j per node
     distance_degrees: list[int] | None = None
     phi_done: list[int] | None = None  # certified counter maximum per node
 
@@ -326,6 +329,7 @@ def finite_time_average(
             done_rounds=[0],
             m_bar=m_bar([0]),
             diameter_bound=0,
+            kernels=[np.ones(1)],
             distance_degrees=[0],
         )
     p = out_weight_matrix(g) if weights is None else validate_weights(g, weights)
@@ -354,7 +358,8 @@ def finite_time_average(
             "perturb the initial values and retry",
             history=_numerators(states),
         )
-    mu = np.stack([_final_value(st, rel_tol) for st in states])
+    kernels = [_kernel(st, rel_tol) for st in states]
+    mu = np.stack([_quotient(st, beta) for st, beta in zip(states, kernels)])
     degrees = [st.M for st in states]
     distance_degrees = [st.distance_degree for st in states]
     return AverageResult(
@@ -365,6 +370,7 @@ def finite_time_average(
         done_rounds=[st.done_round for st in states],
         m_bar=m_bar(degrees),
         diameter_bound=diameter_upper_bound(distance_degrees),
+        kernels=kernels,
         distance_degrees=distance_degrees,
         phi_done=[st.phi_done for st in states],
     )
@@ -374,34 +380,39 @@ def exact_average_fixed_rounds(
     g: Digraph,
     initial_values,
     rounds: int,
+    kernels,
     rel_tol: float = DEFAULT_REL_TOL,
     weights=None,
-) -> tuple[np.ndarray, int]:
-    """Agreement phase under a fixed round budget (no termination counters).
+) -> np.ndarray:
+    """Agreement phase: ``rounds`` exchanges, then one quotient per node.
 
-    All nodes run exactly ``rounds`` exchanges; each monitors defectiveness
-    along the way and evaluates its final-value quotient at the end.  Returns
-    the (N, n) per-node averages and the latest detection round.  Only the
-    even-round budget monitor runs: the distance degree the odd rounds
-    detect feeds the diameter bound, which an agreement does not use.
+    For fixed weights node j's iterates satisfy one recurrence whatever the
+    data, so the bootstrap kernel beta_j (``AverageResult.kernels``) serves
+    every agreement and no rank test runs.  Returns the (N, n) averages.
+    Each node checks its quotient against the one a window earlier, equal
+    in exact arithmetic unless beta_j misses a mode: a gap above rel_tol
+    times the largest input, or no earlier window, raises
+    DegenerateInitializationError.
     """
-    if g.node_count == 1:
-        states = _init_states(g, initial_values)
-        return states[0].hist[0][None, :-1], 0
-    p = out_weight_matrix(g) if weights is None else validate_weights(g, weights)
     states = _init_states(g, initial_values)
+    if g.node_count == 1:
+        return states[0].hist[0][None, :-1]
+    p = out_weight_matrix(g) if weights is None else validate_weights(g, weights)
     fabric = SyncFabric(g)
-    for round_index in range(1, rounds + 1):
+    for _ in range(rounds):
         _consensus_round(g, p, fabric, states)
-        if round_index % 2 == 0:
-            _detect(states, round_index, rel_tol)
-    missing = [st.node_id for st in states if st.M is None]
-    if missing:
-        raise DegenerateInitializationError(
-            f"nodes {missing} saw no Hankel defectiveness within {rounds} rounds",
-            history=_numerators(states),
-        )
-    return (
-        np.stack([_final_value(st, rel_tol) for st in states]),
-        max(st.detection_round for st in states),
-    )
+    tol = rel_tol * float(np.max(np.abs(np.asarray(initial_values))))
+    mu = []
+    for st, beta in zip(states, kernels, strict=True):
+        if rounds <= len(beta):
+            fault = f"{rounds} rounds leave no earlier window"
+        else:
+            mu.append(_quotient(st, beta))
+            gap = float(np.max(np.abs(mu[-1] - _quotient(st, beta, lag=1))))
+            fault = None if gap <= tol else f"consecutive windows differ by {gap:.3e}"
+        if fault:
+            raise DegenerateInitializationError(
+                f"node {st.node_id}, stored width-{len(beta)} kernel: {fault}",
+                history=_numerators(states),
+            )
+    return np.stack(mu)

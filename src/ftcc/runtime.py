@@ -5,10 +5,10 @@ of finite-time averaging (yielding the diameter bound D' and the round
 budget m_bar), a max-consensus leader election over D' rounds, and two token
 passes choosing the control gains K_i and then the observer gains L_i.
 
-Each closed-loop step k then grants exactly m_bar consensus rounds in which
-the nodes agree on the average of their state estimates, applies the local
-control u_i = K_i xbar, and updates the estimates with the network-wide
-feedback sum learned during initialization.
+Each closed-loop step k then grants exactly m_bar consensus rounds, after
+which every node reads the average of the state estimates off the Hankel
+kernel it stored at bootstrap, applies the local control u_i = K_i xbar, and
+updates its estimate with the network-wide feedback sum from initialization.
 
 The simulation arithmetic runs at a configurable precision, chosen here
 once: the loop casts its inputs to that arithmetic and the consensus layer
@@ -67,6 +67,7 @@ class InitializationResult:
     control_token: TokenResult
     observer_token: TokenResult
     bootstrap_degrees: list[int]
+    kernels: list[np.ndarray]        # each node's Hankel kernel, reused every step
     controller_spectrum: np.ndarray
     observer_spectrum: np.ndarray
 
@@ -120,6 +121,7 @@ def initialize(cfg: ScenarioConfig) -> InitializationResult:
         control_token=control,
         observer_token=observer,
         bootstrap_degrees=bootstrap.degrees,
+        kernels=bootstrap.kernels,
         controller_spectrum=eigenvalues(sys.a + control.f),
         observer_spectrum=eigenvalues(obs_matrix),
     )
@@ -237,7 +239,9 @@ def _run_loop(
     l_cast = [_cast(l, dtype) for l in init.l_gains]
     f_cast = _cast(init.f_control, dtype)
 
-    # each row is converted to float64 as it is recorded
+    # each row is converted to float64 as it is recorded; rounds_used is the
+    # round at which the widest stored kernel's square Hankel completes
+    rounds_used = 2 * max(len(beta) for beta in init.kernels)
     steps, per_node = horizon + 1, (horizon + 1, n_agents, sys.n)
     trace = ClosedLoopTrace(
         m_bar=init.m_bar, tau=tau, x=np.empty((steps, sys.n)),
@@ -245,15 +249,16 @@ def _run_loop(
         ebar=np.empty((steps, sys.n)), errors=np.empty(per_node), rounds_used=[],
     )
     for k in range(steps):
-        xbar_nodes, detect_round = exact_average_fixed_rounds(
-            g, xhat, init.m_bar, rel_tol=cfg.rank_rel_tol, weights=cfg.weights
+        xbar_nodes = exact_average_fixed_rounds(
+            g, xhat, init.m_bar, init.kernels, rel_tol=cfg.rank_rel_tol,
+            weights=cfg.weights,
         )
         trace.x[k] = x
         trace.xbar_nodes[k] = xbar_nodes
         trace.xhat[k] = xhat
         trace.ebar[k] = x - xbar_nodes[0]
         trace.errors[k] = x - xhat
-        trace.rounds_used.append(detect_round)
+        trace.rounds_used.append(rounds_used)
         if k == horizon:
             break
         x, new_xhat, _ = _estimate_and_control(

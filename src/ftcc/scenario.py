@@ -23,7 +23,7 @@ from .plant import LtiSystem, require_jointly_controllable_observable
 PRECISIONS = ("double", "extended", "quad")
 
 
-def _parse_targets(raw, name: str) -> tuple[complex, ...]:
+def _parse_targets(raw) -> tuple[complex, ...]:
     out = []
     for v in raw:
         if isinstance(v, (int, float)):
@@ -31,7 +31,7 @@ def _parse_targets(raw, name: str) -> tuple[complex, ...]:
         elif isinstance(v, (list, tuple)) and len(v) == 2:
             out.append(complex(float(v[0]), float(v[1])))
         else:
-            raise ConfigError(f"{name}: targets must be numbers or [re, im] pairs")
+            raise ValueError("targets must be numbers or [re, im] pairs")
     return tuple(out)
 
 
@@ -140,67 +140,65 @@ class ScenarioConfig:
         return d
 
 
-def scenario_from_dict(doc: dict) -> ScenarioConfig:
-    try:
-        graph_doc = doc["graph"]
-        plant_doc = doc["plant"]
-    except KeyError as exc:
-        raise ConfigError(f"missing required section {exc}") from None
-
+def _parse_graph(graph_doc) -> tuple[Digraph, np.ndarray]:
+    edges = tuple(tuple(e) for e in graph_doc.get("edges", ()))
     if "weight_matrix" in graph_doc:
         weights = np.asarray(graph_doc["weight_matrix"], dtype=float)
         g = digraph_from_weight_matrix(weights)
-        if "edges" in graph_doc:
-            declared = Digraph(
-                int(graph_doc.get("node_count", weights.shape[0])),
-                tuple(tuple(e) for e in graph_doc["edges"]),
-            )
-            if declared.edges != g.edges:
-                raise ConfigError("explicit edges disagree with weight-matrix support")
-    elif "edges" in graph_doc:
-        g = Digraph(
-            int(graph_doc["node_count"]),
-            tuple(tuple(e) for e in graph_doc["edges"]),
-        )
-        weights = out_weight_matrix(g)
-    else:
-        raise ConfigError("graph needs either weight_matrix or edges")
+        n = graph_doc.get("node_count", weights.shape[0])
+        if "edges" in graph_doc and Digraph(int(n), edges).edges != g.edges:
+            raise ConfigError("explicit edges disagree with weight-matrix support")
+        return g, weights
+    if "edges" in graph_doc:
+        g = Digraph(int(graph_doc["node_count"]), edges)
+        return g, out_weight_matrix(g)
+    raise ConfigError("graph needs either weight_matrix or edges")
 
+
+# optional top-level fields and their parsers; absent ones keep their defaults
+_FIELDS = {
+    "name": str,
+    "controller_targets": _parse_targets,
+    "observer_targets": _parse_targets,
+    "priorities": lambda v: {int(k): list(order) for k, order in v.items()},
+    "election_values": list,
+    "stability_margin": float,
+    "rank_rel_tol": float,
+    "x0": lambda v: np.asarray(v, dtype=float),
+    "xhat0": lambda v: np.asarray(v, dtype=float),
+    "horizon": int,
+    "taus": lambda v: tuple(float(t) for t in v),
+    "precision": str,
+}
+
+
+def scenario_from_dict(doc: dict) -> ScenarioConfig:
+    """Parse and validate a scenario document.
+
+    A malformed value (wrong type, missing key, ragged matrix) raises a
+    ConfigError that names the section it was found in.
+    """
+    fields = {"name": "scenario", "controller_targets": (), "observer_targets": ()}
+    section = "scenario"
     try:
-        plant = LtiSystem(
+        graph_doc, plant_doc = doc["graph"], doc["plant"]
+        section = "graph"
+        fields["graph"], fields["weights"] = _parse_graph(graph_doc)
+        section = "plant"
+        fields["plant"] = LtiSystem(
             a=np.asarray(plant_doc["a"], dtype=float),
             b_list=tuple(np.asarray(b, dtype=float) for b in plant_doc["b"]),
             c_list=tuple(np.asarray(c, dtype=float) for c in plant_doc["c"]),
         )
-    except KeyError as exc:
-        raise ConfigError(f"plant section missing {exc}") from None
-    except InvalidInputError as exc:
-        raise ConfigError(f"plant: {exc}") from None
-
-    cfg = ScenarioConfig(
-        name=doc.get("name", "scenario"),
-        graph=g,
-        weights=weights,
-        plant=plant,
-        controller_targets=_parse_targets(
-            doc.get("controller_targets", ()), "controller_targets"
-        ),
-        observer_targets=_parse_targets(
-            doc.get("observer_targets", ()), "observer_targets"
-        ),
-        priorities={int(k): list(v) for k, v in doc.get("priorities", {}).items()},
-        election_values=list(doc["election_values"])
-        if "election_values" in doc
-        else None,
-        stability_margin=float(doc.get("stability_margin", DEFAULT_STABILITY_MARGIN)),
-        rank_rel_tol=float(doc.get("rank_rel_tol", 1e-8)),
-        x0=np.asarray(doc["x0"], dtype=float) if "x0" in doc else None,
-        xhat0=np.asarray(doc["xhat0"], dtype=float) if "xhat0" in doc else None,
-        horizon=int(doc.get("horizon", 60)),
-        taus=tuple(float(t) for t in doc.get("taus", (0.1, 1.0, 10.0))),
-        precision=str(doc.get("precision", "double")),
-    )
-    return cfg.validate()
+        for section, parse in _FIELDS.items():
+            if section in doc:
+                fields[section] = parse(doc[section])
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, KeyError, AttributeError) as exc:
+        missing = "missing " if isinstance(exc, KeyError) else ""
+        raise ConfigError(f"{section}: {missing}{exc}") from None
+    return ScenarioConfig(**fields).validate()
 
 
 def load_scenario(path_or_name) -> ScenarioConfig:

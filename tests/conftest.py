@@ -6,6 +6,7 @@ import pytest
 # random_strongly_connected is re-exported so that the tests draw the same
 # digraphs as acceptance criterion 6
 from ftcc.acceptance import AcceptanceContext, random_strongly_connected  # noqa: F401
+from ftcc.consensus import finite_time_average
 from ftcc.plant import LtiSystem, joint_rank_checks
 from ftcc.scenario import load_scenario
 
@@ -26,6 +27,12 @@ def paper_init(paper_scenario):
 def acceptance_ctx():
     """The acceptance context (initialization plus three traces), built once."""
     return AcceptanceContext.build()
+
+
+def stored_kernels(g, weights=None):
+    """Each node's Hankel kernel from a bootstrap run on the node ids."""
+    ids = np.arange(g.node_count, dtype=float)
+    return finite_time_average(g, ids, weights=weights).kernels
 
 
 def random_joint_system(rng, n_agents: int, n: int, unstable: bool = True) -> LtiSystem:

@@ -22,7 +22,7 @@ from ftcc.graph import (
 )
 from ftcc.runtime import _cast, _dtype_for
 
-from conftest import random_strongly_connected
+from conftest import random_strongly_connected, stored_kernels
 
 FOURNODE_P = np.array(
     [
@@ -230,23 +230,102 @@ class TestFixedRounds:
     def test_all_equal_estimates(self):
         g = digraph_from_weight_matrix(FOURNODE_P)
         vals = np.tile([1.0, -2.0], (4, 1))
-        mu, rounds = exact_average_fixed_rounds(g, vals, 11, weights=FOURNODE_P)
+        kernels = stored_kernels(g, FOURNODE_P)
+        mu = exact_average_fixed_rounds(g, vals, 11, kernels, weights=FOURNODE_P)
         assert np.allclose(mu, [1.0, -2.0], atol=1e-12)
-        assert rounds <= 11
 
     def test_three_cycle_scalar(self):
-        mu, _ = exact_average_fixed_rounds(three_cycle(), [0.0, 3.0, 6.0], 11)
+        g = three_cycle()
+        mu = exact_average_fixed_rounds(g, [0.0, 3.0, 6.0], 11, stored_kernels(g))
         assert np.allclose(mu[:, 0], 3.0, atol=1e-10)
 
     def test_all_zero_estimates(self):
         g = digraph_from_weight_matrix(FOURNODE_P)
-        mu, _ = exact_average_fixed_rounds(g, np.zeros((4, 2)), 11, weights=FOURNODE_P)
+        kernels = stored_kernels(g, FOURNODE_P)
+        mu = exact_average_fixed_rounds(
+            g, np.zeros((4, 2)), 11, kernels, weights=FOURNODE_P
+        )
         assert np.allclose(mu, 0.0)
 
     def test_insufficient_rounds_raise(self):
         g = digraph_from_weight_matrix(FOURNODE_P)
+        kernels = stored_kernels(g, FOURNODE_P)
         with pytest.raises(DegenerateInitializationError):
-            exact_average_fixed_rounds(g, [0.0, 1.0, 2.0, 3.0], 3, weights=FOURNODE_P)
+            exact_average_fixed_rounds(
+                g, [0.0, 1.0, 2.0, 3.0], 3, kernels, weights=FOURNODE_P
+            )
+
+
+class TestStoredKernels:
+    """Agreements reuse the bootstrap kernels under a window post-condition."""
+
+    def test_matches_the_mean_on_random_digraphs(self):
+        rng = np.random.default_rng(7)
+        for _ in range(30):
+            g = random_strongly_connected(rng, int(rng.integers(2, 11)))
+            boot = finite_time_average(g, np.arange(g.node_count, dtype=float))
+            signs = rng.choice([-1.0, 1.0], size=(g.node_count, 3))
+            xhat = signs * 10.0 ** rng.uniform(-6, 6, size=(g.node_count, 3))
+            mu = exact_average_fixed_rounds(g, xhat, boot.m_bar, boot.kernels)
+            err = np.max(np.abs(mu - xhat.mean(axis=0)))
+            assert err <= 1e-9 * np.max(np.abs(xhat))
+
+    def test_no_rank_test_runs(self, monkeypatch):
+        import ftcc.consensus as consensus
+
+        g = digraph_from_weight_matrix(FOURNODE_P)
+        kernels = stored_kernels(g, FOURNODE_P)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an agreement ran a rank test")
+
+        for name in ("_detect", "numerical_rank", "common_kernel_vector"):
+            monkeypatch.setattr(consensus, name, forbidden)
+        mu = exact_average_fixed_rounds(
+            g, [0.0, 1.0, 2.0, 3.0], 11, kernels, weights=FOURNODE_P
+        )
+        assert np.allclose(mu, 1.5, atol=1e-12)
+
+    @pytest.mark.parametrize("precision", ["double", "extended", "quad"])
+    def test_paper_4node_in_every_precision(self, precision, paper_scenario, paper_init):
+        cfg = paper_scenario
+        rng = np.random.default_rng(5)
+        xhat = rng.normal(size=(4, 8)) * 10.0 ** rng.uniform(-6, 6, size=(4, 8))
+        vals = _cast(xhat, _dtype_for(precision))
+        mu = exact_average_fixed_rounds(
+            cfg.graph, vals, paper_init.m_bar, paper_init.kernels, weights=cfg.weights
+        )
+        assert all(
+            isinstance(v, TestPrecision.ELEMENT_TYPE[precision]) for v in mu.ravel()
+        )
+        err = np.max(np.abs(mu.astype(float) - xhat.mean(axis=0)))
+        assert err <= 1e-9 * np.max(np.abs(xhat))
+
+    def test_missed_mode_raises_instead_of_a_wrong_average(self):
+        # on this 6-cycle the node ids have no component along the
+        # 0.75 +- 0.43i eigenvector pair, so the bootstrap kernels miss it
+        g = Digraph(6, ((0, 4), (4, 2), (2, 3), (3, 1), (1, 5), (5, 0)))
+        boot = finite_time_average(g, np.arange(6, dtype=float))
+        assert [len(beta) for beta in boot.kernels] == [3] * 6
+        xhat = np.random.default_rng(0).normal(size=6)
+        with pytest.raises(DegenerateInitializationError, match="consecutive windows"):
+            exact_average_fixed_rounds(g, xhat, boot.m_bar, boot.kernels)
+
+    def test_width_one_kernel_raises(self):
+        g = digraph_from_weight_matrix(FOURNODE_P)
+        with pytest.raises(DegenerateInitializationError, match="node 0") as err:
+            exact_average_fixed_rounds(
+                g, [0.0, 1.0, 2.0, 3.0], 11, [np.ones(1)] * 4, weights=FOURNODE_P
+            )
+        assert err.value.history is not None
+
+    def test_budget_without_an_earlier_window_raises(self):
+        g = digraph_from_weight_matrix(FOURNODE_P)
+        kernels = [np.array([0.5, -1.5, 1.0])] * 4
+        with pytest.raises(DegenerateInitializationError, match="no earlier window"):
+            exact_average_fixed_rounds(
+                g, [0.0, 1.0, 2.0, 3.0], 3, kernels, weights=FOURNODE_P
+            )
 
 
 class TestPrecision:
@@ -258,15 +337,17 @@ class TestPrecision:
     def test_non_finite_estimate_rejected(self, precision):
         g = digraph_from_weight_matrix(FOURNODE_P)
         vals = _cast([0.0, np.nan, 2.0, 3.0], _dtype_for(precision))
+        kernels = stored_kernels(g, FOURNODE_P)
         with pytest.raises(InvalidInputError):
-            exact_average_fixed_rounds(g, vals, 11, weights=FOURNODE_P)
+            exact_average_fixed_rounds(g, vals, 11, kernels, weights=FOURNODE_P)
 
     @pytest.mark.parametrize("precision", ["double", "extended", "quad"])
     def test_averages_keep_the_input_arithmetic(self, precision):
         g = digraph_from_weight_matrix(FOURNODE_P)
         rows = [[0.0, 1.0], [1.0, -2.0], [2.0, 0.5], [3.0, 4.0]]
         vals = _cast(rows, _dtype_for(precision))
-        mu, _ = exact_average_fixed_rounds(g, vals, 11, weights=FOURNODE_P)
+        kernels = stored_kernels(g, FOURNODE_P)
+        mu = exact_average_fixed_rounds(g, vals, 11, kernels, weights=FOURNODE_P)
         assert mu.shape == (4, 2)
         assert all(isinstance(v, self.ELEMENT_TYPE[precision]) for v in mu.ravel())
         assert np.allclose(mu.astype(float), [1.5, 0.875], atol=1e-10)

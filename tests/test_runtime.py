@@ -7,7 +7,12 @@ from ftcc.plant import LtiSystem
 from ftcc.runtime import _estimate_and_control, initialize, run_closed_loop
 from ftcc.scenario import ScenarioConfig
 
-from conftest import random_joint_system, random_strongly_connected, targets_for_spectrum
+from conftest import (
+    random_joint_system,
+    random_strongly_connected,
+    stored_kernels,
+    targets_for_spectrum,
+)
 
 
 def random_scenario(seed: int, n_agents: int = 5, n: int = 5) -> ScenarioConfig:
@@ -99,16 +104,15 @@ class TestAgreementPhase:
     def test_equal_estimates(self, paper_scenario):
         cfg = paper_scenario
         xhat = np.tile([2.0, -1.0], (4, 1))
-        mu, rounds = exact_average_fixed_rounds(
-            cfg.graph, xhat, 11, weights=cfg.weights
-        )
+        kernels = stored_kernels(cfg.graph, cfg.weights)
+        mu = exact_average_fixed_rounds(cfg.graph, xhat, 11, kernels, weights=cfg.weights)
         assert np.allclose(mu, [2.0, -1.0], atol=1e-12)
-        assert rounds <= 11
 
     def test_three_cycle_scalar(self):
         g = Digraph(3, ((0, 1), (1, 2), (2, 0)))
-        mu, _ = exact_average_fixed_rounds(
-            g, np.array([[0.0], [3.0], [6.0]]), 11, weights=out_weight_matrix(g)
+        p = out_weight_matrix(g)
+        mu = exact_average_fixed_rounds(
+            g, np.array([[0.0], [3.0], [6.0]]), 11, stored_kernels(g, p), weights=p
         )
         assert np.allclose(mu, 3.0, atol=1e-10)
 
@@ -116,7 +120,8 @@ class TestAgreementPhase:
         rng = np.random.default_rng(2)
         cfg = paper_scenario
         xhat = rng.normal(size=(4, 8))
-        mu, _ = exact_average_fixed_rounds(cfg.graph, xhat, 11, weights=cfg.weights)
+        kernels = stored_kernels(cfg.graph, cfg.weights)
+        mu = exact_average_fixed_rounds(cfg.graph, xhat, 11, kernels, weights=cfg.weights)
         mean = xhat.mean(axis=0)
         scale = max(1.0, float(np.linalg.norm(mean)))
         for j in range(4):
@@ -175,7 +180,8 @@ class TestClosedLoop:
     def test_normalized_time_and_rounds(self, paper_scenario, paper_init):
         trace = run_closed_loop(paper_scenario, paper_init, horizon=3, tau=0.5)
         assert trace.times == [k * (11 * 0.5 + 1.0) for k in range(4)]
-        assert all(r <= 11 for r in trace.rounds_used)
+        # the widest stored kernel has width 3: its square Hankel completes at 6
+        assert trace.rounds_used == [6] * 4
 
     def test_tau_only_rescales_time(self, paper_scenario, paper_init):
         t1 = run_closed_loop(paper_scenario, paper_init, horizon=5, tau=0.1)

@@ -15,6 +15,24 @@ from ftcc.scenario import (
 )
 
 
+def set_path(doc, path, value):
+    """Set doc[path[0]][path[1]]... to value."""
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+# (path into the document, malformed value, section the error must name)
+MALFORMED = [
+    (("x0",), ["a", 1.0], "x0"),
+    (("horizon",), "abc", "horizon"),
+    (("taus",), ["x"], "taus"),
+    (("graph",), {"edges": [[0]]}, "graph"),
+    (("plant", "a"), [[1.5, 0.0], [0.0]], "plant"),
+    (("priorities",), 5, "priorities"),
+]
+
+
 def minimal_doc():
     return {
         "name": "tiny",
@@ -111,6 +129,13 @@ class TestLoading:
         doc = minimal_doc()
         doc[field_name] = value
         with pytest.raises(ConfigError, match=field_name):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("path, value, section", MALFORMED)
+    def test_malformed_value_is_a_config_error(self, path, value, section):
+        doc = minimal_doc()
+        set_path(doc, path, value)
+        with pytest.raises(ConfigError, match=f"^{section}: "):
             scenario_from_dict(doc)
 
     def test_unknown_scenario_name(self):
@@ -222,6 +247,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 1
         assert "error:" in err and "x0" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("path, value, section", MALFORMED)
+    def test_malformed_value_is_an_error_line(self, tmp_path, capsys, path, value, section):
+        doc = minimal_doc()
+        set_path(doc, path, value)
+        file = tmp_path / "bad.json"
+        file.write_text(json.dumps(doc))
+        code = main(["simulate", "--scenario", str(file)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {section}: ")
         assert "Traceback" not in err
 
     def test_custom_scenario_file(self, tmp_path, capsys):
