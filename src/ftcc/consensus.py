@@ -185,24 +185,6 @@ def _quotient(state: RatioNodeState, beta: np.ndarray, lag: int = 0) -> np.ndarr
     return (a_win.T @ beta) / (p_win @ beta)
 
 
-def max_consensus_step(
-    g: Digraph, phi_prev, c_prev, c_current
-) -> list[int]:
-    """One max-consensus update over phi and the step counters.
-
-    Node j maximizes over its in-neighborhood's previous (phi, c) and its own
-    previous phi together with its own current counter (which it always
-    knows without communication).
-    """
-    new_phi = []
-    for j in range(g.node_count):
-        best = max(phi_prev[j], c_current[j])
-        for i in g.in_neighbors(j):
-            best = max(best, phi_prev[i], c_prev[i])
-        new_phi.append(best)
-    return new_phi
-
-
 def termination_update(state: RatioNodeState, new_phi: int, round_index: int) -> None:
     """Update the agreement counter and the done flag for one node.
 
@@ -259,22 +241,27 @@ def _numerators(states: list[RatioNodeState]) -> list[list[np.ndarray]]:
 
 def _consensus_round(
     g: Digraph, p: np.ndarray, fabric: SyncFabric, states: list[RatioNodeState]
-) -> None:
-    """One lockstep exchange of the weighted [alpha | pi] plus the counter pair."""
+) -> list[int]:
+    """One lockstep exchange of the weighted [alpha | pi] and max(phi, c).
+
+    Returns each node's largest max(phi, c) heard (0 when none).
+    """
+    heard = [0] * g.node_count
 
     def send(j):
         st = states[j]
-        return [(l, (p[l, j] * st.hist[-1], st.phi, st.c)) for l in g.out_neighbors(j)]
-
-    snapshot = [st.hist[-1] for st in states]
+        top = max(st.phi, st.c)
+        return [(l, (p[l, j] * st.hist[-1], top)) for l in g.out_neighbors(j)]
 
     def receive(j, inbox):
-        new = p[j, j] * snapshot[j]
-        for _, (part, _, _) in inbox:
+        new = p[j, j] * states[j].hist[-1]
+        for _, (part, top) in inbox:
             new = new + part
+            heard[j] = max(heard[j], top)
         states[j].hist.append(new)
 
     round_exchange(fabric, send, receive)
+    return heard
 
 
 def _detect(states: list[RatioNodeState], round_index: int, rel_tol: float) -> None:
@@ -338,16 +325,14 @@ def finite_time_average(
     states = _init_states(g, initial_values)
     fabric = SyncFabric(g)
     for round_index in range(1, round_cap + 1):
-        pre_phi = [st.phi for st in states]
-        pre_c = [st.c for st in states]
-        _consensus_round(g, p, fabric, states)
+        heard = _consensus_round(g, p, fabric, states)
         for st in states:
             if st.c0 is None:
                 st.c += 1
         _detect(states, round_index, rel_tol)
-        new_phi = max_consensus_step(g, pre_phi, pre_c, [st.c for st in states])
-        for st in states:
-            termination_update(st, new_phi[st.node_id], round_index)
+        for st, top in zip(states, heard):
+            # phi and c of the in-neighbours arrive from before this round
+            termination_update(st, max(st.phi, st.c, top), round_index)
         if all(st.done for st in states) and all(
             st.distance_degree is not None for st in states
         ):

@@ -391,6 +391,8 @@ def run_token_protocol(
     _check_unstable_diagonalizable(base, stability_margin)
     if leader is None:
         leader = n_agents - 1
+    if not 0 <= leader < n_agents:
+        raise InvalidInputError(f"leader {leader} is not a node id (0..{n_agents - 1})")
     if priorities is None:
         priorities = {}
     if hop_cap is None:
@@ -409,7 +411,7 @@ def run_token_protocol(
     declared_by: int | None = None
     got_final = [False] * n_agents
     flooded = [False] * n_agents
-    outbox: list[tuple[int, int, tuple]] = []   # (src, dst, message)
+    outbox: dict[int, list[tuple[int, tuple]]] = {}   # src -> [(dst, message)]
     flood_count = 0
 
     def ranked_out_neighbors(j: int) -> list[int]:
@@ -448,7 +450,7 @@ def run_token_protocol(
             return
         flooded[j] = True
         for l in g.out_neighbors(j):
-            outbox.append((j, l, ("readonly", token.f.copy())))
+            outbox.setdefault(j, []).append((l, ("readonly", token.f.copy())))
             flood_count += 1
 
     def on_token(j: int):
@@ -484,7 +486,7 @@ def run_token_protocol(
             )
         nxt = route(j)
         token.hop_count += 1
-        outbox.append((j, nxt, ("token",)))
+        outbox.setdefault(j, []).append((nxt, ("token",)))
 
     fabric = SyncFabric(g)
     on_token(leader)   # the leader hands the empty token to itself
@@ -494,10 +496,10 @@ def run_token_protocol(
             raise ProtocolFailureError(
                 f"token exceeded hop cap {hop_cap} without going read-only"
             )
-        current, outbox = outbox, []
+        current, outbox = outbox, {}
 
         def send(j, batch=current):
-            return [(dst, msg) for src, dst, msg in batch if src == j]
+            return batch.get(j)
 
         def receive(j, inbox):
             for _, msg in inbox:

@@ -9,7 +9,7 @@ which keeps every run bit-for-bit reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
@@ -22,33 +22,31 @@ from .linalg import as_matrix
 
 @dataclass(frozen=True)
 class Digraph:
-    """A directed graph on nodes 0..N-1 with no self-loops."""
+    """A directed graph on nodes 0..N-1 with no self-loops, equal by its edges."""
 
     node_count: int
     edges: tuple[tuple[int, int], ...]
+    _out: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.node_count < 1:
             raise InvalidInputError("digraph needs at least one node")
-        seen = set()
-        for a, b in self.edges:
+        edges = tuple(sorted((a, b) for a, b in self.edges))
+        outs = [[] for _ in range(self.node_count)]
+        for k, (a, b) in enumerate(edges):
             if not (0 <= a < self.node_count and 0 <= b < self.node_count):
                 raise InvalidInputError(f"edge ({a}, {b}) out of range")
             if a == b:
                 raise InvalidInputError(f"self-loop ({a}, {b}) not allowed")
-            if (a, b) in seen:
+            if k and edges[k - 1] == (a, b):
                 raise InvalidInputError(f"duplicate edge ({a}, {b})")
-            seen.add((a, b))
-        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+            outs[a].append(b)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_out", tuple(map(tuple, outs)))
 
     def out_neighbors(self, j: int) -> tuple[int, ...]:
-        return tuple(b for a, b in self.edges if a == j)
-
-    def in_neighbors(self, j: int) -> tuple[int, ...]:
-        return tuple(a for a, b in self.edges if b == j)
-
-    def out_degree(self, j: int) -> int:
-        return len(self.out_neighbors(j))
+        """Out-neighbours of node j in ascending order."""
+        return self._out[j]
 
 
 def digraph_from_weight_matrix(p) -> Digraph:
@@ -69,7 +67,7 @@ def out_weight_matrix(g: Digraph) -> np.ndarray:
     n = g.node_count
     p = np.zeros((n, n))
     for j in range(n):
-        w = 1.0 / (1.0 + g.out_degree(j))
+        w = 1.0 / (1.0 + len(g.out_neighbors(j)))
         p[j, j] = w
         for l in g.out_neighbors(j):
             p[l, j] = w
@@ -119,18 +117,12 @@ def diameter(g: Digraph) -> int:
 
 @dataclass
 class SyncFabric:
-    """Per-round message buffers keyed by directed edge."""
+    """Round and message counters of the synchronous network on one digraph."""
 
     graph: Digraph
     round_index: int = 0
     sent_count: int = 0
     delivered_count: int = 0
-
-    def _check_edge(self, src: int, dst: int):
-        if (src, dst) not in self.graph.edges:
-            raise ProtocolViolationError(
-                f"node {src} attempted to send to non-neighbor {dst}"
-            )
 
 
 def round_exchange(
@@ -141,21 +133,22 @@ def round_exchange(
     """Advance one synchronous round.
 
     ``send(j)`` yields (destination, payload) pairs for node j; every message
-    is delivered exactly once via ``receive(j, inbox)`` in the next round,
-    with inboxes sorted by sender id.
+    is delivered exactly once via ``receive(j, inbox)`` in the next round.
+    Senders are asked in ascending id order, so each inbox is ordered by
+    sender id and, within one sender, by send order.
     """
-    outgoing: list[tuple[int, int, object]] = []
-    for j in range(fabric.graph.node_count):
+    g = fabric.graph
+    inboxes: list[list[tuple[int, object]]] = [[] for _ in range(g.node_count)]
+    for j in range(g.node_count):
+        outs = g.out_neighbors(j)
         for dst, payload in send(j) or ():
-            fabric._check_edge(j, dst)
-            outgoing.append((j, dst, payload))
-    fabric.sent_count += len(outgoing)
+            if dst not in outs:
+                raise ProtocolViolationError(
+                    f"node {j} attempted to send to non-neighbor {dst}"
+                )
+            inboxes[dst].append((j, payload))
+    fabric.sent_count += sum(map(len, inboxes))
     fabric.round_index += 1
-    inboxes: dict[int, list[tuple[int, object]]] = {
-        j: [] for j in range(fabric.graph.node_count)
-    }
-    for src, dst, payload in sorted(outgoing, key=lambda t: (t[1], t[0])):
-        inboxes[dst].append((src, payload))
-    for j in range(fabric.graph.node_count):
-        fabric.delivered_count += len(inboxes[j])
-        receive(j, inboxes[j])
+    for j, inbox in enumerate(inboxes):
+        fabric.delivered_count += len(inbox)
+        receive(j, inbox)

@@ -87,6 +87,8 @@ class ScenarioConfig:
             if any(abs(complex(t)) >= 1.0 for t in targets):
                 raise ConfigError(f"{nm} must lie strictly inside the unit disk")
         for j, order in self.priorities.items():
+            if not 0 <= j < g.node_count:
+                raise ConfigError(f"priorities: {j} is not a node id (0..{g.node_count - 1})")
             outs = set(g.out_neighbors(j))
             if not set(order) <= outs:
                 raise ConfigError(f"priorities[{j}] lists non-out-neighbors")
@@ -145,8 +147,10 @@ def _parse_graph(graph_doc) -> tuple[Digraph, np.ndarray]:
     if "weight_matrix" in graph_doc:
         weights = np.asarray(graph_doc["weight_matrix"], dtype=float)
         g = digraph_from_weight_matrix(weights)
-        n = graph_doc.get("node_count", weights.shape[0])
-        if "edges" in graph_doc and Digraph(int(n), edges).edges != g.edges:
+        n, m = int(graph_doc.get("node_count", g.node_count)), g.node_count
+        if n != m:
+            raise ConfigError(f"graph: node_count {n} disagrees with the {m}x{m} weight matrix")
+        if "edges" in graph_doc and Digraph(n, edges).edges != g.edges:
             raise ConfigError("explicit edges disagree with weight-matrix support")
         return g, weights
     if "edges" in graph_doc:

@@ -116,20 +116,24 @@ class TestTerminationMechanics:
             setattr(st, k, v)
         return st
 
-    def test_all_zero_stays_zero(self):
-        from ftcc.consensus import max_consensus_step
+    def _max_round(self, g, phi, c):
+        """One max-consensus update through the fabric from preset counters."""
+        states = _init_states(g, np.zeros(g.node_count))
+        for st, phi_j, c_j in zip(states, phi, c):
+            st.phi, st.c = phi_j, c_j
+        heard = _consensus_round(g, out_weight_matrix(g), SyncFabric(g), states)
+        return [max(st.phi, st.c, top) for st, top in zip(states, heard)]
 
+    def test_all_zero_stays_zero(self):
         g = three_cycle()
-        assert max_consensus_step(g, [0, 0, 0], [0, 0, 0], [0, 0, 0]) == [0, 0, 0]
+        assert self._max_round(g, [0, 0, 0], [0, 0, 0]) == [0, 0, 0]
 
     def test_max_propagates_within_diameter_rounds(self):
-        from ftcc.consensus import max_consensus_step
-
         g = three_cycle()
         phi = [0, 0, 0]
         c = [1, 5, 3]
         for _ in range(diameter(g)):
-            phi = max_consensus_step(g, phi, c, c)
+            phi = self._max_round(g, phi, c)
         assert phi == [5, 5, 5]
 
     def test_quiet_rounds_accumulate_to_done(self):

@@ -248,6 +248,17 @@ class TestTokenProtocol:
         with pytest.raises(InvalidInputError):
             run_token_protocol(g, sys, [0.1, 0.2], leader=0)
 
+    @pytest.mark.parametrize("leader", [3, 99, -1])
+    def test_leader_out_of_range_rejected(self, leader):
+        g = Digraph(3, ((0, 1), (1, 2), (2, 0)))
+        sys = LtiSystem(
+            a=np.diag([0.5, -0.3, 0.2]),
+            b_list=tuple(np.eye(3)[:, [i]] for i in range(3)),
+            c_list=tuple(np.eye(3)[[i], :] for i in range(3)),
+        )
+        with pytest.raises(InvalidInputError, match=f"leader {leader} is not a node id"):
+            run_token_protocol(g, sys, [], leader=leader)
+
     def test_read_only_flood_reaches_everyone(self):
         rng = np.random.default_rng(5)
         for _ in range(10):

@@ -13,6 +13,8 @@ from ftcc.graph import (
     round_exchange,
 )
 
+from conftest import random_strongly_connected
+
 FOURNODE_P = np.array(
     [
         [1 / 3, 0, 1 / 4, 1 / 3],
@@ -42,9 +44,15 @@ class TestDigraph:
 
     def test_neighborhoods(self):
         g = Digraph(3, ((0, 1), (2, 1), (1, 0)))
-        assert g.out_neighbors(0) == (1,)
-        assert g.in_neighbors(1) == (0, 2)
-        assert g.out_degree(2) == 1
+        assert [g.out_neighbors(j) for j in range(3)] == [(1,), (0,), (1,)]
+
+    def test_edge_order_does_not_matter(self):
+        edges = ((2, 0), (0, 2), (1, 2), (0, 1))
+        shuffled, ordered = Digraph(3, edges), Digraph(3, tuple(sorted(edges)))
+        assert shuffled == ordered
+        assert hash(shuffled) == hash(ordered)
+        assert repr(shuffled) == "Digraph(node_count=3, edges=((0, 1), (0, 2), (1, 2), (2, 0)))"
+        assert shuffled.out_neighbors(0) == (1, 2)
 
 
 class TestWeights:
@@ -119,6 +127,35 @@ class TestFabric:
         fabric = SyncFabric(three_cycle())
         with pytest.raises(ProtocolViolationError):
             round_exchange(fabric, lambda j: [(j, "x")] if j == 0 else [], lambda j, i: None)
+
+    def test_negative_destination_rejected(self):
+        # node 2 is an out-neighbor of node 0, so -1 must not alias it
+        fabric = SyncFabric(Digraph(3, ((0, 1), (0, 2), (1, 0), (2, 0))))
+        with pytest.raises(ProtocolViolationError):
+            round_exchange(fabric, lambda j: [(-1, "x")] if j == 0 else [], lambda j, i: None)
+
+    def test_inboxes_match_stable_sort_by_destination_and_sender(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            g = random_strongly_connected(rng, int(rng.integers(2, 10)))
+            plan = {}
+            for j in range(g.node_count):
+                msgs = [
+                    (l, (j, l, k))
+                    for l in g.out_neighbors(j)
+                    for k in range(int(rng.integers(1, 4)))
+                ]
+                plan[j] = [msgs[i] for i in rng.permutation(len(msgs))]
+            fabric = SyncFabric(g)
+            inboxes = {}
+            round_exchange(fabric, plan.get, inboxes.__setitem__)
+            # the fabric used to collect every message and sort it stably
+            outgoing = [(j, dst, msg) for j in range(g.node_count) for dst, msg in plan[j]]
+            expected = {j: [] for j in range(g.node_count)}
+            for src, dst, msg in sorted(outgoing, key=lambda t: (t[1], t[0])):
+                expected[dst].append((src, msg))
+            assert inboxes == expected
+            assert fabric.sent_count == fabric.delivered_count == len(outgoing)
 
     def test_delivery_sorted_by_sender(self):
         g = Digraph(3, ((2, 0), (1, 0)))

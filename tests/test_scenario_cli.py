@@ -138,6 +138,21 @@ class TestLoading:
         with pytest.raises(ConfigError, match=f"^{section}: "):
             scenario_from_dict(doc)
 
+    def test_node_count_must_match_weight_matrix(self, paper_scenario):
+        doc = minimal_doc()
+        doc["graph"] = {"weight_matrix": paper_scenario.weights.tolist(), "node_count": 5}
+        with pytest.raises(ConfigError) as info:
+            scenario_from_dict(doc)
+        assert str(info.value) == "graph: node_count 5 disagrees with the 4x4 weight matrix"
+
+    @pytest.mark.parametrize("priorities", [{"99": []}, {"99": [1]}, {"2": [0]}, {"-1": [0]}])
+    def test_priorities_key_out_of_range_named(self, priorities):
+        doc = minimal_doc()
+        doc["priorities"] = priorities
+        key = next(iter(priorities))
+        with pytest.raises(ConfigError, match=f"^priorities: {key} is not a node id"):
+            scenario_from_dict(doc)
+
     def test_unknown_scenario_name(self):
         with pytest.raises(ConfigError):
             load_scenario("no-such-scenario")
