@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .consensus import finite_time_average
-from .gains import place_single, run_token_protocol
+from .gains import place_pair, place_single, run_token_protocol
 from .graph import Digraph
 from .linalg import eigen_left, eigenvalues, is_schur_stable
 from .plant import LtiSystem, local_indices
@@ -273,7 +273,7 @@ def criterion_8(ctx: AcceptanceContext) -> CriterionResult:
 
 def criterion_9(ctx: AcceptanceContext, trials: int = 100) -> CriterionResult:
     rng = np.random.default_rng(7)
-    worst_move, worst_keep = np.inf, 0.0
+    worst_keep = 0.0
     checked = 0
     while checked < trials:
         n = int(rng.integers(2, 7))
@@ -294,16 +294,9 @@ def criterion_9(ctx: AcceptanceContext, trials: int = 100) -> CriterionResult:
             ]
         else:
             target = complex(rng.uniform(-0.7, 0.7), rng.uniform(0.05, 0.7))
-            row1 = place_single(a, b[:, 0], p.value, target, p.left_vector)
-            interim = a + b @ row1
-            mate = min(
-                eigen_left(interim), key=lambda q: abs(q.value - p.value.conjugate())
-            )
-            row2 = place_single(
-                interim, b[:, 0], mate.value, target.conjugate(), mate.left_vector
-            )
-            closed = a + b @ (row1 + row2).real
-            expected = [target, target.conjugate()] + [
+            pair = (target, target.conjugate())
+            closed = a + b @ place_pair(a, b[:, 0], p.value, pair, p.left_vector)
+            expected = list(pair) + [
                 q.value
                 for q in pairs
                 if abs(q.value - p.value) > 1e-12

@@ -46,7 +46,7 @@ class InsufficientTargetsError(FtccError):
 
 
 class ProtocolFailureError(FtccError):
-    """The gain token exceeded its hop cap without reaching the read-only phase."""
+    """The gain token stalled, ran past its hop cap or left a target unplaced."""
 
 
 class ConfigError(FtccError, ValueError):

@@ -13,12 +13,14 @@ network-wide F at every node.
 Two bookkeeping details:
 
 * The token carries the set of already-consumed targets.  An agent skips
-  eigenvalues sitting within matching tolerance of a consumed target;
-  without that memory a downstream agent would re-place its predecessors'
-  work (the spectra overlap whenever agents share controllable modes).
-* Conjugate eigenvalue pairs are placed back-to-back in complex arithmetic
-  onto a conjugate pair of targets; the summed gain is then real up to
-  roundoff and is realified after a residue check.
+  eigenvalues sitting within PLACEMENT_TOL of a consumed target; without
+  that memory a downstream agent would re-place its predecessors' work
+  (the spectra overlap whenever agents share controllable modes).  When
+  the pass ends, every consumed target must sit within the same tolerance
+  of a distinct closed-loop eigenvalue, or the pass raises.
+* A conjugate eigenvalue pair is placed in real arithmetic with one 2x2
+  solve on its real left-invariant subspace, onto a conjugate pair of
+  targets or, when none is left, onto two real targets.
 """
 
 from __future__ import annotations
@@ -39,7 +41,9 @@ from .plant import LtiSystem
 
 DEFAULT_STABILITY_MARGIN = 1e-9
 CONTROLLABILITY_TOL = 1e-7
-TARGET_MATCH_TOL = 1e-7
+# Relative distance within which an eigenvalue counts as sitting on a target:
+# the walk skips it, and a finished pass must meet it for every consumed one.
+PLACEMENT_TOL = 1e-6
 
 
 def conjugate_closed(values, tol: float = 1e-12) -> bool:
@@ -89,27 +93,43 @@ class PlacementTargets:
                 return v.real
         return None
 
-    def take_conjugate_pair(self) -> tuple[complex, complex] | None:
-        """Consume the earliest unconsumed complex target with its conjugate.
+    def take_pair(self) -> tuple[complex, complex] | None:
+        """Consume a pair of targets for one conjugate eigenvalue pair.
 
-        Falls back to a doubled real target (consuming two reals) when no
-        complex pair remains; placing both members of an eigenvalue pair at
-        one real value keeps the summed gain real.
+        The earliest unconsumed complex target with its conjugate (positive
+        imaginary member first), else the two earliest unconsumed reals,
+        else None with nothing consumed.
         """
-        for i, (v, used) in enumerate(zip(self.values, self.consumed)):
-            if used or abs(v.imag) <= 1e-12:
+        free = [i for i, used in enumerate(self.consumed) if not used]
+        for i in free:
+            v = self.values[i]
+            if abs(v.imag) <= 1e-12:
                 continue
-            for j, (u, used_j) in enumerate(zip(self.values, self.consumed)):
-                if j != i and not used_j and abs(u - v.conjugate()) <= 1e-9:
-                    self.consumed[i] = True
-                    self.consumed[j] = True
-                    plus = v if v.imag > 0 else u
+            for j in free:
+                if j != i and abs(self.values[j] - v.conjugate()) <= 1e-9:
+                    self.consumed[i] = self.consumed[j] = True
+                    plus = v if v.imag > 0 else self.values[j]
                     return plus, plus.conjugate()
-        first = self.take_real()
-        if first is None:
+        reals = [i for i in free if abs(self.values[i].imag) <= 1e-12][:2]
+        if len(reals) < 2:
             return None
-        self.take_real()  # the second real, if any, is consumed but unused
-        return complex(first), complex(first)
+        for i in reals:
+            self.consumed[i] = True
+        return self.values[reals[0]], self.values[reals[1]]
+
+
+def _checked_wb(a_eff, bv: np.ndarray, wv: np.ndarray, lam: complex) -> complex:
+    """w^T b, after checking shapes and that b can move lam at all."""
+    a_eff = as_matrix(a_eff, "A_eff")
+    if len(bv) != a_eff.shape[0] or len(wv) != a_eff.shape[0]:
+        raise InvalidInputError("b and w must match the state dimension")
+    wb = wv @ bv
+    if abs(wb) < CONTROLLABILITY_TOL * np.linalg.norm(wv) * np.linalg.norm(bv):
+        raise UncontrollableDirectionError(
+            f"eigenvalue {lam:.6g} is not controllable through this column "
+            f"(|w^T b| = {abs(wb):.3e})"
+        )
+    return wb
 
 
 def place_single(a_eff, b, lam: complex, lam_new: complex, w) -> np.ndarray:
@@ -119,31 +139,49 @@ def place_single(a_eff, b, lam: complex, lam_new: complex, w) -> np.ndarray:
     responsible for having recomputed it on the current (already updated)
     matrix.  Raises UncontrollableDirectionError when w^T b vanishes.
     """
-    a_eff = as_matrix(a_eff, "A_eff")
-    bv = np.asarray(b, dtype=complex).reshape(-1)
     wv = np.asarray(w, dtype=complex).reshape(-1)
-    if len(bv) != a_eff.shape[0] or len(wv) != a_eff.shape[0]:
-        raise InvalidInputError("b and w must match the state dimension")
-    wb = wv @ bv
-    if abs(wb) < CONTROLLABILITY_TOL * np.linalg.norm(wv) * np.linalg.norm(bv):
-        raise UncontrollableDirectionError(
-            f"eigenvalue {lam:.6g} is not controllable through this column "
-            f"(|w^T b| = {abs(wb):.3e})"
-        )
+    wb = _checked_wb(a_eff, np.asarray(b, dtype=complex).reshape(-1), wv, lam)
     return ((complex(lam_new) - complex(lam)) / wb) * wv[None, :]
 
 
-def _matches_any(value: complex, pool, tol: float = TARGET_MATCH_TOL) -> bool:
-    return any(abs(value - complex(t)) <= tol * max(1.0, abs(complex(t))) for t in pool)
+def place_pair(a_eff, b, lam: complex, pair, w) -> np.ndarray:
+    """Real gain row moving the eigenvalues lam, conj(lam) of A_eff onto ``pair``.
+
+    With ``w = u + iv`` a left eigenvector for lam = sigma + i omega
+    (omega != 0), W = [u; v] satisfies W A = L W with
+    L = [[sigma, -omega], [omega, sigma]].  A row k = g W changes only the
+    2x2 block L + (W b) g, and g is the one 2x2 solve that gives this block
+    the trace and determinant of (z - t1)(z - t2).  W annihilates the right
+    eigenvector of every other eigenvalue, so those stay where they are.
+    ``pair`` is a conjugate pair or two reals.  Raises
+    UncontrollableDirectionError when w^T b vanishes, as place_single does.
+    """
+    lam = complex(lam)
+    if lam.imag == 0:
+        raise InvalidInputError(f"place_pair needs a complex eigenvalue, got {lam:.6g}")
+    t1, t2 = (complex(t) for t in pair)
+    trace, det = t1 + t2, t1 * t2
+    if abs(trace.imag) + abs(det.imag) > 1e-9 * (1.0 + abs(det)):
+        raise InvalidInputError(
+            f"targets {pair} are neither a conjugate pair nor two reals"
+        )
+    wv = np.asarray(w, dtype=complex).reshape(-1)
+    bv = np.asarray(b, dtype=float).reshape(-1)
+    _checked_wb(a_eff, bv, wv, lam)
+    basis = np.vstack([wv.real, wv.imag])
+    beta = basis @ bv
+    # trace(L + beta g) = 2 sigma + g.beta
+    # det(L + beta g) = |lam|^2 + g.adj(L) beta
+    adj = np.array([[lam.real, lam.imag], [-lam.imag, lam.real]])
+    g = np.linalg.solve(
+        np.vstack([beta, adj @ beta]),
+        [trace.real - 2.0 * lam.real, det.real - abs(lam) ** 2],
+    )
+    return (g @ basis)[None, :]
 
 
-def _find_pair(pairs, value: complex):
-    best, best_d = None, np.inf
-    for p in pairs:
-        d = abs(p.value - value)
-        if d < best_d:
-            best, best_d = p, d
-    return best
+def _matches_any(value: complex, pool) -> bool:
+    return any(abs(value - t) <= PLACEMENT_TOL * max(1.0, abs(t)) for t in pool)
 
 
 def _place_through_column(
@@ -188,29 +226,16 @@ def _place_through_column(
             k_accum = k_accum + row.real
             skip_values.append(complex(t))
         else:
-            pair = targets.take_conjugate_pair()
+            pair = targets.take_pair()
             if pair is None:
                 if abs(lam) >= 1.0 - stability_margin:
                     raise InsufficientTargetsError(
                         f"no targets left for unstable pair {lam:.6g}"
                     )
                 return k_accum
-            t_plus, t_minus = pair
-            row1 = place_single(current, column, lam, t_plus, candidate.left_vector)
-            updated = current + column[:, None] @ row1
-            mate = _find_pair(eigen_left(updated), lam.conjugate())
-            row2 = place_single(updated, column, mate.value, t_minus, mate.left_vector)
-            combined = row1 + row2
-            residue = np.max(np.abs(combined.imag))
-            scale = max(1.0, np.max(np.abs(combined.real)))
-            if residue > 1e-8 * scale:
-                raise InvalidInputError(
-                    f"conjugate placement left imaginary residue {residue:.3e}"
-                )
-            k_accum = k_accum + combined.real
-            skip_values.append(t_plus)
-            if abs(t_minus - t_plus) > 1e-12:
-                skip_values.append(t_minus)
+            row = place_pair(current, column, lam, pair, candidate.left_vector)
+            k_accum = k_accum + row
+            skip_values.extend(pair)
         if targets.remaining() == 0 and policy == "all":
             # nothing left to consume; unstable leftovers surface below
             current = a_base + column[:, None] @ k_accum
@@ -353,6 +378,20 @@ def _check_unstable_diagonalizable(a: np.ndarray, margin: float) -> None:
                 )
 
 
+def _check_placed(closed: np.ndarray, consumed, mode: str) -> None:
+    """Match each consumed target to a distinct eigenvalue of the closed loop."""
+    free = list(np.linalg.eigvals(closed))
+    for t in consumed:
+        dist = np.abs(np.asarray(free) - t)
+        k = int(np.argmin(dist))
+        if dist[k] > PLACEMENT_TOL * max(1.0, abs(t)):
+            raise ProtocolFailureError(
+                f"{mode} pass missed target {t:.6g}: nearest free eigenvalue "
+                f"is {dist[k]:.3e} away"
+            )
+        free.pop(k)
+
+
 def run_token_protocol(
     g: Digraph,
     sys: LtiSystem,
@@ -361,8 +400,6 @@ def run_token_protocol(
     priorities: dict[int, list[int]] | None = None,
     stability_margin: float = DEFAULT_STABILITY_MARGIN,
     leader: int | None = None,
-    policy: str = "all",
-    hop_cap: int | None = None,
 ) -> TokenResult:
     """Run one full token pass over the synchronous fabric.
 
@@ -375,7 +412,9 @@ def run_token_protocol(
     and no unconsumed targets); the receiver then either declares the token
     read-only and floods it, or places what it can and forwards it.
     Forwarding prefers unvisited out-neighbors in priority order, falling
-    back to the out-neighbor closest to the remaining unvisited set.
+    back to the out-neighbor closest to the remaining unvisited set.  The
+    finished pass must have every consumed target within PLACEMENT_TOL of a
+    distinct eigenvalue of A + F, or ProtocolFailureError names the miss.
     """
     n_agents = g.node_count
     if mode == "control":
@@ -395,8 +434,7 @@ def run_token_protocol(
         raise InvalidInputError(f"leader {leader} is not a node id (0..{n_agents - 1})")
     if priorities is None:
         priorities = {}
-    if hop_cap is None:
-        hop_cap = max(64, 8 * n_agents * n_agents)
+    hop_cap = max(64, 8 * n_agents * n_agents)
 
     n = sys.n
     token = GainToken(
@@ -469,7 +507,7 @@ def run_token_protocol(
                 inputs[j],
                 token.targets,
                 stability_margin,
-                policy=policy,
+                policy="all",
                 already_placed=token.targets.consumed_values(),
             )
             gains[j] = k_i
@@ -512,6 +550,7 @@ def run_token_protocol(
             raise ProtocolFailureError("token protocol stalled with no messages")
         round_exchange(fabric, send, receive)
 
+    _check_placed(base + token.f, token.targets.consumed_values(), mode)
     if mode == "observer":
         gains = [k.T.copy() for k in gains]
     return TokenResult(

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .exceptions import InvalidInputError, ProtocolViolationError
 from .linalg import as_matrix
@@ -75,17 +73,9 @@ def out_weight_matrix(g: Digraph) -> np.ndarray:
 
 
 def is_strongly_connected(g: Digraph) -> bool:
-    """True iff every ordered node pair is joined by a directed path."""
-    n = g.node_count
-    if n == 1:
-        return True
-    if not g.edges:
-        return False
-    rows = [a for a, _ in g.edges]
-    cols = [b for _, b in g.edges]
-    adj = csr_matrix((np.ones(len(g.edges)), (rows, cols)), shape=(n, n))
-    ncomp, _ = connected_components(adj, directed=True, connection="strong")
-    return ncomp == 1
+    """True iff node 0 reaches every node both along and against the edges."""
+    reverse = Digraph(g.node_count, tuple((b, a) for a, b in g.edges))
+    return all(min(bfs_distances(h, 0)) >= 0 for h in (g, reverse))
 
 
 def bfs_distances(g: Digraph, source: int) -> list[int]:

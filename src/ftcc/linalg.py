@@ -102,18 +102,22 @@ def eigen_left(a) -> list[EigenPair]:
     """All eigenvalues of A with unit-norm left eigenvectors.
 
     Ordering is deterministic: modulus descending, then real part, then
-    imaginary part descending, so conjugate pairs sit adjacently with the
-    positive-imaginary member first.  For real input, conjugate pairs are
-    returned as exact conjugates of each other.
+    imaginary part descending, so the positive-imaginary member of a
+    conjugate pair comes first.  A real matrix is decomposed in real
+    arithmetic, so LAPACK returns its complex eigenpairs as exact conjugates
+    and its real eigenvalues with real left vectors.
     """
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise InvalidInputError(f"eigen_left expects a square matrix, got {m.shape}")
     # w^T A = lam w^T  <=>  A^T w = lam w
-    values, vectors = np.linalg.eig(m.T.astype(complex))
+    values, vectors = np.linalg.eig(m.T)
+    real_input = np.isrealobj(m)
     pairs = []
     for k in range(len(values)):
         v = vectors[:, k]
+        if real_input and values[k].imag == 0:
+            v = v.real
         v = v / np.linalg.norm(v)
         # canonical phase: first significant entry real positive
         nz = np.flatnonzero(np.abs(v) > 1e-12)
@@ -121,38 +125,7 @@ def eigen_left(a) -> list[EigenPair]:
             v = v * (np.conj(v[nz[0]]) / abs(v[nz[0]]))
         pairs.append(EigenPair(complex(values[k]), v))
     pairs.sort(key=lambda p: _eigen_sort_key(p.value))
-    if np.isrealobj(np.asarray(a)):
-        pairs = _conjugate_canonicalize(pairs)
     return pairs
-
-
-def _conjugate_canonicalize(pairs: list[EigenPair]) -> list[EigenPair]:
-    """Force complex eigenpairs of a real matrix into exact conjugate twins."""
-    out: list[EigenPair] = []
-    used = [False] * len(pairs)
-    for i, p in enumerate(pairs):
-        if used[i]:
-            continue
-        used[i] = True
-        if abs(p.value.imag) < 1e-12 * max(1.0, abs(p.value)):
-            v = p.left_vector
-            if np.max(np.abs(v.imag)) < 1e-10:
-                v = v.real / np.linalg.norm(v.real)
-            out.append(EigenPair(complex(p.value.real), v))
-            continue
-        mate = None
-        for j in range(i + 1, len(pairs)):
-            if used[j]:
-                continue
-            if abs(pairs[j].value - np.conj(p.value)) < 1e-8 * max(1.0, abs(p.value)):
-                mate = j
-                break
-        plus = p if p.value.imag > 0 else pairs[mate] if mate is not None else p
-        out.append(plus)
-        out.append(EigenPair(np.conj(plus.value), np.conj(plus.left_vector)))
-        if mate is not None:
-            used[mate] = True
-    return out
 
 
 def eigenvalues(a) -> np.ndarray:

@@ -151,12 +151,12 @@ def _parse_graph(graph_doc) -> tuple[Digraph, np.ndarray]:
         if n != m:
             raise ConfigError(f"graph: node_count {n} disagrees with the {m}x{m} weight matrix")
         if "edges" in graph_doc and Digraph(n, edges).edges != g.edges:
-            raise ConfigError("explicit edges disagree with weight-matrix support")
+            raise ConfigError("graph: explicit edges disagree with weight-matrix support")
         return g, weights
     if "edges" in graph_doc:
         g = Digraph(int(graph_doc["node_count"]), edges)
         return g, out_weight_matrix(g)
-    raise ConfigError("graph needs either weight_matrix or edges")
+    raise ConfigError("graph: needs either weight_matrix or edges")
 
 
 # optional top-level fields and their parsers; absent ones keep their defaults

@@ -12,6 +12,7 @@ from ftcc.gains import (
     conjugate_closed,
     elect_leader,
     place_for_agent,
+    place_pair,
     place_single,
     run_token_protocol,
 )
@@ -20,6 +21,22 @@ from ftcc.linalg import eigen_left, is_schur_stable
 from ftcc.plant import LtiSystem
 
 from conftest import random_joint_system, random_strongly_connected, targets_for_spectrum
+
+
+def rotation(radius: float, angle: float) -> np.ndarray:
+    c, s = np.cos(angle), np.sin(angle)
+    return radius * np.array([[c, -s], [s, c]])
+
+
+def worst_target_miss(closed, consumed) -> float:
+    """Largest relative miss, each target matched to its own nearest eigenvalue."""
+    free = list(np.linalg.eigvals(closed))
+    worst = 0.0
+    for t in consumed:
+        k = min(range(len(free)), key=lambda i: abs(free[i] - t))
+        worst = max(worst, abs(free.pop(k) - t) / max(1.0, abs(t)))
+    return worst
+
 
 FOURNODE_P = np.array(
     [
@@ -45,15 +62,19 @@ class TestTargets:
 
     def test_take_conjugate_pair(self):
         t = PlacementTargets((0.5, 0.1 + 0.2j, 0.1 - 0.2j))
-        plus, minus = t.take_conjugate_pair()
+        plus, minus = t.take_pair()
         assert plus == 0.1 + 0.2j and minus == 0.1 - 0.2j
         assert t.remaining() == 1
 
-    def test_pair_falls_back_to_doubled_real(self):
+    def test_pair_takes_two_reals(self):
         t = PlacementTargets((0.5, 0.6))
-        plus, minus = t.take_conjugate_pair()
-        assert plus == minus == 0.5
+        assert t.take_pair() == (0.5, 0.6)
         assert t.all_consumed
+
+    def test_pair_needs_two_targets(self):
+        t = PlacementTargets((0.5,))
+        assert t.take_pair() is None
+        assert t.remaining() == 1
 
 
 class TestPlaceSingle:
@@ -91,6 +112,51 @@ class TestPlaceSingle:
                 key=lambda z: (z.real, z.imag),
             )
             assert max(abs(x - y) for x, y in zip(got, want)) < 1e-6
+
+
+class TestPlacePair:
+    def test_random_spectrum_check(self):
+        rng = np.random.default_rng(41)
+        checked = 0
+        while checked < 25:
+            n = int(rng.integers(2, 7))
+            a = rng.normal(size=(n, n))
+            b = rng.normal(size=n)
+            pairs = [p for p in eigen_left(a) if p.value.imag > 0]
+            pairs = [p for p in pairs if abs(p.left_vector @ b) > 1e-2]
+            if not pairs:
+                continue
+            p = pairs[0]
+            if rng.random() < 0.5:
+                t = complex(rng.uniform(-0.7, 0.7), rng.uniform(0.05, 0.7))
+                pair = (t, t.conjugate())
+            else:
+                pair = tuple(complex(v) for v in rng.uniform(-0.9, 0.9, 2))
+            row = place_pair(a, b, p.value, pair, p.left_vector)
+            assert row.shape == (1, n) and row.dtype.kind == "f"
+            moved = (p.value, p.value.conjugate())
+            kept = [q.value for q in eigen_left(a) if q.value not in moved]
+            assert len(kept) == n - 2
+            assert worst_target_miss(a + np.outer(b, row), list(pair) + kept) < 1e-6
+            checked += 1
+
+    def test_uncontrollable_direction(self):
+        a = np.zeros((3, 3))
+        a[:2, :2] = rotation(1.3, 0.7)
+        a[2, 2] = 0.5
+        p = next(q for q in eigen_left(a) if q.value.imag > 0)
+        with pytest.raises(UncontrollableDirectionError):
+            place_pair(a, [0.0, 0.0, 1.0], p.value, (0.1, 0.2), p.left_vector)
+
+    def test_real_eigenvalue_rejected(self):
+        with pytest.raises(InvalidInputError, match="complex eigenvalue"):
+            place_pair(np.diag([2.0, 0.5]), [1.0, 1.0], 2.0, (0.1, 0.2), [1.0, 0.0])
+
+    def test_targets_must_make_a_real_polynomial(self):
+        rot = rotation(1.3, 0.7)
+        p = next(q for q in eigen_left(rot) if q.value.imag > 0)
+        with pytest.raises(InvalidInputError, match="neither a conjugate pair"):
+            place_pair(rot, [1.0, 0.4], p.value, (0.1 + 0.2j, 0.3), p.left_vector)
 
 
 class TestPlaceForAgent:
@@ -139,6 +205,18 @@ class TestPlaceForAgent:
         got = sorted(np.linalg.eigvals(closed), key=lambda z: z.imag)
         assert abs(got[0] - (0.3 - 0.2j)) < 1e-8
         assert abs(got[1] - (0.3 + 0.2j)) < 1e-8
+
+    def test_conjugate_pair_onto_two_real_targets(self):
+        # no complex target left: the pair takes the two reals, one each
+        rot = rotation(1.3, 0.7)
+        targets = PlacementTargets((0.5, 0.6))
+        k = place_for_agent(rot, np.array([[1.0], [0.4]]), targets, policy="all")
+        assert k.dtype.kind == "f"
+        closed = rot + np.array([[1.0], [0.4]]) @ k
+        got = sorted(np.linalg.eigvals(closed), key=lambda z: z.real)
+        assert abs(got[0] - 0.5) < 1e-8
+        assert abs(got[1] - 0.6) < 1e-8
+        assert targets.all_consumed
 
     def test_multi_column_stacking(self):
         a = np.diag([1.5, 1.2, 0.5])
@@ -214,6 +292,44 @@ class TestTokenProtocol:
             ))) < 1e-12
             assert res.flood_count <= len(g.edges)
             assert res.hop_count <= (n_agents - 1) ** 2 + n_agents
+
+    @pytest.mark.parametrize("n", [16, 20, 24])
+    def test_large_plants_land_or_raise_a_named_error(self, n):
+        # the sizes where single-column placement runs out of conditioning
+        rng = np.random.default_rng(600 + n)
+        g = digraph_from_weight_matrix(FOURNODE_P)
+        landed = 0
+        for _ in range(3):
+            sys = random_joint_system(rng, 4, n)
+            for mode, base in (("control", sys.a), ("observer", sys.a.T)):
+                targets = PlacementTargets(tuple(targets_for_spectrum(rng, sys.a)))
+                try:
+                    res = run_token_protocol(g, sys, targets, mode=mode)
+                except (
+                    ProtocolFailureError,
+                    InsufficientTargetsError,
+                    UncontrollableDirectionError,
+                ):
+                    continue
+                assert worst_target_miss(base + res.f, targets.consumed_values()) <= 1e-6
+                landed += 1
+        assert landed >= 3
+
+    def test_missed_target_raises(self, monkeypatch):
+        import ftcc.gains as gains_module
+
+        def off_by_1e3(a_eff, b, lam, pair, w):
+            return place_pair(a_eff, b, lam, tuple(t + 1e-3 for t in pair), w)
+
+        monkeypatch.setattr(gains_module, "place_pair", off_by_1e3)
+        g = Digraph(2, ((0, 1), (1, 0)))
+        sys = LtiSystem(
+            a=rotation(1.3, 0.7),
+            b_list=(np.array([[1.0], [0.4]]), np.array([[0.0], [1.0]])),
+            c_list=(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])),
+        )
+        with pytest.raises(ProtocolFailureError, match="control pass missed target 0.3"):
+            run_token_protocol(g, sys, [0.3 + 0.2j, 0.3 - 0.2j], leader=0)
 
     def test_observer_mode_duality(self):
         rng = np.random.default_rng(13)

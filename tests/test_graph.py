@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ftcc
 from ftcc.exceptions import InvalidInputError, ProtocolViolationError
 from ftcc.graph import (
     Digraph,
@@ -93,6 +99,39 @@ class TestConnectivity:
 
     def test_single_node(self):
         assert is_strongly_connected(Digraph(1, ()))
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Digraph(4, ((0, 1), (1, 2), (2, 3))),                   # one-way path
+            Digraph(3, ((0, 1), (1, 0), (0, 2), (1, 2))),           # sink node 2
+            Digraph(4, ((0, 1), (1, 0), (2, 3), (3, 2))),           # two 2-cycles
+        ],
+        ids=["path", "sink", "two-cycles"],
+    )
+    def test_not_strong(self, g):
+        assert not is_strongly_connected(g)
+
+    def test_agrees_with_all_pairs_reachability(self):
+        rng = np.random.default_rng(8)
+        for _ in range(30):
+            n = int(rng.integers(2, 7))
+            edges = {(int(a), int(b)) for a, b in rng.integers(0, n, (2 * n, 2)) if a != b}
+            g = Digraph(n, tuple(edges))
+            every_pair = all(min(bfs_distances(g, s)) >= 0 for s in range(n))
+            assert is_strongly_connected(g) == every_pair
+
+    def test_import_leaves_scipy_out(self):
+        code = "import sys, ftcc; print('scipy' in sys.modules)"
+        src = str(Path(ftcc.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.stdout.strip() == "False"
 
     def test_fournode_diameter(self):
         assert diameter(digraph_from_weight_matrix(FOURNODE_P)) == 2

@@ -30,6 +30,8 @@ MALFORMED = [
     (("graph",), {"edges": [[0]]}, "graph"),
     (("plant", "a"), [[1.5, 0.0], [0.0]], "plant"),
     (("priorities",), 5, "priorities"),
+    (("graph",), {"weight_matrix": [[0.5, 0.5], [0.5, 0.5]], "edges": [[0, 1]]}, "graph"),
+    (("graph",), {"node_count": 2}, "graph"),
 ]
 
 
