@@ -1,12 +1,15 @@
 """Ratio consensus, minimum-time exact averaging, and distributed termination.
 
-Each node runs one linear iteration on the row [alpha | pi] (numerators and
-denominator) driven by column-stochastic weights, watches the Hankel matrices
-of its iterate differences for rank loss, and recovers the exact network
-average from the defective Hankel kernel.  The arithmetic is that of the
-initial values (float64, longdouble or mpmath mpf).  A max-consensus ladder
-over step counters lets all nodes agree on when to stop and, as a
-byproduct, yields the round budget m_bar and a diameter upper bound D'.
+Each node iterates one row [alpha | pi] (numerators and denominator) with
+column-stochastic weights P: x(k+1) = P x(k), one product per round on a
+single (rounds+1, N, n+1) history.  P is supported on the edges
+(validate_weights), so a product moves values only along them.  Node j reads
+only hist[:, j]: it watches the Hankel matrices of its iterate differences
+for rank loss and recovers the exact network average from the defective
+Hankel kernel, in the arithmetic of the initial values (float64, longdouble
+or mpmath mpf).  A max-consensus ladder over step counters, sent on the
+fabric, lets all nodes agree on when to stop and, as a byproduct, yields
+the round budget m_bar and a diameter upper bound D'.
 
 Two indexing conventions matter and are easy to get wrong:
 
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateInitializationError, InvalidInputError
-from .graph import Digraph, SyncFabric, out_weight_matrix, round_exchange
+from .graph import Digraph, SyncFabric, out_weight_matrix, round_exchange, support_edges
 from .linalg import as_matrix, common_kernel_vector, numerical_rank
 
 DEFAULT_REL_TOL = 1e-8
@@ -66,18 +69,15 @@ def validate_weights(g: Digraph, p) -> np.ndarray:
     colsum = pm.sum(axis=0)
     if np.max(np.abs(colsum - 1.0)) > 1e-12:
         raise InvalidInputError("P must be column-stochastic")
-    support = {(j, l) for j in range(n) for l in range(n) if l != j and pm[l, j] > 0}
-    if support != set(g.edges):
+    if support_edges(pm) != g.edges:
         raise InvalidInputError("off-diagonal support of P does not match the graph")
     return pm
 
 
 @dataclass
 class RatioNodeState:
-    """Per-node protocol state for one consensus run."""
+    """Per-node counters and detection results for one consensus run."""
 
-    node_id: int
-    hist: list                        # iterates [alpha | pi], each of shape (n+1,)
     c: int = 0                        # step counter, frozen at c0 after detection
     r: int = 0                        # rounds the max-consensus value has held
     phi: int = 0                      # max-consensus value
@@ -106,31 +106,31 @@ def _dtype_eps(dtype) -> float:
 
 
 def _live_difference_stack(
-    state: RatioNodeState, width: int, square: bool, shift: int = 1
+    view: np.ndarray, width: int, square: bool, shift: int = 1
 ) -> np.ndarray | None:
     """Row-normalized Hankel blocks of the sequences that still carry signal.
 
-    Each scalar sequence (every column of [alpha | pi]) gets its own noise
-    floor, 64 eps times the largest iterate magnitude it ever reached: a
-    node whose sequence is constant up to arithmetic noise (for example when
-    its row of the weight matrix is already proportional to the consensus
-    functional) would otherwise present pure rounding noise as a full-rank
-    Hankel.  Converged blocks impose no kernel constraint; live blocks are
-    scaled by their own difference magnitude so the rank test compares
-    like with like.  Returns None when every sequence has converged.
+    ``view`` is one node's iterates, shape (rounds+1, n+1).  Each scalar
+    sequence (every column of [alpha | pi]) gets its own noise floor, 64 eps
+    times the largest iterate magnitude it ever reached: a node whose
+    sequence is constant up to arithmetic noise (for example when its row of
+    the weight matrix is already proportional to the consensus functional)
+    would otherwise present pure rounding noise as a full-rank Hankel.
+    Converged blocks impose no kernel constraint; live blocks are scaled by
+    their own difference magnitude so the rank test compares like with
+    like.  Returns None when every sequence has converged.
 
     ``square`` restricts each block to its first ``width`` windows (the
     minimal square Hankel the round-by-round monitor can afford); otherwise
     every available window contributes a row, which conditions the kernel
     better.
     """
-    hist = np.asarray(state.hist)
-    diffs = np.diff(hist, axis=0)[shift:]
-    eps = _dtype_eps(hist.dtype)
+    diffs = np.diff(view, axis=0)[shift:]
+    eps = _dtype_eps(view.dtype)
     take = 2 * width - 1 if square else len(diffs)
     blocks = []
-    for r in range(hist.shape[1]):
-        seq_scale = float(np.max(np.abs(hist[:, r])))
+    for r in range(view.shape[1]):
+        seq_scale = float(np.max(np.abs(view[:, r])))
         d = np.asarray(diffs[:take, r], dtype=float)
         d_scale = float(np.max(np.abs(d))) if len(d) else 0.0
         if d_scale <= 64.0 * eps * max(seq_scale, 1e-300):
@@ -145,7 +145,7 @@ def _is_defective(stack: np.ndarray | None, rel_tol: float) -> bool:
     return stack is None or numerical_rank(stack, rel_tol) < stack.shape[1]
 
 
-def _kernel(state: RatioNodeState, rel_tol: float) -> np.ndarray:
+def _kernel(view: np.ndarray, rel_tol: float) -> np.ndarray | None:
     """The node's Hankel kernel beta, normalized so beta[-1] == 1.
 
     Rather than trusting the minimal square Hankel that triggered detection
@@ -153,32 +153,27 @@ def _kernel(state: RatioNodeState, rel_tol: float) -> np.ndarray:
     width is re-established on the full difference history: every available
     window contributes a row, and the first width whose stack is genuinely
     rank-deficient wins.  Sequences that all converged within arithmetic
-    noise give degree zero, beta = [1].
+    noise give degree zero, beta = [1]; None when no width is rank-deficient.
     """
-    max_width = (len(state.hist) - 1) // 2
-    for width in range(1, max_width + 1):
-        stack = _live_difference_stack(state, width, square=False)
+    for width in range(1, (len(view) - 1) // 2 + 1):
+        stack = _live_difference_stack(view, width, square=False)
         if stack is None:
             return np.ones(1)
         if _is_defective(stack, rel_tol):
             return common_kernel_vector(stack, rel_tol)
-    raise DegenerateInitializationError(
-        f"node {state.node_id}: no rank-deficient Hankel width up to "
-        f"{max_width} at finalization",
-        history=_numerators([state]),
-    )
+    return None
 
 
-def _quotient(state: RatioNodeState, beta: np.ndarray, lag: int = 0) -> np.ndarray:
-    """Exact average as the kernel quotient over an iterate window.
+def _quotient(view: np.ndarray, beta: np.ndarray, lag: int = 0) -> np.ndarray:
+    """Exact average as the kernel quotient over a window of one node's iterates.
 
     The window is the latest complete one, which suppresses residual-mode
     contamination, or the one ``lag`` rounds before it.
     """
     width = len(beta)
-    s0 = len(state.hist) - width - lag   # callers keep s0 >= 1, past the inputs
-    win = np.stack(state.hist[s0 : s0 + width])   # (width, n+1)
-    beta = beta.astype(win.dtype)
+    s0 = len(view) - width - lag   # callers keep s0 >= 1, past the inputs
+    win = view[s0 : s0 + width]   # (width, n+1)
+    beta = beta * view[0, -1]   # pi starts at 1: beta in the iterates' arithmetic
     # contiguous copies keep BLAS on the summation order of a plain array
     a_win = np.ascontiguousarray(win[:, :-1])
     p_win = np.ascontiguousarray(win[:, -1])
@@ -218,8 +213,8 @@ class AverageResult:
     phi_done: list[int] | None = None  # certified counter maximum per node
 
 
-def _init_states(g: Digraph, initial_values) -> list[RatioNodeState]:
-    """One state per node, in the initial values' arithmetic (ints become float)."""
+def _rows(g: Digraph, initial_values) -> np.ndarray:
+    """(N, n+1) rows [alpha | 1] in the initial values' arithmetic (ints become float)."""
     vals = np.asarray(initial_values)
     vals = vals.astype(np.result_type(vals.dtype, float), copy=False)
     if vals.ndim == 1:
@@ -230,66 +225,60 @@ def _init_states(g: Digraph, initial_values) -> list[RatioNodeState]:
         )
     if not np.all(np.abs(vals) < np.inf):
         raise InvalidInputError("initial values must be finite")
-    rows = np.hstack([vals, vals[:, :1] * 0 + 1])
-    return [RatioNodeState(node_id=j, hist=[rows[j]]) for j in range(g.node_count)]
+    return np.hstack([vals, vals[:, :1] * 0 + 1])
 
 
-def _numerators(states: list[RatioNodeState]) -> list[list[np.ndarray]]:
-    """Each node's alpha history, as carried by DegenerateInitializationError."""
-    return [[row[:-1] for row in st.hist] for st in states]
+def _ratio_history(p: np.ndarray, rows: np.ndarray, rounds: int) -> np.ndarray:
+    """The iterates hist[k+1] = P hist[k] from hist[0] = rows: (rounds+1, N, n+1)."""
+    pw = p * rows[0, -1]   # P in the rows' arithmetic: in quad, mpf once, not per product
+    hist = np.empty((rounds + 1, *rows.shape), dtype=rows.dtype)
+    hist[0] = rows
+    for k in range(rounds):
+        hist[k + 1] = pw @ hist[k]
+    return hist
 
 
-def _consensus_round(
-    g: Digraph, p: np.ndarray, fabric: SyncFabric, states: list[RatioNodeState]
-) -> list[int]:
-    """One lockstep exchange of the weighted [alpha | pi] and max(phi, c).
+def _degenerate(message: str, hist: np.ndarray) -> DegenerateInitializationError:
+    """The error, carrying every node's numerator history (N, rounds+1, n)."""
+    return DegenerateInitializationError(message, history=hist[:, :, :-1].swapaxes(0, 1))
 
-    Returns each node's largest max(phi, c) heard (0 when none).
-    """
-    heard = [0] * g.node_count
+
+def _counter_round(fabric: SyncFabric, states: list[RatioNodeState]) -> list[int]:
+    """One lockstep exchange of max(phi, c); each node's largest value heard (0: none)."""
+    heard = [0] * len(states)
 
     def send(j):
-        st = states[j]
-        top = max(st.phi, st.c)
-        return [(l, (p[l, j] * st.hist[-1], top)) for l in g.out_neighbors(j)]
+        top = max(states[j].phi, states[j].c)
+        return [(l, top) for l in fabric.graph.out_neighbors(j)]
 
     def receive(j, inbox):
-        new = p[j, j] * states[j].hist[-1]
-        for _, (part, top) in inbox:
-            new = new + part
-            heard[j] = max(heard[j], top)
-        states[j].hist.append(new)
+        heard[j] = max((top for _, top in inbox), default=0)
 
     round_exchange(fabric, send, receive)
     return heard
 
 
-def _detect(states: list[RatioNodeState], round_index: int, rel_tol: float) -> None:
-    """Run the rank monitors as each new square Hankel completes.
+def _detect(
+    hist: np.ndarray, states: list[RatioNodeState], round_index: int, rel_tol: float
+) -> None:
+    """Run the rank monitors on hist[: round_index + 1] as new square Hankels complete.
 
     The shifted window (budget degree M, counter freeze) gains a new square
     at even rounds; the unshifted window (distance degree for D') gains one
     at odd rounds.
     """
-    if round_index % 2 == 0:
-        width = round_index // 2
-        for st in states:
-            if st.M is not None or width < 1:
-                continue
-            stack = _live_difference_stack(st, width, square=True, shift=1)
-            if _is_defective(stack, rel_tol):
-                st.M = width - 1
-                st.c0 = 2 * (st.M + 1)
-                st.c = st.c0
-                st.detection_round = round_index
-    else:
-        width = (round_index + 1) // 2
-        for st in states:
-            if st.distance_degree is not None:
-                continue
-            stack = _live_difference_stack(st, width, square=True, shift=0)
-            if _is_defective(stack, rel_tol):
-                st.distance_degree = width - 1
+    shift, width = 1 - round_index % 2, (round_index + 1) // 2
+    for j, st in enumerate(states):
+        if (st.M if shift else st.distance_degree) is not None:
+            continue
+        stack = _live_difference_stack(hist[:, j], width, square=True, shift=shift)
+        if not _is_defective(stack, rel_tol):
+            continue
+        if shift:
+            st.M, st.c0, st.c = width - 1, 2 * width, 2 * width
+            st.detection_round = round_index
+        else:
+            st.distance_degree = width - 1
 
 
 def finite_time_average(
@@ -306,10 +295,10 @@ def finite_time_average(
     Raises DegenerateInitializationError if defectiveness never shows up
     within the round cap (initial values on the measure-zero bad set).
     """
+    rows = _rows(g, initial_values)
     if g.node_count == 1:
-        states = _init_states(g, initial_values)
         return AverageResult(
-            mu=states[0].hist[0][None, :-1],
+            mu=rows[:, :-1],
             degrees=[0],
             rounds_used=0,
             detection_rounds=[0],
@@ -322,14 +311,16 @@ def finite_time_average(
     p = out_weight_matrix(g) if weights is None else validate_weights(g, weights)
     if round_cap is None:
         round_cap = 4 * g.node_count + 2
-    states = _init_states(g, initial_values)
+    # the iterates ignore the counters: one chain to the cap, round m reads hist[: m + 1]
+    hist = _ratio_history(p, rows, max(round_cap, 0))
+    states = [RatioNodeState() for _ in range(g.node_count)]
     fabric = SyncFabric(g)
     for round_index in range(1, round_cap + 1):
-        heard = _consensus_round(g, p, fabric, states)
+        heard = _counter_round(fabric, states)
         for st in states:
             if st.c0 is None:
                 st.c += 1
-        _detect(states, round_index, rel_tol)
+        _detect(hist[: round_index + 1], states, round_index, rel_tol)
         for st, top in zip(states, heard):
             # phi and c of the in-neighbours arrive from before this round
             termination_update(st, max(st.phi, st.c, top), round_index)
@@ -338,13 +329,17 @@ def finite_time_average(
         ):
             break
     else:
-        raise DegenerateInitializationError(
+        raise _degenerate(
             f"no Hankel defectiveness within {round_cap} rounds; "
             "perturb the initial values and retry",
-            history=_numerators(states),
+            hist,
         )
-    kernels = [_kernel(st, rel_tol) for st in states]
-    mu = np.stack([_quotient(st, beta) for st, beta in zip(states, kernels)])
+    hist = hist[: fabric.round_index + 1]
+    kernels = [_kernel(hist[:, j], rel_tol) for j in range(g.node_count)]
+    missing = [j for j, beta in enumerate(kernels) if beta is None]
+    if missing:
+        raise _degenerate(f"nodes {missing}: no rank-deficient Hankel width", hist)
+    mu = np.stack([_quotient(hist[:, j], beta) for j, beta in enumerate(kernels)])
     degrees = [st.M for st in states]
     distance_degrees = [st.distance_degree for st in states]
     return AverageResult(
@@ -369,7 +364,7 @@ def exact_average_fixed_rounds(
     rel_tol: float = DEFAULT_REL_TOL,
     weights=None,
 ) -> np.ndarray:
-    """Agreement phase: ``rounds`` exchanges, then one quotient per node.
+    """Agreement phase: ``rounds`` products, then one quotient per node.
 
     For fixed weights node j's iterates satisfy one recurrence whatever the
     data, so the bootstrap kernel beta_j (``AverageResult.kernels``) serves
@@ -379,25 +374,20 @@ def exact_average_fixed_rounds(
     times the largest input, or no earlier window, raises
     DegenerateInitializationError.
     """
-    states = _init_states(g, initial_values)
+    rows = _rows(g, initial_values)
     if g.node_count == 1:
-        return states[0].hist[0][None, :-1]
+        return rows[:, :-1]
     p = out_weight_matrix(g) if weights is None else validate_weights(g, weights)
-    fabric = SyncFabric(g)
-    for _ in range(rounds):
-        _consensus_round(g, p, fabric, states)
-    tol = rel_tol * float(np.max(np.abs(np.asarray(initial_values))))
+    hist = _ratio_history(p, rows, max(rounds, 0))   # the window check rejects < 1 round
+    tol = rel_tol * float(np.max(np.abs(rows[:, :-1])))
     mu = []
-    for st, beta in zip(states, kernels, strict=True):
+    for j, beta in zip(range(g.node_count), kernels, strict=True):
         if rounds <= len(beta):
             fault = f"{rounds} rounds leave no earlier window"
         else:
-            mu.append(_quotient(st, beta))
-            gap = float(np.max(np.abs(mu[-1] - _quotient(st, beta, lag=1))))
+            mu.append(_quotient(hist[:, j], beta))
+            gap = float(np.max(np.abs(mu[-1] - _quotient(hist[:, j], beta, lag=1))))
             fault = None if gap <= tol else f"consecutive windows differ by {gap:.3e}"
         if fault:
-            raise DegenerateInitializationError(
-                f"node {st.node_id}, stored width-{len(beta)} kernel: {fault}",
-                history=_numerators(states),
-            )
+            raise _degenerate(f"node {j}, stored width-{len(beta)} kernel: {fault}", hist)
     return np.stack(mu)

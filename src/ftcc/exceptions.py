@@ -26,10 +26,10 @@ class ProtocolViolationError(FtccError):
 
 
 class DegenerateInitializationError(FtccError):
-    """Hankel defectiveness never appeared within the iteration cap.
+    """Hankel defectiveness never appeared, or a stored kernel failed its check.
 
-    Carries the per-node iterate history so the caller can perturb the
-    initial values and retry.
+    ``history`` holds every node's numerator iterates, shape (N, rounds+1, n),
+    so the caller can perturb the initial values and retry.
     """
 
     def __init__(self, message, history=None):

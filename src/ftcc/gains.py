@@ -180,6 +180,10 @@ def place_pair(a_eff, b, lam: complex, pair, w) -> np.ndarray:
     return (g @ basis)[None, :]
 
 
+def _fmt(values) -> str:
+    return ", ".join(f"{v.real:.6g}" if v.imag == 0 else f"{v:.6g}" for v in values)
+
+
 def _matches_any(value: complex, pool) -> bool:
     return any(abs(value - t) <= PLACEMENT_TOL * max(1.0, abs(t)) for t in pool)
 
@@ -412,9 +416,11 @@ def run_token_protocol(
     and no unconsumed targets); the receiver then either declares the token
     read-only and floods it, or places what it can and forwards it.
     Forwarding prefers unvisited out-neighbors in priority order, falling
-    back to the out-neighbor closest to the remaining unvisited set.  The
-    finished pass must have every consumed target within PLACEMENT_TOL of a
-    distinct eigenvalue of A + F, or ProtocolFailureError names the miss.
+    back to the out-neighbor closest to the remaining unvisited set.  Agents
+    place on their first visit only, so a receipt that fails the stop
+    condition after every node's visit raises ProtocolFailureError naming
+    what is left.  The finished pass must have every consumed target within
+    PLACEMENT_TOL of a distinct eigenvalue of A + F, or it names the miss.
     """
     n_agents = g.node_count
     if mode == "control":
@@ -453,13 +459,9 @@ def run_token_protocol(
     flood_count = 0
 
     def ranked_out_neighbors(j: int) -> list[int]:
-        order = priorities.get(j)
-        outs = list(g.out_neighbors(j))
-        if order is None:
-            return sorted(outs)
-        ranked = [v for v in order if v in outs]
-        ranked += sorted(v for v in outs if v not in ranked)
-        return ranked
+        outs = g.out_neighbors(j)   # ascending
+        ranked = [v for v in priorities.get(j) or () if v in outs]
+        return ranked + [v for v in outs if v not in ranked]
 
     def route(j: int) -> int:
         """Next hop from j: unvisited neighbor first, else toward one."""
@@ -472,14 +474,12 @@ def run_token_protocol(
         unvisited = [v for v in range(n_agents) if v not in token.visited]
         if not unvisited:
             return outs[0]
-        best, best_key = None, None
-        for v in sorted(outs):
+
+        def hops_to_unvisited(v: int) -> tuple[int, int]:
             dist = bfs_distances(g, v)
-            d = min(dist[u] for u in unvisited if dist[u] >= 0)
-            key = (d, v)
-            if best_key is None or key < best_key:
-                best, best_key = v, key
-        return best
+            return min(dist[u] for u in unvisited if dist[u] >= 0), v
+
+        return min(outs, key=hops_to_unvisited)
 
     def start_flood(j: int):
         nonlocal flood_count
@@ -493,12 +493,22 @@ def run_token_protocol(
 
     def on_token(j: int):
         nonlocal declared_by
-        stable = is_schur_stable(base + token.f, 0.0)
-        if stable and token.targets.all_consumed:
+        if is_schur_stable(base + token.f, 0.0) and token.targets.all_consumed:
             token.read_only = True
             declared_by = j
             start_flood(j)
             return
+        if len(token.visited) == n_agents:   # F is final: agents place on first visits only
+            placed = token.targets.consumed_values()
+            left = [v for v in np.linalg.eigvals(base + token.f)
+                    if abs(v) >= 1.0 or not _matches_any(v, placed)]
+            flags = zip(token.targets.values, token.targets.consumed)
+            unused = [v for v, used in flags if not used]
+            raise ProtocolFailureError(
+                f"{mode} token visited every node in {token.hop_count} hops and cannot "
+                f"finish: unconsumed targets [{_fmt(unused)}]; eigenvalues of A + F "
+                f"unstable or on no consumed target [{_fmt(left)}]"
+            )
         if j not in token.visited:
             token.visited.add(j)
             visit_order.append(j)
@@ -512,22 +522,16 @@ def run_token_protocol(
             )
             gains[j] = k_i
             token.f = token.f + inputs[j] @ k_i
-        if not g.out_neighbors(j):
-            # single-node network: nobody else can re-check the token
-            if is_schur_stable(base + token.f, 0.0) and token.targets.all_consumed:
-                token.read_only = True
-                declared_by = j
-                start_flood(j)
-                return
-            raise ProtocolFailureError(
-                f"node {j} holds an unfinished token with no out-neighbors"
-            )
+        if n_agents == 1:
+            return   # a single node re-checks its own token below
         nxt = route(j)
         token.hop_count += 1
         outbox.setdefault(j, []).append((nxt, ("token",)))
 
     fabric = SyncFabric(g)
     on_token(leader)   # the leader hands the empty token to itself
+    if n_agents == 1:
+        on_token(leader)
 
     while not all(got_final):
         if token.hop_count > hop_cap:

@@ -2,9 +2,9 @@
 
 The fabric simulates a lockstep network: a message sent in round m is
 delivered in round m+1, deliveries within a round are ordered by sender id,
-and sends along non-edges are rejected.  All protocols in this package
-(ratio consensus, max-consensus, leader election, token passing) run on it,
-which keeps every run bit-for-bit reproducible.
+and sends along non-edges are rejected.  The consensus counter ladder, leader
+election and token passes run on it; the linear ratio iterate is one product
+per round instead (``ftcc.consensus``).  Every run is bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -47,6 +47,12 @@ class Digraph:
         return self._out[j]
 
 
+def support_edges(p: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """Edges j -> l of the off-diagonal entries p[l, j] > 0, sorted as Digraph.edges."""
+    mask = (p.T > 0) & ~np.eye(len(p), dtype=bool)
+    return tuple(zip(*(idx.tolist() for idx in np.nonzero(mask))))
+
+
 def digraph_from_weight_matrix(p) -> Digraph:
     """Recover the digraph from the support of a weight matrix.
 
@@ -55,9 +61,7 @@ def digraph_from_weight_matrix(p) -> Digraph:
     m = as_matrix(p, "weight matrix")
     if m.shape[0] != m.shape[1]:
         raise InvalidInputError("weight matrix must be square")
-    n = m.shape[0]
-    edges = [(j, l) for j in range(n) for l in range(n) if l != j and m[l, j] > 0]
-    return Digraph(n, tuple(edges))
+    return Digraph(m.shape[0], support_edges(m))
 
 
 def out_weight_matrix(g: Digraph) -> np.ndarray:

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from mpmath import mp, mpf
 
 from .consensus import exact_average_fixed_rounds, finite_time_average
 from .exceptions import InvalidInputError
@@ -49,8 +48,9 @@ def _dtype_for(precision: str):
 def _cast(a, dtype):
     arr = np.asarray(a, dtype=float)
     if dtype == object:
-        flat = [mpf(v) for v in arr.ravel()]
-        return np.array(flat, dtype=object).reshape(arr.shape)
+        from mpmath import mpf
+
+        return np.array([mpf(v) for v in arr.ravel()], dtype=object).reshape(arr.shape)
     return arr.astype(dtype)
 
 
@@ -216,6 +216,8 @@ def run_closed_loop(
     if horizon < 0:
         raise InvalidInputError("horizon must be nonnegative")
     if cfg.precision == "quad":
+        from mpmath import mp
+
         with mp.workprec(QUAD_PRECISION_BITS):
             return _run_loop(cfg, init, horizon, tau)
     return _run_loop(cfg, init, horizon, tau)

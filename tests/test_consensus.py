@@ -5,12 +5,15 @@ from hypothesis import strategies as st
 from mpmath import mpf
 
 from ftcc.consensus import (
-    _consensus_round,
-    _init_states,
+    RatioNodeState,
+    _counter_round,
+    _ratio_history,
+    _rows,
     diameter_upper_bound,
     exact_average_fixed_rounds,
     finite_time_average,
     m_bar,
+    validate_weights,
 )
 from ftcc.exceptions import DegenerateInitializationError, InvalidInputError
 from ftcc.graph import (
@@ -20,7 +23,7 @@ from ftcc.graph import (
     digraph_from_weight_matrix,
     out_weight_matrix,
 )
-from ftcc.runtime import _cast, _dtype_for
+from ftcc.runtime import QUAD_PRECISION_BITS, _cast, _dtype_for
 
 from conftest import random_strongly_connected, stored_kernels
 
@@ -39,16 +42,12 @@ def three_cycle():
 
 
 def ratio_rounds(p, alpha, rounds: int = 1):
-    """Run ``rounds`` fabric rounds of ratio consensus from pi = 1.
+    """Run ``rounds`` rounds of ratio consensus from pi = 1.
 
     Returns the stacked (N, n) numerators and the (N,) denominators.
     """
     g = digraph_from_weight_matrix(p)
-    states = _init_states(g, alpha)
-    fabric = SyncFabric(g)
-    for _ in range(rounds):
-        _consensus_round(g, p, fabric, states)
-    rows = np.stack([st.hist[-1] for st in states])   # [alpha | pi] per node
+    rows = _ratio_history(p, _rows(g, alpha), rounds)[-1]   # [alpha | pi] per node
     return rows[:, :-1], rows[:, -1]
 
 
@@ -88,6 +87,89 @@ class TestRatioStep:
             ratio_rounds(np.full((2, 2), 0.5), np.zeros(3))
 
 
+def inbox_sum_history(g, p, rows, rounds: int) -> np.ndarray:
+    """The message-by-message round the history product replaced.
+
+    Each node adds its own weighted row first, then what its in-neighbours
+    send, in ascending sender order.
+    """
+    hist = [rows]
+    for _ in range(rounds):
+        prev = hist[-1]
+        new = []
+        for j in range(g.node_count):
+            acc = p[j, j] * prev[j]
+            for l in range(g.node_count):
+                if j in g.out_neighbors(l):
+                    acc = acc + p[j, l] * prev[l]
+            new.append(acc)
+        hist.append(np.stack(new))
+    return np.stack(hist)
+
+
+class TestHistoryOracle:
+    """The one-product history against the per-message inbox sums.
+
+    Only the summation order differs, so the two agree to a few units of
+    roundoff of the arithmetic (at most 1.7 measured); the stated bound is
+    16 units relative to the largest iterate: 3.6e-15 in double, 1.7e-18 in
+    80-bit extended, 2.4e-35 in 120-bit quad.
+    """
+
+    @pytest.mark.parametrize("precision", ["double", "extended", "quad"])
+    def test_matches_the_inbox_sum(self, precision):
+        from mpmath import mp
+
+        rng = np.random.default_rng(31)
+        dtype = _dtype_for(precision)
+        with mp.workprec(QUAD_PRECISION_BITS):
+            eps = 2.0 ** (1 - mp.prec) if dtype == object else np.finfo(dtype).eps
+            for _ in range(6):
+                g = random_strongly_connected(rng, int(rng.integers(2, 9)))
+                w = (out_weight_matrix(g) > 0) * rng.uniform(0.1, 1.0, (g.node_count,) * 2)
+                p = validate_weights(g, w / w.sum(axis=0))
+                rows = _rows(g, _cast(rng.normal(size=(g.node_count, 3)), dtype))
+                rounds = 3 * g.node_count
+                new = _ratio_history(p, rows, rounds)
+                old = inbox_sum_history(g, p, rows, rounds)
+                assert new.dtype == old.dtype and new.shape == old.shape
+                gap = float(np.max(np.abs(new - old)))
+                assert gap <= 16 * eps * float(np.max(np.abs(old)))
+
+
+class TestValidateWeights:
+    def _graph_and_weights(self):
+        g = three_cycle()
+        return g, out_weight_matrix(g)
+
+    def test_accepts_matching_weights(self):
+        g, p = self._graph_and_weights()
+        assert np.array_equal(validate_weights(g, p), p)
+
+    def test_rejects_an_extra_edge(self):
+        g, _ = self._graph_and_weights()
+        p = out_weight_matrix(Digraph(3, g.edges + ((0, 2),)))
+        with pytest.raises(InvalidInputError, match="does not match the graph"):
+            validate_weights(g, p)
+
+    def test_rejects_a_missing_edge(self):
+        g, p = self._graph_and_weights()
+        with pytest.raises(InvalidInputError, match="does not match the graph"):
+            validate_weights(Digraph(3, g.edges + ((0, 2),)), p)
+
+    def test_rejects_a_negative_entry(self):
+        g, p = self._graph_and_weights()
+        p[0, 0], p[1, 0] = -0.5, 1.5   # the column still sums to 1
+        with pytest.raises(InvalidInputError, match="nonnegative"):
+            validate_weights(g, p)
+
+    def test_rejects_a_column_off_one(self):
+        g, p = self._graph_and_weights()
+        p[0, 0] = 0.6
+        with pytest.raises(InvalidInputError, match="column-stochastic"):
+            validate_weights(g, p)
+
+
 class TestFormulas:
     @pytest.mark.parametrize(
         "degrees,expected",
@@ -109,19 +191,12 @@ class TestFormulas:
 
 class TestTerminationMechanics:
     def _state(self, **kw):
-        from ftcc.consensus import RatioNodeState
-
-        st = RatioNodeState(node_id=0, hist=[np.array([0.0, 1.0])])
-        for k, v in kw.items():
-            setattr(st, k, v)
-        return st
+        return RatioNodeState(**kw)
 
     def _max_round(self, g, phi, c):
         """One max-consensus update through the fabric from preset counters."""
-        states = _init_states(g, np.zeros(g.node_count))
-        for st, phi_j, c_j in zip(states, phi, c):
-            st.phi, st.c = phi_j, c_j
-        heard = _consensus_round(g, out_weight_matrix(g), SyncFabric(g), states)
+        states = [RatioNodeState(phi=phi_j, c=c_j) for phi_j, c_j in zip(phi, c)]
+        heard = _counter_round(SyncFabric(g), states)
         return [max(st.phi, st.c, top) for st, top in zip(states, heard)]
 
     def test_all_zero_stays_zero(self):
@@ -228,6 +303,7 @@ class TestFiniteTimeAverage:
         with pytest.raises(DegenerateInitializationError) as err:
             finite_time_average(g, [0.0, 1.0, 2.0, 3.0], round_cap=3)
         assert err.value.history is not None
+        assert err.value.history.shape == (4, 4, 1)   # (N, rounds+1, n)
 
 
 class TestFixedRounds:
@@ -322,6 +398,16 @@ class TestStoredKernels:
                 g, [0.0, 1.0, 2.0, 3.0], 11, [np.ones(1)] * 4, weights=FOURNODE_P
             )
         assert err.value.history is not None
+
+    def test_error_carries_every_numerator_history(self):
+        g = digraph_from_weight_matrix(FOURNODE_P)
+        vals = np.arange(8.0).reshape(4, 2)
+        with pytest.raises(DegenerateInitializationError) as err:
+            exact_average_fixed_rounds(g, vals, 11, [np.ones(1)] * 4, weights=FOURNODE_P)
+        history = err.value.history
+        assert history.shape == (4, 12, 2)   # (N, rounds+1, n)
+        assert np.array_equal(history[:, 0], vals)
+        assert np.allclose(history[:, 1], FOURNODE_P @ vals)
 
     def test_budget_without_an_earlier_window_raises(self):
         g = digraph_from_weight_matrix(FOURNODE_P)

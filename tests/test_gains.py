@@ -331,6 +331,20 @@ class TestTokenProtocol:
         with pytest.raises(ProtocolFailureError, match="control pass missed target 0.3"):
             run_token_protocol(g, sys, [0.3 + 0.2j, 0.3 - 0.2j], leader=0)
 
+    def test_unfinishable_pass_names_what_is_left(self):
+        # a stable pair and one real target: no agent can consume it, and
+        # once both nodes have placed, F can no longer change
+        g = Digraph(2, ((0, 1), (1, 0)))
+        sys = LtiSystem(
+            a=rotation(0.5, 0.7),
+            b_list=tuple(np.eye(2)[:, [i]] for i in range(2)),
+            c_list=tuple(np.eye(2)[[i], :] for i in range(2)),
+        )
+        with pytest.raises(ProtocolFailureError, match=r"targets \[0\.3\]") as err:
+            run_token_protocol(g, sys, [0.3])
+        assert "every node in 2 hops" in str(err.value)
+        assert "[0.382421+0.322109j, 0.382421-0.322109j]" in str(err.value)
+
     def test_observer_mode_duality(self):
         rng = np.random.default_rng(13)
         n_agents, n = 4, 5

@@ -121,8 +121,9 @@ class TestConnectivity:
             every_pair = all(min(bfs_distances(g, s)) >= 0 for s in range(n))
             assert is_strongly_connected(g) == every_pair
 
-    def test_import_leaves_scipy_out(self):
-        code = "import sys, ftcc; print('scipy' in sys.modules)"
+    @staticmethod
+    def _imported_by_ftcc(module: str) -> str:
+        code = f"import sys, ftcc; print({module!r} in sys.modules)"
         src = str(Path(ftcc.__file__).resolve().parents[1])
         out = subprocess.run(
             [sys.executable, "-c", code],
@@ -131,7 +132,14 @@ class TestConnectivity:
             check=True,
             env={**os.environ, "PYTHONPATH": src},
         )
-        assert out.stdout.strip() == "False"
+        return out.stdout.strip()
+
+    def test_import_leaves_scipy_out(self):
+        assert self._imported_by_ftcc("scipy") == "False"
+
+    def test_import_leaves_mpmath_out(self):
+        # only a quad run imports it
+        assert self._imported_by_ftcc("mpmath") == "False"
 
     def test_fournode_diameter(self):
         assert diameter(digraph_from_weight_matrix(FOURNODE_P)) == 2
