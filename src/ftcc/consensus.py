@@ -7,9 +7,10 @@ single (rounds+1, N, n+1) history.  P is supported on the edges
 only hist[:, j]: it watches the Hankel matrices of its iterate differences
 for rank loss and recovers the exact network average from the defective
 Hankel kernel, in the arithmetic of the initial values (float64, longdouble
-or mpmath mpf).  A max-consensus ladder over step counters, sent on the
-fabric, lets all nodes agree on when to stop and, as a byproduct, yields
-the round budget m_bar and a diameter upper bound D'.
+or Decimal at the caller's context precision; P and the float64 kernels
+enter it once per call).  A max-consensus ladder over step counters, sent
+on the fabric, lets all nodes agree on when to stop and, as a byproduct,
+yields the round budget m_bar and a diameter upper bound D'.
 
 Two indexing conventions matter and are easy to get wrong:
 
@@ -31,6 +32,7 @@ Two indexing conventions matter and are easy to get wrong:
 
 from __future__ import annotations
 
+import decimal
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,10 +101,16 @@ def _window_rows(seq: np.ndarray, width: int) -> np.ndarray:
 
 def _dtype_eps(dtype) -> float:
     if dtype == object:
-        from mpmath import mp
-
-        return 2.0 ** (1 - mp.prec)
+        return 10.0 ** (1 - decimal.getcontext().prec)
     return float(np.finfo(np.dtype(dtype)).eps)
+
+
+def in_arithmetic(a, dtype) -> np.ndarray:
+    """``a`` as float64, longdouble or (object) Decimal: exact, each holds every double."""
+    arr = np.asarray(a, dtype=float)
+    if dtype == object:   # Decimal does not mix with float: convert entry by entry
+        return np.frompyfunc(decimal.Decimal, 1, 1)(arr)
+    return arr.astype(dtype)
 
 
 def _live_difference_stack(
@@ -167,13 +175,13 @@ def _kernel(view: np.ndarray, rel_tol: float) -> np.ndarray | None:
 def _quotient(view: np.ndarray, beta: np.ndarray, lag: int = 0) -> np.ndarray:
     """Exact average as the kernel quotient over a window of one node's iterates.
 
-    The window is the latest complete one, which suppresses residual-mode
-    contamination, or the one ``lag`` rounds before it.
+    ``beta`` is already in the iterates' arithmetic.  The window is the latest
+    complete one, which suppresses residual-mode contamination, or the one
+    ``lag`` rounds before it.
     """
     width = len(beta)
     s0 = len(view) - width - lag   # callers keep s0 >= 1, past the inputs
     win = view[s0 : s0 + width]   # (width, n+1)
-    beta = beta * view[0, -1]   # pi starts at 1: beta in the iterates' arithmetic
     # contiguous copies keep BLAS on the summation order of a plain array
     a_win = np.ascontiguousarray(win[:, :-1])
     p_win = np.ascontiguousarray(win[:, -1])
@@ -223,14 +231,15 @@ def _rows(g: Digraph, initial_values) -> np.ndarray:
         raise InvalidInputError(
             f"need one initial value per node, got {vals.shape[0]} for N={g.node_count}"
         )
-    if not np.all(np.abs(vals) < np.inf):
+    # == and != are the comparisons a Decimal NaN answers without signalling
+    if not (np.all(vals == vals) and np.all(np.abs(vals) != np.inf)):
         raise InvalidInputError("initial values must be finite")
     return np.hstack([vals, vals[:, :1] * 0 + 1])
 
 
 def _ratio_history(p: np.ndarray, rows: np.ndarray, rounds: int) -> np.ndarray:
     """The iterates hist[k+1] = P hist[k] from hist[0] = rows: (rounds+1, N, n+1)."""
-    pw = p * rows[0, -1]   # P in the rows' arithmetic: in quad, mpf once, not per product
+    pw = in_arithmetic(p, rows.dtype)
     hist = np.empty((rounds + 1, *rows.shape), dtype=rows.dtype)
     hist[0] = rows
     for k in range(rounds):
@@ -339,7 +348,9 @@ def finite_time_average(
     missing = [j for j, beta in enumerate(kernels) if beta is None]
     if missing:
         raise _degenerate(f"nodes {missing}: no rank-deficient Hankel width", hist)
-    mu = np.stack([_quotient(hist[:, j], beta) for j, beta in enumerate(kernels)])
+    mu = np.stack(
+        [_quotient(hist[:, j], in_arithmetic(b, rows.dtype)) for j, b in enumerate(kernels)]
+    )
     degrees = [st.M for st in states]
     distance_degrees = [st.distance_degree for st in states]
     return AverageResult(
@@ -385,6 +396,7 @@ def exact_average_fixed_rounds(
         if rounds <= len(beta):
             fault = f"{rounds} rounds leave no earlier window"
         else:
+            beta = in_arithmetic(beta, rows.dtype)
             mu.append(_quotient(hist[:, j], beta))
             gap = float(np.max(np.abs(mu[-1] - _quotient(hist[:, j], beta, lag=1))))
             fault = None if gap <= tol else f"consecutive windows differ by {gap:.3e}"

@@ -65,6 +65,12 @@ def test_criterion_8_convergence_rate(acceptance_ctx):
     assert _report(acceptance.criterion_8(acceptance_ctx)).passed
 
 
+def test_criterion_8_slope_is_the_exact_arithmetic_one(acceptance_ctx):
+    # -1.1994 at every mpmath precision from 90 to 160 bits: quad is no floor
+    detail = acceptance.criterion_8(acceptance_ctx).detail
+    assert detail.startswith("log-linear slope -1.1994 ")
+
+
 def test_criterion_9_placement_invariance(acceptance_ctx):
     assert _report(acceptance.criterion_9(acceptance_ctx)).passed
 

@@ -1,8 +1,10 @@
+import decimal
+from decimal import Decimal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mpf
 
 from ftcc.consensus import (
     RatioNodeState,
@@ -12,6 +14,7 @@ from ftcc.consensus import (
     diameter_upper_bound,
     exact_average_fixed_rounds,
     finite_time_average,
+    in_arithmetic,
     m_bar,
     validate_weights,
 )
@@ -23,7 +26,7 @@ from ftcc.graph import (
     digraph_from_weight_matrix,
     out_weight_matrix,
 )
-from ftcc.runtime import QUAD_PRECISION_BITS, _cast, _dtype_for
+from ftcc.runtime import QUAD_DIGITS, _dtype_for
 
 from conftest import random_strongly_connected, stored_kernels
 
@@ -113,25 +116,23 @@ class TestHistoryOracle:
     Only the summation order differs, so the two agree to a few units of
     roundoff of the arithmetic (at most 1.7 measured); the stated bound is
     16 units relative to the largest iterate: 3.6e-15 in double, 1.7e-18 in
-    80-bit extended, 2.4e-35 in 120-bit quad.
+    80-bit extended, 1.6e-35 in 37-digit decimal quad.
     """
 
     @pytest.mark.parametrize("precision", ["double", "extended", "quad"])
     def test_matches_the_inbox_sum(self, precision):
-        from mpmath import mp
-
         rng = np.random.default_rng(31)
         dtype = _dtype_for(precision)
-        with mp.workprec(QUAD_PRECISION_BITS):
-            eps = 2.0 ** (1 - mp.prec) if dtype == object else np.finfo(dtype).eps
+        with decimal.localcontext(decimal.Context(prec=QUAD_DIGITS)):
+            eps = 10.0 ** (1 - QUAD_DIGITS) if dtype == object else np.finfo(dtype).eps
             for _ in range(6):
                 g = random_strongly_connected(rng, int(rng.integers(2, 9)))
                 w = (out_weight_matrix(g) > 0) * rng.uniform(0.1, 1.0, (g.node_count,) * 2)
                 p = validate_weights(g, w / w.sum(axis=0))
-                rows = _rows(g, _cast(rng.normal(size=(g.node_count, 3)), dtype))
+                rows = _rows(g, in_arithmetic(rng.normal(size=(g.node_count, 3)), dtype))
                 rounds = 3 * g.node_count
                 new = _ratio_history(p, rows, rounds)
-                old = inbox_sum_history(g, p, rows, rounds)
+                old = inbox_sum_history(g, in_arithmetic(p, dtype), rows, rounds)
                 assert new.dtype == old.dtype and new.shape == old.shape
                 gap = float(np.max(np.abs(new - old)))
                 assert gap <= 16 * eps * float(np.max(np.abs(old)))
@@ -371,7 +372,7 @@ class TestStoredKernels:
         cfg = paper_scenario
         rng = np.random.default_rng(5)
         xhat = rng.normal(size=(4, 8)) * 10.0 ** rng.uniform(-6, 6, size=(4, 8))
-        vals = _cast(xhat, _dtype_for(precision))
+        vals = in_arithmetic(xhat, _dtype_for(precision))
         mu = exact_average_fixed_rounds(
             cfg.graph, vals, paper_init.m_bar, paper_init.kernels, weights=cfg.weights
         )
@@ -421,21 +422,31 @@ class TestStoredKernels:
 class TestPrecision:
     """Consensus computes in the arithmetic of the values it is given."""
 
-    ELEMENT_TYPE = {"double": np.float64, "extended": np.longdouble, "quad": mpf}
+    ELEMENT_TYPE = {"double": np.float64, "extended": np.longdouble, "quad": Decimal}
 
     @pytest.mark.parametrize("precision", ["double", "extended", "quad"])
     def test_non_finite_estimate_rejected(self, precision):
         g = digraph_from_weight_matrix(FOURNODE_P)
-        vals = _cast([0.0, np.nan, 2.0, 3.0], _dtype_for(precision))
+        vals = in_arithmetic([0.0, np.nan, 2.0, 3.0], _dtype_for(precision))
         kernels = stored_kernels(g, FOURNODE_P)
         with pytest.raises(InvalidInputError):
+            exact_average_fixed_rounds(g, vals, 11, kernels, weights=FOURNODE_P)
+
+    @pytest.mark.parametrize("precision", ["double", "extended", "quad"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_estimate_rejected(self, precision, value):
+        g = digraph_from_weight_matrix(FOURNODE_P)
+        rows = [[0.0, 1.0], [value, 2.0], [2.0, 3.0], [3.0, 4.0]]
+        vals = in_arithmetic(rows, _dtype_for(precision))
+        kernels = stored_kernels(g, FOURNODE_P)
+        with pytest.raises(InvalidInputError, match="finite"):
             exact_average_fixed_rounds(g, vals, 11, kernels, weights=FOURNODE_P)
 
     @pytest.mark.parametrize("precision", ["double", "extended", "quad"])
     def test_averages_keep_the_input_arithmetic(self, precision):
         g = digraph_from_weight_matrix(FOURNODE_P)
         rows = [[0.0, 1.0], [1.0, -2.0], [2.0, 0.5], [3.0, 4.0]]
-        vals = _cast(rows, _dtype_for(precision))
+        vals = in_arithmetic(rows, _dtype_for(precision))
         kernels = stored_kernels(g, FOURNODE_P)
         mu = exact_average_fixed_rounds(g, vals, 11, kernels, weights=FOURNODE_P)
         assert mu.shape == (4, 2)

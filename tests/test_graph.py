@@ -122,8 +122,8 @@ class TestConnectivity:
             assert is_strongly_connected(g) == every_pair
 
     @staticmethod
-    def _imported_by_ftcc(module: str) -> str:
-        code = f"import sys, ftcc; print({module!r} in sys.modules)"
+    def _imported_by_ftcc(module: str, run: str = "") -> str:
+        code = f"import sys, ftcc{run}; print({module!r} in sys.modules)"
         src = str(Path(ftcc.__file__).resolve().parents[1])
         out = subprocess.run(
             [sys.executable, "-c", code],
@@ -138,8 +138,14 @@ class TestConnectivity:
         assert self._imported_by_ftcc("scipy") == "False"
 
     def test_import_leaves_mpmath_out(self):
-        # only a quad run imports it
-        assert self._imported_by_ftcc("mpmath") == "False"
+        # quad is the standard library's decimal: not even a quad run imports mpmath
+        run = (
+            "; from ftcc.runtime import run_closed_loop"
+            "; from ftcc.scenario import load_scenario"
+            "; cfg = load_scenario('paper-4node'); assert cfg.precision == 'quad'"
+            "; assert len(run_closed_loop(cfg, horizon=1).x) == 2"
+        )
+        assert self._imported_by_ftcc("mpmath", run) == "False"
 
     def test_fournode_diameter(self):
         assert diameter(digraph_from_weight_matrix(FOURNODE_P)) == 2

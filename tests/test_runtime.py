@@ -1,6 +1,12 @@
-import numpy as np
+import dataclasses
+import decimal
 
+import numpy as np
+import pytest
+
+from ftcc import runtime
 from ftcc.consensus import exact_average_fixed_rounds
+from ftcc.exceptions import InvalidInputError
 from ftcc.graph import Digraph, out_weight_matrix
 from ftcc.linalg import is_schur_stable
 from ftcc.plant import LtiSystem
@@ -226,3 +232,28 @@ class TestClosedLoop:
                     np.abs(traces[precision].x[k] - traces["double"].x[k])
                 )
                 assert dev <= 1e-9 * max(1.0, np.max(np.abs(traces["double"].x[k])))
+
+
+class TestQuadArithmetic:
+    """Quad is the standard library's decimal at QUAD_DIGITS significant digits."""
+
+    def test_trace_matches_sixty_digits(self, paper_scenario, paper_init, monkeypatch):
+        # measured 9.3e-36; mpmath at 120 against 200 bits gave 2.1e-35
+        quad = run_closed_loop(paper_scenario, paper_init)
+        monkeypatch.setattr(runtime, "QUAD_DIGITS", 60)
+        wide = run_closed_loop(paper_scenario, paper_init)
+        for k in quad.steps:
+            gap = np.max(np.abs(quad.ebar[k] - wide.ebar[k]))
+            assert gap <= 1e-34 * np.max(np.abs(wide.x[k]))
+
+    @pytest.mark.parametrize("caller_prec", [None, 50])
+    def test_caller_context_is_left_alone(self, paper_scenario, paper_init, caller_prec):
+        bad = dataclasses.replace(paper_scenario, xhat0=np.full((4, 8), np.nan))
+        with decimal.localcontext() as ctx:
+            ctx.prec = caller_prec or ctx.prec
+            before = decimal.getcontext().prec
+            run_closed_loop(paper_scenario, paper_init, horizon=1)
+            assert decimal.getcontext().prec == before
+            with pytest.raises(InvalidInputError, match="finite"):
+                run_closed_loop(bad, paper_init, horizon=1)
+            assert decimal.getcontext().prec == before
