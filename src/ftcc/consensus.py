@@ -7,10 +7,15 @@ single (rounds+1, N, n+1) history.  P is supported on the edges
 only hist[:, j]: it watches the Hankel matrices of its iterate differences
 for rank loss and recovers the exact network average from the defective
 Hankel kernel, in the arithmetic of the initial values (float64, longdouble
-or Decimal at the caller's context precision; P and the float64 kernels
-enter it once per call).  A max-consensus ladder over step counters, sent
-on the fabric, lets all nodes agree on when to stop and, as a byproduct,
-yields the round budget m_bar and a diameter upper bound D'.
+or Decimal at the caller's context precision).  A max-consensus ladder over
+step counters, sent on the fabric, lets all nodes agree on when to stop and,
+as a byproduct, yields the round budget m_bar and a diameter upper bound D'.
+
+The closed loop's agreements reuse what the bootstrap fixed: an Agreement,
+prepared once per run, holds P (validated and converted), the stored kernels
+grouped by width as (G, w) arrays, and the pi-window denominators, since
+pi = P^k 1 carries no data.  Each agreement then advances only the N x n
+numerators and forms every width group's quotients in a few array sums.
 
 Two indexing conventions matter and are easy to get wrong:
 
@@ -172,20 +177,26 @@ def _kernel(view: np.ndarray, rel_tol: float) -> np.ndarray | None:
     return None
 
 
-def _quotient(view: np.ndarray, beta: np.ndarray, lag: int = 0) -> np.ndarray:
-    """Exact average as the kernel quotient over a window of one node's iterates.
-
-    ``beta`` is already in the iterates' arithmetic.  The window is the latest
-    complete one, which suppresses residual-mode contamination, or the one
-    ``lag`` rounds before it.
+def _window_sum(hist: np.ndarray, nodes: np.ndarray, beta: np.ndarray, lag: int = 0):
+    """(G, k): sum_t beta[:, t] hist[s0 + t, nodes], each node's kernel (a row of
+    ``beta``, in the history's arithmetic) over its latest complete window,
+    which suppresses residual-mode contamination, or the one ``lag`` rounds before.
     """
-    width = len(beta)
-    s0 = len(view) - width - lag   # callers keep s0 >= 1, past the inputs
-    win = view[s0 : s0 + width]   # (width, n+1)
-    # contiguous copies keep BLAS on the summation order of a plain array
-    a_win = np.ascontiguousarray(win[:, :-1])
-    p_win = np.ascontiguousarray(win[:, -1])
-    return (a_win.T @ beta) / (p_win @ beta)
+    width = beta.shape[1]
+    s0 = len(hist) - width - lag   # callers keep s0 >= 1, past the inputs
+    acc = beta[:, :1] * hist[s0, nodes]
+    for t in range(1, width):
+        acc = acc + beta[:, t : t + 1] * hist[s0 + t, nodes]
+    return acc
+
+
+def _by_width(kernels, dtype) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(nodes ascending, their kernels as one (G, w) array in ``dtype``) per kernel width."""
+    widths = np.array([len(beta) for beta in kernels])
+    return [
+        (nodes, in_arithmetic([kernels[j] for j in nodes], dtype))
+        for nodes in (np.flatnonzero(widths == w) for w in sorted(set(widths)))
+    ]
 
 
 def termination_update(state: RatioNodeState, new_phi: int, round_index: int) -> None:
@@ -221,25 +232,30 @@ class AverageResult:
     phi_done: list[int] | None = None  # certified counter maximum per node
 
 
-def _rows(g: Digraph, initial_values) -> np.ndarray:
-    """(N, n+1) rows [alpha | 1] in the initial values' arithmetic (ints become float)."""
+def _values(node_count: int, initial_values) -> np.ndarray:
+    """(N, n) initial values in their own arithmetic (ints become float), checked finite."""
     vals = np.asarray(initial_values)
     vals = vals.astype(np.result_type(vals.dtype, float), copy=False)
     if vals.ndim == 1:
         vals = vals[:, None]
-    if vals.shape[0] != g.node_count:
+    if vals.shape[0] != node_count:
         raise InvalidInputError(
-            f"need one initial value per node, got {vals.shape[0]} for N={g.node_count}"
+            f"need one initial value per node, got {vals.shape[0]} for N={node_count}"
         )
     # == and != are the comparisons a Decimal NaN answers without signalling
     if not (np.all(vals == vals) and np.all(np.abs(vals) != np.inf)):
         raise InvalidInputError("initial values must be finite")
+    return vals
+
+
+def _rows(g: Digraph, initial_values) -> np.ndarray:
+    """(N, n+1) rows [alpha | 1] in the initial values' arithmetic."""
+    vals = _values(g.node_count, initial_values)
     return np.hstack([vals, vals[:, :1] * 0 + 1])
 
 
-def _ratio_history(p: np.ndarray, rows: np.ndarray, rounds: int) -> np.ndarray:
-    """The iterates hist[k+1] = P hist[k] from hist[0] = rows: (rounds+1, N, n+1)."""
-    pw = in_arithmetic(p, rows.dtype)
+def _ratio_history(pw: np.ndarray, rows: np.ndarray, rounds: int) -> np.ndarray:
+    """The iterates hist[k+1] = P hist[k] from hist[0] = rows, P already in their arithmetic."""
     hist = np.empty((rounds + 1, *rows.shape), dtype=rows.dtype)
     hist[0] = rows
     for k in range(rounds):
@@ -247,9 +263,9 @@ def _ratio_history(p: np.ndarray, rows: np.ndarray, rounds: int) -> np.ndarray:
     return hist
 
 
-def _degenerate(message: str, hist: np.ndarray) -> DegenerateInitializationError:
+def _degenerate(message: str, numerators: np.ndarray) -> DegenerateInitializationError:
     """The error, carrying every node's numerator history (N, rounds+1, n)."""
-    return DegenerateInitializationError(message, history=hist[:, :, :-1].swapaxes(0, 1))
+    return DegenerateInitializationError(message, history=numerators.swapaxes(0, 1))
 
 
 def _counter_round(fabric: SyncFabric, states: list[RatioNodeState]) -> list[int]:
@@ -321,7 +337,7 @@ def finite_time_average(
     if round_cap is None:
         round_cap = 4 * g.node_count + 2
     # the iterates ignore the counters: one chain to the cap, round m reads hist[: m + 1]
-    hist = _ratio_history(p, rows, max(round_cap, 0))
+    hist = _ratio_history(in_arithmetic(p, rows.dtype), rows, max(round_cap, 0))
     states = [RatioNodeState() for _ in range(g.node_count)]
     fabric = SyncFabric(g)
     for round_index in range(1, round_cap + 1):
@@ -341,16 +357,17 @@ def finite_time_average(
         raise _degenerate(
             f"no Hankel defectiveness within {round_cap} rounds; "
             "perturb the initial values and retry",
-            hist,
+            hist[..., :-1],
         )
     hist = hist[: fabric.round_index + 1]
     kernels = [_kernel(hist[:, j], rel_tol) for j in range(g.node_count)]
     missing = [j for j, beta in enumerate(kernels) if beta is None]
     if missing:
-        raise _degenerate(f"nodes {missing}: no rank-deficient Hankel width", hist)
-    mu = np.stack(
-        [_quotient(hist[:, j], in_arithmetic(b, rows.dtype)) for j, b in enumerate(kernels)]
-    )
+        raise _degenerate(f"nodes {missing}: no rank-deficient Hankel width", hist[..., :-1])
+    alpha, pi = hist[..., :-1], hist[..., -1:]
+    mu = np.empty_like(rows[:, :-1])
+    for nodes, beta in _by_width(kernels, rows.dtype):
+        mu[nodes] = _window_sum(alpha, nodes, beta) / _window_sum(pi, nodes, beta)
     degrees = [st.M for st in states]
     distance_degrees = [st.distance_degree for st in states]
     return AverageResult(
@@ -367,39 +384,73 @@ def finite_time_average(
     )
 
 
-def exact_average_fixed_rounds(
-    g: Digraph,
-    initial_values,
-    rounds: int,
-    kernels,
-    rel_tol: float = DEFAULT_REL_TOL,
-    weights=None,
-) -> np.ndarray:
+@dataclass(frozen=True)
+class Agreement:
+    """What every agreement of a run reuses, fixed once, in the loop arithmetic.
+
+    ``groups`` holds per stored-kernel width the nodes (ascending), their
+    kernels (G, w) and the latest and lag-1 pi-window denominators
+    p_win @ beta (G, 1), or None twice when ``rounds`` leaves no earlier window.
+    """
+
+    rounds: int
+    rel_tol: float
+    p: np.ndarray
+    groups: tuple
+
+
+def prepare_agreement(
+    g: Digraph, rounds: int, kernels, dtype=float, rel_tol=DEFAULT_REL_TOL, weights=None
+) -> Agreement:
+    """Validate and convert P, group the stored kernels, and fix the denominators.
+
+    pi evolves as P^k 1 whatever the data, so its windows are computed here,
+    once; ``dtype`` is the arithmetic of the values the agreements will get.
+    """
+    if len(kernels) != g.node_count:
+        raise InvalidInputError(f"need one stored kernel per node, got {len(kernels)}")
+    p = out_weight_matrix(g) if weights is None else validate_weights(g, weights)
+    pw = in_arithmetic(p, dtype)
+    pi = _ratio_history(pw, in_arithmetic(np.ones((g.node_count, 1)), dtype), max(rounds, 0))
+    groups = []
+    for nodes, beta in _by_width(kernels, dtype):
+        earlier = rounds > beta.shape[1]   # else the agreements raise, with the history
+        dens = [_window_sum(pi, nodes, beta, lag) if earlier else None for lag in (0, 1)]
+        groups.append((nodes, beta, *dens))
+    return Agreement(rounds, rel_tol, pw, tuple(groups))
+
+
+def exact_average_fixed_rounds(agreement: Agreement, initial_values) -> np.ndarray:
     """Agreement phase: ``rounds`` products, then one quotient per node.
 
     For fixed weights node j's iterates satisfy one recurrence whatever the
     data, so the bootstrap kernel beta_j (``AverageResult.kernels``) serves
-    every agreement and no rank test runs.  Returns the (N, n) averages.
-    Each node checks its quotient against the one a window earlier, equal
-    in exact arithmetic unless beta_j misses a mode: a gap above rel_tol
-    times the largest input, or no earlier window, raises
-    DegenerateInitializationError.
+    every agreement and no rank test runs; the products carry the
+    numerators only.  Returns the (N, n) averages.  Each node checks its
+    quotient against the one a window earlier, equal in exact arithmetic
+    unless beta_j misses a mode: a gap above rel_tol times the largest
+    input, or no earlier window, raises DegenerateInitializationError
+    naming the lowest-indexed failing node.
     """
-    rows = _rows(g, initial_values)
-    if g.node_count == 1:
-        return rows[:, :-1]
-    p = out_weight_matrix(g) if weights is None else validate_weights(g, weights)
-    hist = _ratio_history(p, rows, max(rounds, 0))   # the window check rejects < 1 round
-    tol = rel_tol * float(np.max(np.abs(rows[:, :-1])))
-    mu = []
-    for j, beta in zip(range(g.node_count), kernels, strict=True):
-        if rounds <= len(beta):
-            fault = f"{rounds} rounds leave no earlier window"
-        else:
-            beta = in_arithmetic(beta, rows.dtype)
-            mu.append(_quotient(hist[:, j], beta))
-            gap = float(np.max(np.abs(mu[-1] - _quotient(hist[:, j], beta, lag=1))))
-            fault = None if gap <= tol else f"consecutive windows differ by {gap:.3e}"
-        if fault:
-            raise _degenerate(f"node {j}, stored width-{len(beta)} kernel: {fault}", hist)
-    return np.stack(mu)
+    pw, rounds = agreement.p, agreement.rounds
+    vals = _values(len(pw), initial_values)
+    if vals.dtype != pw.dtype:
+        raise InvalidInputError(f"values in {vals.dtype}, agreement prepared for {pw.dtype}")
+    hist = _ratio_history(pw, vals, max(rounds, 0))
+    mu, gaps, widths = np.empty_like(vals), np.full(len(pw), np.inf), np.empty(len(pw), int)
+    for nodes, beta, den, den_lag in agreement.groups:
+        widths[nodes] = beta.shape[1]
+        if den is not None:
+            mu[nodes] = quotients = _window_sum(hist, nodes, beta) / den
+            lagged = _window_sum(hist, nodes, beta, lag=1) / den_lag
+            gaps[nodes] = np.max(np.abs(quotients - lagged), axis=1)
+    tol = agreement.rel_tol * float(np.max(np.abs(vals)))
+    bad = np.flatnonzero(~(gaps <= tol))   # a NaN gap fails too
+    if len(bad):
+        j = bad[0]
+        fault = (
+            f"consecutive windows differ by {gaps[j]:.3e}" if rounds > widths[j]
+            else f"{rounds} rounds leave no earlier window"
+        )
+        raise _degenerate(f"node {j}, stored width-{widths[j]} kernel: {fault}", hist)
+    return mu

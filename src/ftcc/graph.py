@@ -78,19 +78,26 @@ def out_weight_matrix(g: Digraph) -> np.ndarray:
 
 def is_strongly_connected(g: Digraph) -> bool:
     """True iff node 0 reaches every node both along and against the edges."""
-    reverse = Digraph(g.node_count, tuple((b, a) for a, b in g.edges))
-    return all(min(bfs_distances(h, 0)) >= 0 for h in (g, reverse))
+    ins = [[] for _ in range(g.node_count)]
+    for a, b in g.edges:
+        ins[b].append(a)
+    return all(min(_hops(nbrs, 0)) >= 0 for nbrs in (g._out, ins))
 
 
 def bfs_distances(g: Digraph, source: int) -> list[int]:
     """Directed hop distances from source; unreachable nodes get -1."""
-    dist = [-1] * g.node_count
+    return _hops(g._out, source)
+
+
+def _hops(neighbors, source: int) -> list[int]:
+    """Breadth-first hop counts from source along ``neighbors[u]`` (-1: unreached)."""
+    dist = [-1] * len(neighbors)
     dist[source] = 0
     frontier = [source]
     while frontier:
         nxt = []
         for u in frontier:
-            for v in g.out_neighbors(u):
+            for v in neighbors[u]:
                 if dist[v] < 0:
                     dist[v] = dist[u] + 1
                     nxt.append(v)

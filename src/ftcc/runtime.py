@@ -9,6 +9,11 @@ Each closed-loop step k then grants exactly m_bar consensus rounds, after
 which every node reads the average of the state estimates off the Hankel
 kernel it stored at bootstrap, applies the local control u_i = K_i xbar, and
 updates its estimate with the network-wide feedback sum from initialization.
+What does not change between steps is prepared once per run_closed_loop,
+in the loop arithmetic: the agreement (consensus.prepare_agreement) and the
+matrices B_i K_i, L_i C_i and A + F.  A step is then one agreement and two
+updates batched over the nodes, x' = A x + sum_i B_i K_i xbar_i and
+xhat'_i = (A + F) xbar_i + L_i C_i (x - xbar_i).
 
 The simulation arithmetic runs at a configurable precision, chosen here
 once: the loop casts its inputs to that arithmetic and the consensus layer
@@ -23,11 +28,13 @@ clean over the horizons the diagnostics look at.
 from __future__ import annotations
 
 import decimal
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .consensus import exact_average_fixed_rounds, finite_time_average, in_arithmetic
+from .consensus import exact_average_fixed_rounds, finite_time_average
+from .consensus import in_arithmetic, prepare_agreement
 from .exceptions import InvalidInputError
 from .gains import TokenResult, elect_leader, run_token_protocol
 from .linalg import eigenvalues
@@ -117,27 +124,31 @@ def initialize(cfg: ScenarioConfig) -> InitializationResult:
     )
 
 
-def _estimate_and_control(a, b_list, c_list, k_gains, l_gains, f_control, x, xbar_nodes):
-    """One estimation-control update after agreement.
+def _step_matrices(sys, k_gains, l_gains, f_control, dtype):
+    """The update's fixed matrices in ``dtype``, each formed there (never cast from float64).
 
-    Inputs u_i = K_i xbar_i feed the plant; each estimate refreshes from the
-    agreed average, the local output innovation, and the network-wide
-    feedback sum (known to every node after initialization).  Outputs are
-    measured at the pre-update state.
+    A, [B_1 K_1 | ... | B_N K_N] (n, N*n), A + F, and the stack L_i C_i (N, n, n).
     """
-    n_agents = len(k_gains)
-    ys = [c @ x for c in c_list]
-    us = [k_gains[i] @ xbar_nodes[i] for i in range(n_agents)]
-    x_next = a @ x
-    for b, u in zip(b_list, us):
-        x_next = x_next + b @ u
-    xhat_next = []
-    for i in range(n_agents):
-        innovation = ys[i] - c_list[i] @ xbar_nodes[i]
-        xhat_next.append(
-            a @ xbar_nodes[i] + l_gains[i] @ innovation + f_control @ xbar_nodes[i]
-        )
-    return x_next, xhat_next, us
+    cast = functools.partial(in_arithmetic, dtype=dtype)
+    a = cast(sys.a)
+    hk = np.hstack([cast(b) @ cast(k) for b, k in zip(sys.b_list, k_gains, strict=True)])
+    lc = np.stack([cast(l) @ cast(c) for l, c in zip(l_gains, sys.c_list, strict=True)])
+    return a, hk, a + cast(f_control), lc
+
+
+def _estimate_and_control(a, hk, af, lc, x, xbar):
+    """One estimation-control update after agreement, batched over the nodes.
+
+    The plant takes u_i = K_i xbar_i: x' = A x + sum_i B_i K_i xbar_i.  Each
+    estimate refreshes from the agreed average, the network-wide feedback
+    sum F (known to every node after initialization) and the local output
+    innovation y_i - C_i xbar_i = C_i (x - xbar_i), measured at the
+    pre-update state: xhat'_i = (A + F) xbar_i + L_i C_i (x - xbar_i).
+    ``xbar`` is (N, n); returns x' and the (N, n) estimates.
+    """
+    x_next = a @ x + hk @ xbar.ravel()
+    xhat_next = xbar @ af.T + (lc @ (x - xbar)[:, :, None])[:, :, 0]
+    return x_next, xhat_next
 
 
 @dataclass
@@ -222,12 +233,10 @@ def _run_loop(
     xhat0 = cfg.xhat0 if cfg.xhat0 is not None else np.zeros((n_agents, sys.n))
     x = in_arithmetic(x0, dtype)
     xhat = in_arithmetic(xhat0, dtype)
-    a_cast = in_arithmetic(sys.a, dtype)
-    b_cast = [in_arithmetic(b, dtype) for b in sys.b_list]
-    c_cast = [in_arithmetic(c, dtype) for c in sys.c_list]
-    k_cast = [in_arithmetic(k, dtype) for k in init.k_gains]
-    l_cast = [in_arithmetic(l, dtype) for l in init.l_gains]
-    f_cast = in_arithmetic(init.f_control, dtype)
+    matrices = _step_matrices(sys, init.k_gains, init.l_gains, init.f_control, dtype)
+    agreement = prepare_agreement(
+        g, init.m_bar, init.kernels, dtype, rel_tol=cfg.rank_rel_tol, weights=cfg.weights
+    )
 
     # each row is converted to float64 as it is recorded; rounds_used is the
     # round at which the widest stored kernel's square Hankel completes
@@ -239,10 +248,7 @@ def _run_loop(
         ebar=np.empty((steps, sys.n)), errors=np.empty(per_node), rounds_used=[],
     )
     for k in range(steps):
-        xbar_nodes = exact_average_fixed_rounds(
-            g, xhat, init.m_bar, init.kernels, rel_tol=cfg.rank_rel_tol,
-            weights=cfg.weights,
-        )
+        xbar_nodes = exact_average_fixed_rounds(agreement, xhat)
         trace.x[k] = x
         trace.xbar_nodes[k] = xbar_nodes
         trace.xhat[k] = xhat
@@ -251,8 +257,5 @@ def _run_loop(
         trace.rounds_used.append(rounds_used)
         if k == horizon:
             break
-        x, new_xhat, _ = _estimate_and_control(
-            a_cast, b_cast, c_cast, k_cast, l_cast, f_cast, x, xbar_nodes
-        )
-        xhat = np.stack(new_xhat)
+        x, xhat = _estimate_and_control(*matrices, x, xbar_nodes)
     return trace

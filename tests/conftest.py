@@ -6,7 +6,7 @@ import pytest
 # random_strongly_connected is re-exported so that the tests draw the same
 # digraphs as acceptance criterion 6
 from ftcc.acceptance import AcceptanceContext, random_strongly_connected  # noqa: F401
-from ftcc.consensus import finite_time_average
+from ftcc.consensus import exact_average_fixed_rounds, finite_time_average, prepare_agreement
 from ftcc.plant import LtiSystem, joint_rank_checks
 from ftcc.scenario import load_scenario
 
@@ -33,6 +33,13 @@ def stored_kernels(g, weights=None):
     """Each node's Hankel kernel from a bootstrap run on the node ids."""
     ids = np.arange(g.node_count, dtype=float)
     return finite_time_average(g, ids, weights=weights).kernels
+
+
+def agree(g, values, rounds, kernels, weights=None):
+    """One agreement, prepared for the values' arithmetic (ints count as float)."""
+    dtype = np.result_type(np.asarray(values).dtype, float)
+    agreement = prepare_agreement(g, rounds, kernels, dtype, weights=weights)
+    return exact_average_fixed_rounds(agreement, values)
 
 
 def random_joint_system(rng, n_agents: int, n: int, unstable: bool = True) -> LtiSystem:

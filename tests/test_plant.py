@@ -8,7 +8,7 @@ from ftcc.plant import (
     local_indices,
     require_jointly_controllable_observable,
 )
-from ftcc.runtime import _estimate_and_control
+from ftcc.runtime import _estimate_and_control, _step_matrices
 
 
 def two_agent_system():
@@ -38,18 +38,15 @@ class TestLtiSystem:
 def loop_update(sys, x, xbar, k_gains=None, l_gains=None):
     """The closed loop's estimation-control update, every node holding xbar.
 
-    Gains default to zero; F is zero.  Returns (x_next, [xhat_next_i]).
+    Gains default to zero; F is zero.  Returns x_next and the (N, n) estimates.
     """
     n = sys.n
     if k_gains is None:
         k_gains = [np.zeros((b.shape[1], n)) for b in sys.b_list]
     if l_gains is None:
         l_gains = [np.zeros((n, c.shape[0])) for c in sys.c_list]
-    x_next, xhat_next, _ = _estimate_and_control(
-        sys.a, sys.b_list, sys.c_list, k_gains, l_gains, np.zeros((n, n)), x,
-        [xbar] * sys.agent_count,
-    )
-    return x_next, xhat_next
+    matrices = _step_matrices(sys, k_gains, l_gains, np.zeros((n, n)), float)
+    return _estimate_and_control(*matrices, x, np.tile(xbar, (sys.agent_count, 1)))
 
 
 class TestPlantStep:

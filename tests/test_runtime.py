@@ -1,19 +1,21 @@
+import collections
 import dataclasses
 import decimal
 
 import numpy as np
 import pytest
 
-from ftcc import runtime
-from ftcc.consensus import exact_average_fixed_rounds
+from ftcc import consensus, runtime
+from ftcc.consensus import in_arithmetic
 from ftcc.exceptions import InvalidInputError
 from ftcc.graph import Digraph, out_weight_matrix
 from ftcc.linalg import is_schur_stable
 from ftcc.plant import LtiSystem
-from ftcc.runtime import _estimate_and_control, initialize, run_closed_loop
+from ftcc.runtime import _estimate_and_control, _step_matrices, initialize, run_closed_loop
 from ftcc.scenario import ScenarioConfig
 
 from conftest import (
+    agree,
     random_joint_system,
     random_strongly_connected,
     stored_kernels,
@@ -111,13 +113,13 @@ class TestAgreementPhase:
         cfg = paper_scenario
         xhat = np.tile([2.0, -1.0], (4, 1))
         kernels = stored_kernels(cfg.graph, cfg.weights)
-        mu = exact_average_fixed_rounds(cfg.graph, xhat, 11, kernels, weights=cfg.weights)
+        mu = agree(cfg.graph, xhat, 11, kernels, weights=cfg.weights)
         assert np.allclose(mu, [2.0, -1.0], atol=1e-12)
 
     def test_three_cycle_scalar(self):
         g = Digraph(3, ((0, 1), (1, 2), (2, 0)))
         p = out_weight_matrix(g)
-        mu = exact_average_fixed_rounds(
+        mu = agree(
             g, np.array([[0.0], [3.0], [6.0]]), 11, stored_kernels(g, p), weights=p
         )
         assert np.allclose(mu, 3.0, atol=1e-10)
@@ -127,7 +129,7 @@ class TestAgreementPhase:
         cfg = paper_scenario
         xhat = rng.normal(size=(4, 8))
         kernels = stored_kernels(cfg.graph, cfg.weights)
-        mu = exact_average_fixed_rounds(cfg.graph, xhat, 11, kernels, weights=cfg.weights)
+        mu = agree(cfg.graph, xhat, 11, kernels, weights=cfg.weights)
         mean = xhat.mean(axis=0)
         scale = max(1.0, float(np.linalg.norm(mean)))
         for j in range(4):
@@ -143,11 +145,8 @@ class TestStep:
         rng = np.random.default_rng(3)
         x = rng.normal(size=8)
         xbar = rng.normal(size=8)           # common agreed average
-        xbar_nodes = [xbar.copy() for _ in range(4)]
-        x2, xhat2, us = _estimate_and_control(
-            sys.a, sys.b_list, sys.c_list, init.k_gains, init.l_gains, init.f_control,
-            x, xbar_nodes,
-        )
+        matrices = _step_matrices(sys, init.k_gains, init.l_gains, init.f_control, float)
+        x2, xhat2 = _estimate_and_control(*matrices, x, np.tile(xbar, (4, 1)))
         ebar = x - xbar
         n_agents = 4
         m_avg = sys.a - sum(
@@ -168,13 +167,107 @@ class TestStep:
         sys = cfg.plant
         rng = np.random.default_rng(4)
         x = rng.normal(size=8)
-        xbar_nodes = [x.copy() for _ in range(4)]    # agreement equals truth
-        x2, xhat2, _ = _estimate_and_control(
-            sys.a, sys.b_list, sys.c_list, init.k_gains, init.l_gains, init.f_control,
-            x, xbar_nodes,
-        )
+        matrices = _step_matrices(sys, init.k_gains, init.l_gains, init.f_control, float)
+        x2, xhat2 = _estimate_and_control(*matrices, x, np.tile(x, (4, 1)))   # agreement = truth
         for xh in xhat2:
             assert np.linalg.norm(x2 - xh) < 1e-12 * max(1.0, np.linalg.norm(x2))
+
+
+def update_by_agent(a, b_list, c_list, k_gains, l_gains, f_control, x, xbar_nodes):
+    """The agent-by-agent update the batched one replaced.
+
+    u_i = K_i xbar_i; x' = A x + sum_i B_i u_i; and with y_i = C_i x,
+    xhat'_i = A xbar_i + L_i (y_i - C_i xbar_i) + F xbar_i.
+    """
+    n_agents = len(k_gains)
+    ys = [c @ x for c in c_list]
+    us = [k_gains[i] @ xbar_nodes[i] for i in range(n_agents)]
+    x_next = a @ x
+    for b, u in zip(b_list, us):
+        x_next = x_next + b @ u
+    xhat_next = []
+    for i in range(n_agents):
+        innovation = ys[i] - c_list[i] @ xbar_nodes[i]
+        xhat_next.append(
+            a @ xbar_nodes[i] + l_gains[i] @ innovation + f_control @ xbar_nodes[i]
+        )
+    return x_next, np.stack(xhat_next)
+
+
+class TestBatchedStep:
+    """The batched update against the agent-by-agent one, in every precision.
+
+    The two differ in association only (B_i K_i and L_i C_i formed once,
+    A + F summed once), so each entry agrees to a few units of roundoff of
+    the sum of its terms' magnitudes: measured at most 1.6 units; the
+    stated bound is 8.
+    """
+
+    @pytest.mark.parametrize("precision", ["double", "extended", "quad"])
+    def test_matches_the_agent_loop(self, precision, paper_scenario, paper_init):
+        sys, init = paper_scenario.plant, paper_init
+        dtype = runtime._dtype_for(precision)
+        rng = np.random.default_rng(12)
+        mags = np.abs
+        with decimal.localcontext(decimal.Context(prec=runtime.QUAD_DIGITS)):
+            eps = 10.0 ** (1 - runtime.QUAD_DIGITS) if dtype == object else np.finfo(dtype).eps
+
+            def cast(m):
+                return in_arithmetic(m, dtype)
+
+            matrices = _step_matrices(sys, init.k_gains, init.l_gains, init.f_control, dtype)
+            cast_sys = (
+                cast(sys.a), [cast(b) for b in sys.b_list], [cast(c) for c in sys.c_list],
+                [cast(k) for k in init.k_gains], [cast(l) for l in init.l_gains],
+                cast(init.f_control),
+            )
+            for _ in range(5):
+                x = rng.normal(size=8) * 10.0 ** rng.uniform(-3, 3)
+                xbar = x + rng.normal(size=(4, 8)) * 10.0 ** rng.uniform(-6, 0)
+                new = _estimate_and_control(*matrices, cast(x), cast(xbar))
+                old = update_by_agent(*cast_sys, cast(x), cast(xbar))
+                # |terms|: the roundoff scale of each entry of the two sums
+                x_terms = mags(sys.a) @ mags(x) + sum(
+                    mags(b) @ mags(k) @ mags(xb)
+                    for b, k, xb in zip(sys.b_list, init.k_gains, xbar)
+                )
+                xhat_terms = np.stack([
+                    (mags(sys.a) + mags(init.f_control)) @ mags(xb)
+                    + mags(l) @ mags(c) @ (mags(x) + mags(xb))
+                    for l, c, xb in zip(init.l_gains, sys.c_list, xbar)
+                ])
+                for got, want, terms in zip(new, old, (x_terms, xhat_terms)):
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert np.all(np.abs(got - want).astype(float) <= 8 * eps * terms)
+
+
+class TestPreparedOnce:
+    """Per-run work (P's validation, every conversion into the loop
+    arithmetic) is done once per run, whatever the horizon."""
+
+    def test_counts_do_not_grow_with_the_horizon(self, monkeypatch, paper_scenario, paper_init):
+        calls = collections.Counter()
+        targets = (
+            (consensus, "validate_weights"),
+            (consensus, "in_arithmetic"),
+            (runtime, "in_arithmetic"),
+            (runtime, "exact_average_fixed_rounds"),
+        )
+        for module, name in targets:
+            def counted(*args, _fn=getattr(module, name), _key=(module.__name__, name), **kw):
+                calls[_key] += 1
+                return _fn(*args, **kw)
+
+            monkeypatch.setattr(module, name, counted)
+        per_horizon = {}
+        for horizon in (5, 1):
+            calls.clear()
+            run_closed_loop(paper_scenario, paper_init, horizon=horizon)
+            # one traced consensus.agree span per step
+            assert calls.pop(("ftcc.runtime", "exact_average_fixed_rounds")) == horizon + 1
+            per_horizon[horizon] = dict(calls)
+        assert per_horizon[5][("ftcc.consensus", "validate_weights")] == 1
+        assert per_horizon[5] == per_horizon[1]
 
 
 class TestClosedLoop:
