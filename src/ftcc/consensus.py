@@ -233,7 +233,7 @@ class AverageResult:
 
 
 def _values(node_count: int, initial_values) -> np.ndarray:
-    """(N, n) initial values in their own arithmetic (ints become float), checked finite."""
+    """(N, n) initial values, n >= 1, in their own arithmetic (ints become float), checked finite."""
     vals = np.asarray(initial_values)
     vals = vals.astype(np.result_type(vals.dtype, float), copy=False)
     if vals.ndim == 1:
@@ -242,6 +242,8 @@ def _values(node_count: int, initial_values) -> np.ndarray:
         raise InvalidInputError(
             f"need one initial value per node, got {vals.shape[0]} for N={node_count}"
         )
+    if vals.shape[1] == 0:
+        raise InvalidInputError("initial values need at least one entry per node")
     # == and != are the comparisons a Decimal NaN answers without signalling
     if not (np.all(vals == vals) and np.all(np.abs(vals) != np.inf)):
         raise InvalidInputError("initial values must be finite")

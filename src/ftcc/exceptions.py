@@ -46,7 +46,14 @@ class InsufficientTargetsError(FtccError):
 
 
 class ProtocolFailureError(FtccError):
-    """The gain token stalled, ran past its hop cap or left a target unplaced."""
+    """A gain-token pass cannot finish.
+
+    Its walk has visited every node without meeting the stop condition, ran
+    past its hop cap or met a node with no out-neighbors; a column's
+    placement loop does not converge; its read-only flood cannot reach every
+    node; or a consumed target is not on the closed-loop spectrum.  Leader
+    election that does not converge raises it too.
+    """
 
 
 class ConfigError(FtccError, ValueError):

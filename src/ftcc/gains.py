@@ -4,20 +4,23 @@ Placement is rank-one per eigenvalue: premultiplying the dynamics by a left
 eigenvector isolates one modal direction, so the gain row
 ((target - lam) / (w^T b)) w^T moves that eigenvalue and provably nothing
 else.  Iterating the construction (always against the already-updated
-matrix) places several eigenvalues; a token carrying the accumulated
-feedback F = sum_j B_j K_j walks the digraph so each agent contributes the
-placements only it can make.  Once A + F is Schur stable and every target
-has been consumed, the token is declared read-only and flooded, leaving the
-network-wide F at every node.
+matrix) places several eigenvalues.  A token pass runs in two phases over
+one synchronous fabric.  In the walk, a token carrying the accumulated
+feedback F = sum_j B_j K_j moves one hop per round, so each agent
+contributes the placements only it can make on its first visit.  Once
+A + F is Schur stable and every target has been consumed, the holder
+declares F read-only and the flood sends it, round by round, until every
+node holds the network-wide F.
 
 Two bookkeeping details:
 
-* The token carries the set of already-consumed targets.  An agent skips
-  eigenvalues sitting within PLACEMENT_TOL of a consumed target; without
-  that memory a downstream agent would re-place its predecessors' work
-  (the spectra overlap whenever agents share controllable modes).  When
-  the pass ends, every consumed target must sit within the same tolerance
-  of a distinct closed-loop eigenvalue, or the pass raises.
+* The token carries a PlacementTargets ledger of the consumed targets, the
+  only placement state of a pass.  An agent skips eigenvalues sitting
+  within PLACEMENT_TOL of a consumed target; without that memory a
+  downstream agent would re-place its predecessors' work (the spectra
+  overlap whenever agents share controllable modes).  When the pass ends,
+  every consumed target must sit within the same tolerance of a distinct
+  closed-loop eigenvalue, or the pass raises.
 * A conjugate eigenvalue pair is placed in real arithmetic with one 2x2
   solve on its real left-invariant subspace, onto a conjugate pair of
   targets or, when none is left, onto two real targets.
@@ -64,16 +67,13 @@ class PlacementTargets:
     """Ordered eigenvalue targets with consumption flags."""
 
     values: tuple[complex, ...]
-    consumed: list[bool] = field(default_factory=list)
+    consumed: list[bool] = field(init=False)
 
     def __post_init__(self):
         self.values = tuple(complex(v) for v in self.values)
         if not conjugate_closed(self.values):
             raise InvalidInputError("targets must be a conjugate-closed set")
-        if not self.consumed:
-            self.consumed = [False] * len(self.values)
-        elif len(self.consumed) != len(self.values):
-            raise InvalidInputError("consumed flags must match target count")
+        self.consumed = [False] * len(self.values)
 
     @property
     def all_consumed(self) -> bool:
@@ -191,22 +191,18 @@ def _matches_any(value: complex, pool) -> bool:
 def _place_through_column(
     a_base: np.ndarray,
     column: np.ndarray,
-    k_accum: np.ndarray,
     targets: PlacementTargets,
     stability_margin: float,
-    policy: str,
-    skip_values: list[complex],
 ) -> np.ndarray:
-    """Place everything this column can; returns the updated gain row."""
+    """Place everything this column can; returns its (1, n) gain row."""
     n = a_base.shape[0]
+    k_accum = np.zeros((1, n))
     for _ in range(2 * n):
         current = a_base + column[:, None] @ k_accum
-        spectrum = eigen_left(current)
+        placed = targets.consumed_values()
         candidate = None
-        for p in spectrum:
-            if _matches_any(p.value, skip_values):
-                continue
-            if policy == "stabilize" and abs(p.value) < 1.0 - stability_margin:
+        for p in eigen_left(current):
+            if _matches_any(p.value, placed):
                 continue
             if p.value.imag < -1e-12:
                 continue  # conjugate pairs are handled from the +Im member
@@ -226,9 +222,9 @@ def _place_through_column(
                         f"no real target left for unstable eigenvalue {lam.real:.6g}"
                     )
                 return k_accum
-            row = place_single(current, column, lam, t, candidate.left_vector)
-            k_accum = k_accum + row.real
-            skip_values.append(complex(t))
+            k_accum = k_accum + place_single(
+                current, column, lam, t, candidate.left_vector
+            ).real
         else:
             pair = targets.take_pair()
             if pair is None:
@@ -237,17 +233,15 @@ def _place_through_column(
                         f"no targets left for unstable pair {lam:.6g}"
                     )
                 return k_accum
-            row = place_pair(current, column, lam, pair, candidate.left_vector)
-            k_accum = k_accum + row
-            skip_values.extend(pair)
-        if targets.remaining() == 0 and policy == "all":
+            k_accum = k_accum + place_pair(current, column, lam, pair, candidate.left_vector)
+        if targets.remaining() == 0:
             # nothing left to consume; unstable leftovers surface below
-            current = a_base + column[:, None] @ k_accum
+            placed = targets.consumed_values()
             leftovers = [
                 p.value
-                for p in eigen_left(current)
+                for p in eigen_left(a_base + column[:, None] @ k_accum)
                 if abs(p.value) >= 1.0 - stability_margin
-                and not _matches_any(p.value, skip_values)
+                and not _matches_any(p.value, placed)
             ]
             if leftovers:
                 raise InsufficientTargetsError(
@@ -262,38 +256,24 @@ def place_for_agent(
     b_i,
     targets: PlacementTargets,
     stability_margin: float = DEFAULT_STABILITY_MARGIN,
-    policy: str = "stabilize",
-    already_placed=(),
 ) -> np.ndarray:
     """Gain K_i placing what agent i can reach through the columns of B_i.
 
-    ``policy="stabilize"`` touches only eigenvalues of modulus at least
-    1 - stability_margin (the bare stabilization contract);
-    ``policy="all"`` walks the whole spectrum in modulus-descending order,
-    which is what the token protocol runs so the closed-loop spectrum ends
-    up exactly on the configured target set.  Eigenvalues within matching
-    tolerance of ``already_placed`` values are never touched again.
+    Each column walks the spectrum of the already-updated matrix in
+    modulus-descending order and moves every eigenvalue it can see onto the
+    next free target, so the closed-loop spectrum ends up on the configured
+    target set.  Eigenvalues within PLACEMENT_TOL of a target the ledger has
+    already consumed are never touched again.
     """
     a = as_matrix(a_eff, "A_eff")
     b = as_matrix(b_i, "B_i")
-    if policy not in ("stabilize", "all"):
-        raise InvalidInputError(f"unknown policy {policy!r}")
     n = a.shape[0]
     if b.shape[1] == 0:
         return np.zeros((0, n))
-    skip = [complex(v) for v in already_placed]
     rows = []
     a_running = a.astype(float)
     for col in range(b.shape[1]):
-        k_col = _place_through_column(
-            a_running,
-            b[:, col].astype(float),
-            np.zeros((1, n)),
-            targets,
-            stability_margin,
-            policy,
-            skip,
-        )
+        k_col = _place_through_column(a_running, b[:, col].astype(float), targets, stability_margin)
         rows.append(k_col)
         a_running = a_running + b[:, col : col + 1] @ k_col
     return np.vstack(rows)
@@ -334,17 +314,6 @@ def elect_leader(g: Digraph, d_prime: int, values=None) -> int:
 
 
 @dataclass
-class GainToken:
-    """The traveling message accumulating F = sum_j B_j K_j."""
-
-    f: np.ndarray
-    visited: set[int]
-    targets: PlacementTargets
-    read_only: bool = False
-    hop_count: int = 0
-
-
-@dataclass
 class TokenResult:
     """Outcome of one token pass (control or observer mode)."""
 
@@ -352,7 +321,7 @@ class TokenResult:
     gains: list[np.ndarray]          # K_i (q_i x n) or L_i (n x p_i)
     f: np.ndarray                    # accumulated feedback of the dual pair
     hop_count: int                   # point-to-point token transmissions
-    flood_count: int                 # read-only transmissions
+    flood_count: int                 # read-only copies of F the fabric carried
     visit_order: list[int]
     leader: int
     declared_by: int
@@ -396,6 +365,27 @@ def _check_placed(closed: np.ndarray, consumed, mode: str) -> None:
         free.pop(k)
 
 
+def _route(g: Digraph, priorities: dict, visited: list[int], j: int) -> int:
+    """Next hop from j: unvisited out-neighbor first, else one step toward one."""
+    outs = g.out_neighbors(j)   # ascending
+    ranked = [v for v in priorities.get(j) or () if v in outs]
+    outs = ranked + [v for v in outs if v not in ranked]
+    if not outs:
+        raise ProtocolFailureError(f"node {j} has no out-neighbors")
+    unvisited_outs = [v for v in outs if v not in visited]
+    if unvisited_outs:
+        return unvisited_outs[0]
+    unvisited = [v for v in range(g.node_count) if v not in visited]
+    if not unvisited:
+        return outs[0]
+
+    def hops_to_unvisited(v: int) -> tuple[int, int]:
+        dist = bfs_distances(g, v)
+        return min(dist[u] for u in unvisited if dist[u] >= 0), v
+
+    return min(outs, key=hops_to_unvisited)
+
+
 def run_token_protocol(
     g: Digraph,
     sys: LtiSystem,
@@ -405,22 +395,25 @@ def run_token_protocol(
     stability_margin: float = DEFAULT_STABILITY_MARGIN,
     leader: int | None = None,
 ) -> TokenResult:
-    """Run one full token pass over the synchronous fabric.
+    """Run one full token pass over the synchronous fabric: a walk, then a flood.
 
     Control mode works on (A, B_i); observer mode runs the identical
     protocol on the dual pairs (A^T, -C_i^T / N) and transposes the
     resulting gains into L_i, so A - (1/N) sum_i L_i C_i inherits the
     placed spectrum.
 
-    Every token receipt first checks the stop condition (A + F Schur stable
-    and no unconsumed targets); the receiver then either declares the token
-    read-only and floods it, or places what it can and forwards it.
-    Forwarding prefers unvisited out-neighbors in priority order, falling
-    back to the out-neighbor closest to the remaining unvisited set.  Agents
-    place on their first visit only, so a receipt that fails the stop
+    Walk: the token starts at the leader.  Its holder first checks the stop
+    condition (A + F Schur stable and no unconsumed targets), places what it
+    can on its first visit, and forwards the token one fabric round to an
+    unvisited out-neighbor in priority order, else to the out-neighbor
+    closest to the remaining unvisited set.  A holder that fails the stop
     condition after every node's visit raises ProtocolFailureError naming
-    what is left.  The finished pass must have every consumed target within
-    PLACEMENT_TOL of a distinct eigenvalue of A + F, or it names the miss.
+    what is left, since F can no longer change.  Flood: the node that meets
+    the stop condition sends the final F to its out-neighbors, and every
+    node sends it on in the round after it first receives it; a flood that
+    dies out before reaching every node raises ProtocolFailureError.  The
+    finished pass must have every consumed target within PLACEMENT_TOL of a
+    distinct eigenvalue of A + F, or it names the miss.
     """
     n_agents = g.node_count
     if mode == "control":
@@ -440,131 +433,68 @@ def run_token_protocol(
         raise InvalidInputError(f"leader {leader} is not a node id (0..{n_agents - 1})")
     if priorities is None:
         priorities = {}
+    if not isinstance(targets, PlacementTargets):
+        targets = PlacementTargets(tuple(targets))
     hop_cap = max(64, 8 * n_agents * n_agents)
-
-    n = sys.n
-    token = GainToken(
-        f=np.zeros((n, n)),
-        visited=set(),
-        targets=targets
-        if isinstance(targets, PlacementTargets)
-        else PlacementTargets(tuple(targets)),
-    )
-    gains = [np.zeros((inputs[i].shape[1], n)) for i in range(n_agents)]
+    fabric = SyncFabric(g)
+    f = np.zeros((sys.n, sys.n))   # rebound, never written in place: the flood sends it as is
+    gains = [np.zeros((b.shape[1], sys.n)) for b in inputs]
     visit_order: list[int] = []
-    declared_by: int | None = None
-    got_final = [False] * n_agents
-    flooded = [False] * n_agents
-    outbox: dict[int, list[tuple[int, tuple]]] = {}   # src -> [(dst, message)]
-    flood_count = 0
-
-    def ranked_out_neighbors(j: int) -> list[int]:
-        outs = g.out_neighbors(j)   # ascending
-        ranked = [v for v in priorities.get(j) or () if v in outs]
-        return ranked + [v for v in outs if v not in ranked]
-
-    def route(j: int) -> int:
-        """Next hop from j: unvisited neighbor first, else toward one."""
-        outs = ranked_out_neighbors(j)
-        if not outs:
-            raise ProtocolFailureError(f"node {j} has no out-neighbors")
-        unvisited_outs = [v for v in outs if v not in token.visited]
-        if unvisited_outs:
-            return unvisited_outs[0]
-        unvisited = [v for v in range(n_agents) if v not in token.visited]
-        if not unvisited:
-            return outs[0]
-
-        def hops_to_unvisited(v: int) -> tuple[int, int]:
-            dist = bfs_distances(g, v)
-            return min(dist[u] for u in unvisited if dist[u] >= 0), v
-
-        return min(outs, key=hops_to_unvisited)
-
-    def start_flood(j: int):
-        nonlocal flood_count
-        got_final[j] = True
-        if flooded[j]:
-            return
-        flooded[j] = True
-        for l in g.out_neighbors(j):
-            outbox.setdefault(j, []).append((l, ("readonly", token.f.copy())))
-            flood_count += 1
-
-    def on_token(j: int):
-        nonlocal declared_by
-        if is_schur_stable(base + token.f, 0.0) and token.targets.all_consumed:
-            token.read_only = True
-            declared_by = j
-            start_flood(j)
-            return
-        if len(token.visited) == n_agents:   # F is final: agents place on first visits only
-            placed = token.targets.consumed_values()
-            left = [v for v in np.linalg.eigvals(base + token.f)
+    holder, hops = leader, 0
+    while not (is_schur_stable(base + f, 0.0) and targets.all_consumed):
+        if len(visit_order) == n_agents:
+            placed = targets.consumed_values()
+            left = [v for v in np.linalg.eigvals(base + f)
                     if abs(v) >= 1.0 or not _matches_any(v, placed)]
-            flags = zip(token.targets.values, token.targets.consumed)
-            unused = [v for v, used in flags if not used]
+            unused = [v for v, used in zip(targets.values, targets.consumed) if not used]
             raise ProtocolFailureError(
-                f"{mode} token visited every node in {token.hop_count} hops and cannot "
+                f"{mode} token visited every node in {hops} hops and cannot "
                 f"finish: unconsumed targets [{_fmt(unused)}]; eigenvalues of A + F "
                 f"unstable or on no consumed target [{_fmt(left)}]"
             )
-        if j not in token.visited:
-            token.visited.add(j)
-            visit_order.append(j)
-            k_i = place_for_agent(
-                base + token.f,
-                inputs[j],
-                token.targets,
-                stability_margin,
-                policy="all",
-                already_placed=token.targets.consumed_values(),
-            )
-            gains[j] = k_i
-            token.f = token.f + inputs[j] @ k_i
+        if holder not in visit_order:
+            visit_order.append(holder)
+            gains[holder] = place_for_agent(base + f, inputs[holder], targets, stability_margin)
+            f = f + inputs[holder] @ gains[holder]
         if n_agents == 1:
-            return   # a single node re-checks its own token below
-        nxt = route(j)
-        token.hop_count += 1
-        outbox.setdefault(j, []).append((nxt, ("token",)))
-
-    fabric = SyncFabric(g)
-    on_token(leader)   # the leader hands the empty token to itself
-    if n_agents == 1:
-        on_token(leader)
-
-    while not all(got_final):
-        if token.hop_count > hop_cap:
+            continue   # a lone node re-checks its own token
+        sender, holder = holder, _route(g, priorities, visit_order, holder)
+        hops += 1
+        if hops > hop_cap:
             raise ProtocolFailureError(
                 f"token exceeded hop cap {hop_cap} without going read-only"
             )
-        current, outbox = outbox, {}
+        round_exchange(
+            fabric, lambda j: [(holder, "token")] if j == sender else (), lambda j, inbox: None
+        )
 
-        def send(j, batch=current):
-            return batch.get(j)
+    reached, senders = {holder}, [holder]   # the holder declares F read-only
+    while len(reached) < n_agents:
+        if not senders:
+            raise ProtocolFailureError(
+                f"{mode} read-only flood from node {holder} reached only "
+                f"{len(reached)} of {n_agents} nodes"
+            )
+        inboxes = {}
+        round_exchange(
+            fabric,
+            lambda j: [(l, f) for l in g.out_neighbors(j)] if j in senders else (),
+            inboxes.__setitem__,
+        )
+        senders = [j for j, inbox in inboxes.items() if inbox and j not in reached]
+        reached.update(senders)
 
-        def receive(j, inbox):
-            for _, msg in inbox:
-                if msg[0] == "readonly":
-                    start_flood(j)
-                elif msg[0] == "token" and not token.read_only:
-                    on_token(j)
-
-        if not current:
-            raise ProtocolFailureError("token protocol stalled with no messages")
-        round_exchange(fabric, send, receive)
-
-    _check_placed(base + token.f, token.targets.consumed_values(), mode)
+    _check_placed(base + f, targets.consumed_values(), mode)
     if mode == "observer":
         gains = [k.T.copy() for k in gains]
     return TokenResult(
         mode=mode,
         gains=gains,
-        f=token.f,
-        hop_count=token.hop_count,
-        flood_count=flood_count,
+        f=f,
+        hop_count=hops,
+        flood_count=fabric.sent_count - hops,
         visit_order=visit_order,
         leader=leader,
-        declared_by=declared_by,
+        declared_by=holder,
         rounds=fabric.round_index,
     )

@@ -447,6 +447,20 @@ class TestFixedRounds:
             )
 
 
+@pytest.mark.parametrize(
+    "average",
+    [
+        lambda g, vals: finite_time_average(g, vals, weights=FOURNODE_P),
+        lambda g, vals: agree(g, vals, 11, stored_kernels(g, FOURNODE_P), weights=FOURNODE_P),
+    ],
+    ids=["finite_time_average", "exact_average_fixed_rounds"],
+)
+def test_zero_width_payload_rejected(average):
+    g = digraph_from_weight_matrix(FOURNODE_P)
+    with pytest.raises(InvalidInputError, match="at least one entry per node"):
+        average(g, np.zeros((4, 0)))
+
+
 class TestStoredKernels:
     """Agreements reuse the bootstrap kernels under a window post-condition."""
 

@@ -160,34 +160,23 @@ class TestPlacePair:
 
 
 class TestPlaceForAgent:
-    def test_already_schur_stabilize_policy(self):
-        targets = PlacementTargets((0.1, 0.2))
-        k = place_for_agent(np.diag([0.5, -0.3]), np.eye(2), targets)
-        assert np.allclose(k, 0.0)
-        assert targets.remaining() == 2
-
-    def test_agent_blind_to_unstable_mode(self):
-        # b excites only the stable mode; stabilize policy places nothing
-        targets = PlacementTargets((0.1,))
-        k = place_for_agent(
-            np.diag([1.5, 0.5]), np.array([[0.0], [1.0]]), targets
-        )
-        assert np.allclose(k, 0.0)
-
-    def test_stabilize_policy_moves_only_unstable(self):
+    def test_all_policy_places_everything(self):
         a = np.diag([1.5, 0.5, -0.2])
         targets = PlacementTargets((0.1, 0.2, 0.3))
         k = place_for_agent(a, np.ones((3, 1)), targets)
         closed = a + np.ones((3, 1)) @ k
-        got = sorted(np.linalg.eigvals(closed).real)
-        assert np.allclose(got, sorted([0.1, 0.5, -0.2]), atol=1e-8)
-        assert targets.consumed == [True, False, False]
+        assert np.allclose(sorted(np.linalg.eigvals(closed).real), [0.1, 0.2, 0.3], atol=1e-8)
 
-    def test_all_policy_places_everything(self):
+    def test_consumed_targets_left_alone(self):
+        # a second agent on the same ledger sees the first one's placements
+        # as consumed and moves only what is left
         a = np.diag([1.5, 0.5, -0.2])
-        targets = PlacementTargets((0.1, 0.2, 0.3))
-        k = place_for_agent(a, np.ones((3, 1)), targets, policy="all")
-        closed = a + np.ones((3, 1)) @ k
+        targets = PlacementTargets((0.1, 0.2, 0.3, 0.4))
+        b1, b2 = np.array([[1.0], [0.0], [0.0]]), np.ones((3, 1))
+        closed = a + b1 @ place_for_agent(a, b1, targets)
+        assert targets.consumed == [True, False, False, False]
+        closed = closed + b2 @ place_for_agent(closed, b2, targets)
+        assert targets.consumed == [True, True, True, False]
         assert np.allclose(sorted(np.linalg.eigvals(closed).real), [0.1, 0.2, 0.3], atol=1e-8)
 
     def test_insufficient_targets(self):
@@ -199,7 +188,7 @@ class TestPlaceForAgent:
         # rotation scaled outside the unit circle: complex unstable pair
         rot = 1.3 * np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])
         targets = PlacementTargets((0.3 + 0.2j, 0.3 - 0.2j))
-        k = place_for_agent(rot, np.array([[1.0], [0.4]]), targets, policy="all")
+        k = place_for_agent(rot, np.array([[1.0], [0.4]]), targets)
         assert k.dtype.kind == "f"
         closed = rot + np.array([[1.0], [0.4]]) @ k
         got = sorted(np.linalg.eigvals(closed), key=lambda z: z.imag)
@@ -210,7 +199,7 @@ class TestPlaceForAgent:
         # no complex target left: the pair takes the two reals, one each
         rot = rotation(1.3, 0.7)
         targets = PlacementTargets((0.5, 0.6))
-        k = place_for_agent(rot, np.array([[1.0], [0.4]]), targets, policy="all")
+        k = place_for_agent(rot, np.array([[1.0], [0.4]]), targets)
         assert k.dtype.kind == "f"
         closed = rot + np.array([[1.0], [0.4]]) @ k
         got = sorted(np.linalg.eigvals(closed), key=lambda z: z.real)
@@ -271,6 +260,38 @@ class TestTokenProtocol:
         assert np.allclose(paper_init.l_gains[2], 0.0)
         assert paper_init.control_token.visit_order == [0, 1, 2]
         assert paper_init.observer_token.visit_order == [0, 1, 2, 3]
+
+    def test_hops_and_floods_are_the_fabric_messages(self, paper_scenario, paper_init, monkeypatch):
+        import ftcc.gains as gains_module
+
+        exchange, sent = gains_module.round_exchange, []
+
+        def counting(fabric, send, receive):
+            def counted(j):
+                batch = list(send(j) or ())
+                sent[-1] += len(batch)
+                return batch
+
+            exchange(fabric, counted, receive)
+
+        monkeypatch.setattr(gains_module, "round_exchange", counting)
+        cfg = paper_scenario
+        for mode, targets in (
+            ("control", cfg.controller_targets),
+            ("observer", cfg.observer_targets),
+        ):
+            sent.append(0)
+            res = run_token_protocol(
+                cfg.graph,
+                cfg.plant,
+                list(targets),
+                mode=mode,
+                priorities=cfg.priorities,
+                stability_margin=cfg.stability_margin,
+                leader=paper_init.leader,
+            )
+            assert res.hop_count + res.flood_count == sent[-1]
+            assert res.flood_count <= len(cfg.graph.edges)
 
     def test_random_protocol_correctness(self):
         rng = np.random.default_rng(77)
@@ -400,3 +421,17 @@ class TestTokenProtocol:
             # the run only returns once every node got the read-only message
             assert res.flood_count <= len(g.edges)
             assert 0 < res.flood_count
+
+    def test_flood_that_cannot_reach_every_node_raises(self):
+        # the path 0 -> 1 -> 2 is not strongly connected: from node 1 the
+        # read-only F reaches node 2 and can never reach node 0
+        g = Digraph(3, ((0, 1), (1, 2)))
+        sys = LtiSystem(
+            a=np.diag([0.5, -0.3, 0.2]),
+            b_list=tuple(np.eye(3)[:, [i]] for i in range(3)),
+            c_list=tuple(np.eye(3)[[i], :] for i in range(3)),
+        )
+        with pytest.raises(
+            ProtocolFailureError, match="flood from node 1 reached only 2 of 3 nodes"
+        ):
+            run_token_protocol(g, sys, [], leader=1)
