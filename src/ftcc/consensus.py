@@ -3,19 +3,24 @@
 Each node iterates one row [alpha | pi] (numerators and denominator) with
 column-stochastic weights P: x(k+1) = P x(k), one product per round on a
 single (rounds+1, N, n+1) history.  P is supported on the edges
-(validate_weights), so a product moves values only along them.  Node j reads
-only hist[:, j]: it watches the Hankel matrices of its iterate differences
-for rank loss and recovers the exact network average from the defective
-Hankel kernel, in the arithmetic of the initial values (float64, longdouble
-or Decimal at the caller's context precision).  A max-consensus ladder over
-step counters, sent on the fabric, lets all nodes agree on when to stop and,
-as a byproduct, yields the round budget m_bar and a diameter upper bound D'.
+(validate_weights), so a product moves values only along them; node j reads
+only hist[:, j], in the arithmetic of the initial values (float64, longdouble
+or Decimal at the caller's context precision).  The iterates ignore the
+counters, so the bootstrap builds its history to the round cap once and then
+runs three steps:
+
+1. Detect: ``_degree`` finds each node's first rank-deficient square Hankel
+   of iterate differences, in each of two windows (below).
+2. Terminate: a max-consensus ladder over step counters, sent on the fabric,
+   tells every node when to stop and yields m_bar and a diameter bound D'.
+3. Check: ``_checked_average`` forms each node's kernel quotient on its
+   latest window and raises unless it matches the one a window earlier.
 
 The closed loop's agreements reuse what the bootstrap fixed: an Agreement,
 prepared once per run, holds P (validated and converted), the stored kernels
 grouped by width as (G, w) arrays, and the pi-window denominators, since
-pi = P^k 1 carries no data.  Each agreement then advances only the N x n
-numerators and forms every width group's quotients in a few array sums.
+pi = P^k 1 carries no data.  Each agreement advances only the N x n
+numerators and ends in the same check.
 
 Two indexing conventions matter and are easy to get wrong:
 
@@ -81,25 +86,6 @@ def validate_weights(g: Digraph, p) -> np.ndarray:
     return pm
 
 
-@dataclass
-class RatioNodeState:
-    """Per-node counters and detection results for one consensus run."""
-
-    c: int = 0                        # step counter, frozen at c0 after detection
-    r: int = 0                        # rounds the max-consensus value has held
-    phi: int = 0                      # max-consensus value
-    M: int | None = None              # detected degree, shifted window (budget)
-    distance_degree: int | None = None  # detected degree, unshifted window (D')
-    c0: int | None = None             # frozen counter value 2*(M+1)
-    detection_round: int | None = None
-    done_round: int | None = None
-    phi_done: int | None = None       # max-consensus value certified at termination
-
-    @property
-    def done(self) -> bool:
-        return self.done_round is not None
-
-
 def _window_rows(seq: np.ndarray, width: int) -> np.ndarray:
     return np.array([seq[i : i + width] for i in range(len(seq) - width + 1)])
 
@@ -118,9 +104,7 @@ def in_arithmetic(a, dtype) -> np.ndarray:
     return arr.astype(dtype)
 
 
-def _live_difference_stack(
-    view: np.ndarray, width: int, square: bool, shift: int = 1
-) -> np.ndarray | None:
+def _live_difference_stack(view: np.ndarray, width: int, shift: int = 1) -> np.ndarray | None:
     """Row-normalized Hankel blocks of the sequences that still carry signal.
 
     ``view`` is one node's iterates, shape (rounds+1, n+1).  Each scalar
@@ -131,20 +115,16 @@ def _live_difference_stack(
     would otherwise present pure rounding noise as a full-rank Hankel.
     Converged blocks impose no kernel constraint; live blocks are scaled by
     their own difference magnitude so the rank test compares like with
-    like.  Returns None when every sequence has converged.
-
-    ``square`` restricts each block to its first ``width`` windows (the
-    minimal square Hankel the round-by-round monitor can afford); otherwise
-    every available window contributes a row, which conditions the kernel
-    better.
+    like.  Returns None when every sequence has converged.  Every window of
+    the differences from ``shift`` on contributes a row, so a view of 2w +
+    shift iterates gives the square Hankel of width w.
     """
     diffs = np.diff(view, axis=0)[shift:]
     eps = _dtype_eps(view.dtype)
-    take = 2 * width - 1 if square else len(diffs)
     blocks = []
     for r in range(view.shape[1]):
         seq_scale = float(np.max(np.abs(view[:, r])))
-        d = np.asarray(diffs[:take, r], dtype=float)
+        d = np.asarray(diffs[:, r], dtype=float)
         d_scale = float(np.max(np.abs(d))) if len(d) else 0.0
         if d_scale <= 64.0 * eps * max(seq_scale, 1e-300):
             continue
@@ -169,7 +149,7 @@ def _kernel(view: np.ndarray, rel_tol: float) -> np.ndarray | None:
     noise give degree zero, beta = [1]; None when no width is rank-deficient.
     """
     for width in range(1, (len(view) - 1) // 2 + 1):
-        stack = _live_difference_stack(view, width, square=False)
+        stack = _live_difference_stack(view, width)
         if stack is None:
             return np.ones(1)
         if _is_defective(stack, rel_tol):
@@ -188,32 +168,6 @@ def _window_sum(hist: np.ndarray, nodes: np.ndarray, beta: np.ndarray, lag: int 
     for t in range(1, width):
         acc = acc + beta[:, t : t + 1] * hist[s0 + t, nodes]
     return acc
-
-
-def _by_width(kernels, dtype) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(nodes ascending, their kernels as one (G, w) array in ``dtype``) per kernel width."""
-    widths = np.array([len(beta) for beta in kernels])
-    return [
-        (nodes, in_arithmetic([kernels[j] for j in nodes], dtype))
-        for nodes in (np.flatnonzero(widths == w) for w in sorted(set(widths)))
-    ]
-
-
-def termination_update(state: RatioNodeState, new_phi: int, round_index: int) -> None:
-    """Update the agreement counter and the done flag for one node.
-
-    ``r`` counts how many consecutive rounds phi has held its current value,
-    the attainment round included.  A node terminates once it has detected
-    defectiveness and either phi has held for c0 rounds or the local budget
-    2*phi - 1 has elapsed (at that point phi equals the largest frozen
-    counter, so the node knows no information is still in flight).
-    """
-    state.r = state.r + 1 if new_phi == state.phi else 1
-    state.phi = new_phi
-    if state.done_round is None and state.c0 is not None:
-        if state.r >= state.c0 or round_index >= 2 * state.phi - 1:
-            state.done_round = round_index
-            state.phi_done = state.phi
 
 
 @dataclass
@@ -270,13 +224,25 @@ def _degenerate(message: str, numerators: np.ndarray) -> DegenerateInitializatio
     return DegenerateInitializationError(message, history=numerators.swapaxes(0, 1))
 
 
-def _counter_round(fabric: SyncFabric, states: list[RatioNodeState]) -> list[int]:
-    """One lockstep exchange of max(phi, c); each node's largest value heard (0: none)."""
-    heard = [0] * len(states)
+def _degree(view: np.ndarray, shift: int, round_cap: int, rel_tol: float) -> int | None:
+    """Width - 1 of the node's first defective square Hankel in one difference window.
+
+    Width w completes at round 2w - 1 + shift and reads view[: 2w + shift], the
+    iterates up to that round; None when no width completing by ``round_cap`` is.
+    """
+    for width in range(1, (round_cap + 1 - shift) // 2 + 1):
+        stack = _live_difference_stack(view[: 2 * width + shift], width, shift)
+        if _is_defective(stack, rel_tol):
+            return width - 1
+    return None
+
+
+def _counter_round(fabric: SyncFabric, tops: list[int]) -> list[int]:
+    """One lockstep exchange of each node's max(phi, c); the largest value each heard (0: none)."""
+    heard = [0] * len(tops)
 
     def send(j):
-        top = max(states[j].phi, states[j].c)
-        return [(l, top) for l in fabric.graph.out_neighbors(j)]
+        return [(l, tops[j]) for l in fabric.graph.out_neighbors(j)]
 
     def receive(j, inbox):
         heard[j] = max((top for _, top in inbox), default=0)
@@ -285,105 +251,28 @@ def _counter_round(fabric: SyncFabric, states: list[RatioNodeState]) -> list[int
     return heard
 
 
-def _detect(
-    hist: np.ndarray, states: list[RatioNodeState], round_index: int, rel_tol: float
-) -> None:
-    """Run the rank monitors on hist[: round_index + 1] as new square Hankels complete.
+def _ladder(fabric: SyncFabric, c0: list[int], last: int, round_cap: int):
+    """Each node's (done round, phi at done), or None when the ladder passes ``round_cap``.
 
-    The shifted window (budget degree M, counter freeze) gains a new square
-    at even rounds; the unshifted window (distance degree for D') gains one
-    at odd rounds.
+    Node j's counter min(round, c0_j) freezes at its detection round c0_j.
+    phi_j takes the max of itself, the counter and what the in-neighbours sent
+    a round before.  From round c0_j on, node j stops once phi_j has held for
+    c0_j rounds (the attainment round included) or round 2*phi_j - 1 has come.
+    The ladder ends once every node has stopped and round ``last`` has come.
     """
-    shift, width = 1 - round_index % 2, (round_index + 1) // 2
-    for j, st in enumerate(states):
-        if (st.M if shift else st.distance_degree) is not None:
-            continue
-        stack = _live_difference_stack(hist[:, j], width, square=True, shift=shift)
-        if not _is_defective(stack, rel_tol):
-            continue
-        if shift:
-            st.M, st.c0, st.c = width - 1, 2 * width, 2 * width
-            st.detection_round = round_index
-        else:
-            st.distance_degree = width - 1
-
-
-def finite_time_average(
-    g: Digraph,
-    initial_values,
-    rel_tol: float = DEFAULT_REL_TOL,
-    weights=None,
-    round_cap: int | None = None,
-) -> AverageResult:
-    """Run ratio consensus with distributed termination until every node stops.
-
-    Returns the per-node exact averages together with the detected degrees,
-    from which the round budget m_bar and the diameter bound D' follow.
-    Raises DegenerateInitializationError if defectiveness never shows up
-    within the round cap (initial values on the measure-zero bad set).
-    """
-    rows = _rows(g, initial_values)
-    if g.node_count == 1:
-        return AverageResult(
-            mu=rows[:, :-1],
-            degrees=[0],
-            rounds_used=0,
-            detection_rounds=[0],
-            done_rounds=[0],
-            m_bar=m_bar([0]),
-            diameter_bound=0,
-            kernels=[np.ones(1)],
-            distance_degrees=[0],
-        )
-    p = out_weight_matrix(g) if weights is None else validate_weights(g, weights)
-    if round_cap is None:
-        round_cap = 4 * g.node_count + 2
-    # the iterates ignore the counters: one chain to the cap, round m reads hist[: m + 1]
-    hist = _ratio_history(in_arithmetic(p, rows.dtype), rows, max(round_cap, 0))
-    states = [RatioNodeState() for _ in range(g.node_count)]
-    fabric = SyncFabric(g)
-    for round_index in range(1, round_cap + 1):
-        heard = _counter_round(fabric, states)
-        for st in states:
-            if st.c0 is None:
-                st.c += 1
-        _detect(hist[: round_index + 1], states, round_index, rel_tol)
-        for st, top in zip(states, heard):
-            # phi and c of the in-neighbours arrive from before this round
-            termination_update(st, max(st.phi, st.c, top), round_index)
-        if all(st.done for st in states) and all(
-            st.distance_degree is not None for st in states
-        ):
-            break
-    else:
-        raise _degenerate(
-            f"no Hankel defectiveness within {round_cap} rounds; "
-            "perturb the initial values and retry",
-            hist[..., :-1],
-        )
-    hist = hist[: fabric.round_index + 1]
-    kernels = [_kernel(hist[:, j], rel_tol) for j in range(g.node_count)]
-    missing = [j for j, beta in enumerate(kernels) if beta is None]
-    if missing:
-        raise _degenerate(f"nodes {missing}: no rank-deficient Hankel width", hist[..., :-1])
-    alpha, pi = hist[..., :-1], hist[..., -1:]
-    mu = np.empty_like(rows[:, :-1])
-    for nodes, beta in _by_width(kernels, rows.dtype):
-        mu[nodes] = _window_sum(alpha, nodes, beta) / _window_sum(pi, nodes, beta)
-    degrees = [st.M for st in states]
-    distance_degrees = [st.distance_degree for st in states]
-    return AverageResult(
-        mu=mu,
-        degrees=degrees,
-        rounds_used=fabric.round_index,
-        detection_rounds=[st.detection_round for st in states],
-        done_rounds=[st.done_round for st in states],
-        m_bar=m_bar(degrees),
-        diameter_bound=diameter_upper_bound(distance_degrees),
-        kernels=kernels,
-        distance_degrees=distance_degrees,
-        phi_done=[st.phi_done for st in states],
-    )
+    n = len(c0)
+    phi, held, done, phi_done = [0] * n, [0] * n, [None] * n, [None] * n
+    for k in range(1, round_cap + 1):
+        heard = _counter_round(fabric, [max(phi[j], min(k - 1, c0[j])) for j in range(n)])
+        for j in range(n):
+            top = max(phi[j], min(k, c0[j]), heard[j])
+            held[j] = held[j] + 1 if top == phi[j] else 1
+            phi[j] = top
+            if done[j] is None and k >= c0[j] and (held[j] >= c0[j] or k >= 2 * top - 1):
+                done[j], phi_done[j] = k, top
+        if k >= last and None not in done:
+            return done, phi_done
+    return None
 
 
 @dataclass(frozen=True)
@@ -401,6 +290,114 @@ class Agreement:
     groups: tuple
 
 
+def _groups(pi: np.ndarray, kernels) -> tuple:
+    """``Agreement.groups`` from a (rounds+1, N, 1) pi history, in its arithmetic."""
+    widths = np.array([len(beta) for beta in kernels])
+    groups = []
+    for w in sorted(set(widths)):
+        nodes = np.flatnonzero(widths == w)
+        beta = in_arithmetic([kernels[j] for j in nodes], pi.dtype)
+        earlier = len(pi) - 1 > w   # else the check raises, with the history
+        dens = [_window_sum(pi, nodes, beta, lag) if earlier else None for lag in (0, 1)]
+        groups.append((nodes, beta, *dens))
+    return tuple(groups)
+
+
+def _checked_average(agreement: Agreement, hist: np.ndarray) -> np.ndarray:
+    """The (N, n) quotients on each node's latest window of the numerator history.
+
+    Each node checks its quotient against the one a window earlier, equal in
+    exact arithmetic unless beta_j misses a mode: a gap above rel_tol times
+    the largest input, or no earlier window, raises
+    DegenerateInitializationError naming the lowest-indexed failing node.
+    """
+    n_nodes = hist.shape[1]
+    mu, gaps, widths = np.empty_like(hist[0]), np.full(n_nodes, np.inf), np.empty(n_nodes, int)
+    for nodes, beta, den, den_lag in agreement.groups:
+        widths[nodes] = beta.shape[1]
+        if den is not None:
+            mu[nodes] = quotients = _window_sum(hist, nodes, beta) / den
+            lagged = _window_sum(hist, nodes, beta, lag=1) / den_lag
+            gaps[nodes] = np.max(np.abs(quotients - lagged), axis=1)
+    tol = agreement.rel_tol * float(np.max(np.abs(hist[0])))
+    bad = np.flatnonzero(~(gaps <= tol))   # a NaN gap fails too
+    if len(bad):
+        j, rounds = bad[0], agreement.rounds
+        fault = (
+            f"consecutive windows differ by {gaps[j]:.3e}" if rounds > widths[j]
+            else f"{rounds} rounds leave no earlier window"
+        )
+        raise _degenerate(f"node {j}, stored width-{widths[j]} kernel: {fault}", hist)
+    return mu
+
+
+def finite_time_average(
+    g: Digraph,
+    initial_values,
+    rel_tol: float = DEFAULT_REL_TOL,
+    weights=None,
+    round_cap: int | None = None,
+) -> AverageResult:
+    """Run ratio consensus with distributed termination until every node stops.
+
+    Returns the per-node exact averages together with the detected degrees,
+    from which the round budget m_bar and the diameter bound D' follow.
+    Raises DegenerateInitializationError if defectiveness never shows up or
+    the ladder does not end within the round cap (initial values on the
+    measure-zero bad set), or if a kernel fails the window check.
+    """
+    rows = _rows(g, initial_values)
+    if g.node_count == 1:
+        return AverageResult(
+            mu=rows[:, :-1],
+            degrees=[0],
+            rounds_used=0,
+            detection_rounds=[0],
+            done_rounds=[0],
+            m_bar=m_bar([0]),
+            diameter_bound=0,
+            kernels=[np.ones(1)],
+            distance_degrees=[0],
+        )
+    p = out_weight_matrix(g) if weights is None else validate_weights(g, weights)
+    if round_cap is None:
+        round_cap = 4 * g.node_count + 2
+    pw = in_arithmetic(p, rows.dtype)
+    hist = _ratio_history(pw, rows, max(round_cap, 0))
+    views = [hist[:, j] for j in range(g.node_count)]
+    degrees = [_degree(view, 1, round_cap, rel_tol) for view in views]
+    distance_degrees = [_degree(view, 0, round_cap, rel_tol) for view in views]
+    fabric, ladder = SyncFabric(g), None
+    if None not in degrees + distance_degrees:
+        c0 = [2 * (m + 1) for m in degrees]
+        ladder = _ladder(fabric, c0, 2 * max(distance_degrees) + 1, round_cap)
+    if ladder is None:
+        raise _degenerate(
+            f"no Hankel defectiveness within {round_cap} rounds; "
+            "perturb the initial values and retry",
+            hist[..., :-1],
+        )
+    rounds = fabric.round_index
+    hist = hist[: rounds + 1]
+    kernels = [_kernel(hist[:, j], rel_tol) for j in range(g.node_count)]
+    missing = [j for j, beta in enumerate(kernels) if beta is None]
+    if missing:
+        raise _degenerate(f"nodes {missing}: no rank-deficient Hankel width", hist[..., :-1])
+    agreement = Agreement(rounds, rel_tol, pw, _groups(hist[..., -1:], kernels))
+    return AverageResult(
+        mu=_checked_average(agreement, hist[..., :-1]),
+        degrees=degrees,
+        rounds_used=rounds,
+        detection_rounds=c0,
+        done_rounds=ladder[0],
+        m_bar=m_bar(degrees),
+        diameter_bound=diameter_upper_bound(distance_degrees),
+        kernels=kernels,
+        distance_degrees=distance_degrees,
+        phi_done=ladder[1],
+    )
+
+
 def prepare_agreement(
     g: Digraph, rounds: int, kernels, dtype=float, rel_tol=DEFAULT_REL_TOL, weights=None
 ) -> Agreement:
@@ -414,45 +411,20 @@ def prepare_agreement(
     p = out_weight_matrix(g) if weights is None else validate_weights(g, weights)
     pw = in_arithmetic(p, dtype)
     pi = _ratio_history(pw, in_arithmetic(np.ones((g.node_count, 1)), dtype), max(rounds, 0))
-    groups = []
-    for nodes, beta in _by_width(kernels, dtype):
-        earlier = rounds > beta.shape[1]   # else the agreements raise, with the history
-        dens = [_window_sum(pi, nodes, beta, lag) if earlier else None for lag in (0, 1)]
-        groups.append((nodes, beta, *dens))
-    return Agreement(rounds, rel_tol, pw, tuple(groups))
+    return Agreement(rounds, rel_tol, pw, _groups(pi, kernels))
 
 
 def exact_average_fixed_rounds(agreement: Agreement, initial_values) -> np.ndarray:
-    """Agreement phase: ``rounds`` products, then one quotient per node.
+    """Agreement phase: ``rounds`` products, then one checked quotient per node.
 
     For fixed weights node j's iterates satisfy one recurrence whatever the
     data, so the bootstrap kernel beta_j (``AverageResult.kernels``) serves
     every agreement and no rank test runs; the products carry the
-    numerators only.  Returns the (N, n) averages.  Each node checks its
-    quotient against the one a window earlier, equal in exact arithmetic
-    unless beta_j misses a mode: a gap above rel_tol times the largest
-    input, or no earlier window, raises DegenerateInitializationError
-    naming the lowest-indexed failing node.
+    numerators only.  Returns the (N, n) averages, or raises
+    DegenerateInitializationError as the bootstrap's check does.
     """
-    pw, rounds = agreement.p, agreement.rounds
+    pw = agreement.p
     vals = _values(len(pw), initial_values)
     if vals.dtype != pw.dtype:
         raise InvalidInputError(f"values in {vals.dtype}, agreement prepared for {pw.dtype}")
-    hist = _ratio_history(pw, vals, max(rounds, 0))
-    mu, gaps, widths = np.empty_like(vals), np.full(len(pw), np.inf), np.empty(len(pw), int)
-    for nodes, beta, den, den_lag in agreement.groups:
-        widths[nodes] = beta.shape[1]
-        if den is not None:
-            mu[nodes] = quotients = _window_sum(hist, nodes, beta) / den
-            lagged = _window_sum(hist, nodes, beta, lag=1) / den_lag
-            gaps[nodes] = np.max(np.abs(quotients - lagged), axis=1)
-    tol = agreement.rel_tol * float(np.max(np.abs(vals)))
-    bad = np.flatnonzero(~(gaps <= tol))   # a NaN gap fails too
-    if len(bad):
-        j = bad[0]
-        fault = (
-            f"consecutive windows differ by {gaps[j]:.3e}" if rounds > widths[j]
-            else f"{rounds} rounds leave no earlier window"
-        )
-        raise _degenerate(f"node {j}, stored width-{widths[j]} kernel: {fault}", hist)
-    return mu
+    return _checked_average(agreement, _ratio_history(pw, vals, max(agreement.rounds, 0)))

@@ -26,7 +26,7 @@ class ProtocolViolationError(FtccError):
 
 
 class DegenerateInitializationError(FtccError):
-    """Hankel defectiveness never appeared, or a stored kernel failed its check.
+    """Hankel defectiveness never appeared, or a kernel quotient failed its window check.
 
     ``history`` holds every node's numerator iterates, shape (N, rounds+1, n),
     so the caller can perturb the initial values and retry.
@@ -49,7 +49,8 @@ class ProtocolFailureError(FtccError):
     """A gain-token pass cannot finish.
 
     Its walk has visited every node without meeting the stop condition, ran
-    past its hop cap or met a node with no out-neighbors; a column's
+    past its hop cap, met a node with no out-neighbors or one from which no
+    out-neighbor leads to an unvisited node; a column's
     placement loop does not converge; its read-only flood cannot reach every
     node; or a consumed target is not on the closed-loop spectrum.  Leader
     election that does not converge raises it too.

@@ -124,7 +124,7 @@ def _checked_wb(a_eff, bv: np.ndarray, wv: np.ndarray, lam: complex) -> complex:
     if len(bv) != a_eff.shape[0] or len(wv) != a_eff.shape[0]:
         raise InvalidInputError("b and w must match the state dimension")
     wb = wv @ bv
-    if abs(wb) < CONTROLLABILITY_TOL * np.linalg.norm(wv) * np.linalg.norm(bv):
+    if abs(wb) <= CONTROLLABILITY_TOL * np.linalg.norm(wv) * np.linalg.norm(bv):
         raise UncontrollableDirectionError(
             f"eigenvalue {lam:.6g} is not controllable through this column "
             f"(|w^T b| = {abs(wb):.3e})"
@@ -207,7 +207,7 @@ def _place_through_column(
             if p.value.imag < -1e-12:
                 continue  # conjugate pairs are handled from the +Im member
             wb = p.left_vector @ column.astype(complex)
-            if abs(wb) < CONTROLLABILITY_TOL * np.linalg.norm(column):
+            if abs(wb) <= CONTROLLABILITY_TOL * np.linalg.norm(column):
                 continue
             candidate = p
             break
@@ -379,11 +379,16 @@ def _route(g: Digraph, priorities: dict, visited: list[int], j: int) -> int:
     if not unvisited:
         return outs[0]
 
-    def hops_to_unvisited(v: int) -> tuple[int, int]:
+    def hops_to_unvisited(v: int) -> tuple[float, int]:
         dist = bfs_distances(g, v)
-        return min(dist[u] for u in unvisited if dist[u] >= 0), v
+        return min((dist[u] for u in unvisited if dist[u] >= 0), default=np.inf), v
 
-    return min(outs, key=hops_to_unvisited)
+    hops, nearest = min(map(hops_to_unvisited, outs))
+    if hops == np.inf:
+        raise ProtocolFailureError(
+            f"no out-neighbor of node {j} leads to an unvisited node {unvisited}"
+        )
+    return nearest
 
 
 def run_token_protocol(

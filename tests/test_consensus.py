@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from ftcc.consensus import (
     DEFAULT_REL_TOL,
-    RatioNodeState,
     _counter_round,
+    _degree,
+    _ladder,
     _ratio_history,
     _rows,
     diameter_upper_bound,
@@ -300,51 +301,117 @@ class TestFormulas:
             m_bar(())
 
 
-class TestTerminationMechanics:
-    def _state(self, **kw):
-        return RatioNodeState(**kw)
+def state_machine_bootstrap(g, x0, rel_tol=DEFAULT_REL_TOL):
+    """The per-node state machine the bootstrap ran before detection and the
+    ladder were separated: counters, rank monitors and stop rule interleaved
+    round by round.  Returns (rounds_used, done_rounds, phi_done, degrees,
+    distance_degrees)."""
+    from ftcc.consensus import _is_defective, _live_difference_stack
 
-    def _max_round(self, g, phi, c):
-        """One max-consensus update through the fabric from preset counters."""
-        states = [RatioNodeState(phi=phi_j, c=c_j) for phi_j, c_j in zip(phi, c)]
-        heard = _counter_round(SyncFabric(g), states)
-        return [max(st.phi, st.c, top) for st, top in zip(states, heard)]
+    n, cap = g.node_count, 4 * g.node_count + 2
+    hist = _ratio_history(out_weight_matrix(g), _rows(g, x0), cap)
+    c, r, phi = [0] * n, [0] * n, [0] * n
+    deg, dist, c0, done, phi_done = ([None] * n for _ in range(5))
+    for k in range(1, cap + 1):
+        tops = [max(phi[l], c[l]) for l in range(n)]
+        heard = [
+            max((tops[l] for l in range(n) if j in g.out_neighbors(l)), default=0)
+            for j in range(n)
+        ]
+        shift, width = 1 - k % 2, (k + 1) // 2
+        for j in range(n):
+            if c0[j] is None:
+                c[j] += 1
+            if (deg if shift else dist)[j] is None and _is_defective(
+                _live_difference_stack(hist[: k + 1, j], width, shift),
+                rel_tol,
+            ):
+                if shift:
+                    deg[j], c0[j], c[j] = width - 1, 2 * width, 2 * width
+                else:
+                    dist[j] = width - 1
+        for j in range(n):
+            top = max(phi[j], c[j], heard[j])
+            r[j] = r[j] + 1 if top == phi[j] else 1
+            phi[j] = top
+            if done[j] is None and c0[j] is not None:
+                if r[j] >= c0[j] or k >= 2 * phi[j] - 1:
+                    done[j], phi_done[j] = k, phi[j]
+        if None not in done and None not in dist:
+            return k, done, phi_done, deg, dist
+    raise AssertionError("the state machine did not finish")
+
+
+class TestTerminationMechanics:
+    """The counter ladder: each node's counter is min(round, c0_j)."""
+
+    # 0 -> 1 -> 2 -> 0 with c0 = 4, 5, 3: node 1's frozen 5 reaches node 2 at
+    # round 6 and node 0 at round 7, after node 0's own phi = 4 held rounds 4-6
+    LATE_MAX = (Digraph(3, ((0, 1), (1, 2), (2, 0))), [4, 5, 3])
 
     def test_all_zero_stays_zero(self):
-        g = three_cycle()
-        assert self._max_round(g, [0, 0, 0], [0, 0, 0]) == [0, 0, 0]
+        assert _counter_round(SyncFabric(three_cycle()), [0, 0, 0]) == [0, 0, 0]
 
     def test_max_propagates_within_diameter_rounds(self):
         g = three_cycle()
-        phi = [0, 0, 0]
-        c = [1, 5, 3]
+        fabric, tops = SyncFabric(g), [1, 5, 3]
         for _ in range(diameter(g)):
-            phi = self._max_round(g, phi, c)
-        assert phi == [5, 5, 5]
+            tops = [max(t, h) for t, h in zip(tops, _counter_round(fabric, tops))]
+        assert tops == [5, 5, 5]
 
     def test_quiet_rounds_accumulate_to_done(self):
-        from ftcc.consensus import termination_update
-
-        st = self._state(c0=6, phi=6, r=1)
-        for round_index in range(7, 30):
-            termination_update(st, 6, round_index)
-            if st.done:
-                break
-        assert st.r == 6 and st.done
+        # node 2 holds phi = 5 for c0 = 3 rounds (6-8) and stops before 2 * 5 - 1
+        g, c0 = self.LATE_MAX
+        done, phi_done = _ladder(SyncFabric(g), c0, 0, 30)
+        assert (done[2], phi_done[2]) == (8, 5)
 
     def test_change_resets_the_held_count(self):
-        from ftcc.consensus import termination_update
-
-        st = self._state(c0=6, phi=3, r=4)
-        termination_update(st, 5, round_index=4)
-        assert st.r == 1   # held-count restarts at the attainment round
+        # node 0's phi = 4 held rounds 4-6; without the restart at round 7 it
+        # would stop there with phi 4
+        g, c0 = self.LATE_MAX
+        done, phi_done = _ladder(SyncFabric(g), c0, 0, 30)
+        assert (done[0], phi_done[0]) == (9, 5)
 
     def test_local_budget_cap_terminates(self):
-        from ftcc.consensus import termination_update
+        # node 0 stops at 2 * 5 - 1 = 9 with phi 5 held for 3 rounds only
+        g, c0 = self.LATE_MAX
+        fabric = SyncFabric(g)
+        done, _ = _ladder(fabric, c0, 0, 30)
+        assert done == [9, 9, 8] and fabric.round_index == 9
 
-        st = self._state(c0=4, phi=6, r=1)
-        termination_update(st, 6, round_index=11)   # 2*phi - 1
-        assert st.done and st.done_round == 11
+    def test_waits_for_the_last_distance_degree(self):
+        g, c0 = self.LATE_MAX
+        fabric = SyncFabric(g)
+        assert _ladder(fabric, c0, 13, 30)[0] == [9, 9, 8]
+        assert fabric.round_index == 13
+
+    def test_round_cap_ends_the_ladder(self):
+        g, c0 = self.LATE_MAX
+        assert _ladder(SyncFabric(g), c0, 0, 8) is None
+
+    def test_a_width_counts_from_the_round_it_completes(self):
+        g = digraph_from_weight_matrix(FOURNODE_P)
+        res = finite_time_average(g, np.arange(4.0), weights=FOURNODE_P)
+        hist = _ratio_history(FOURNODE_P, _rows(g, np.arange(4.0)), 4 * 4 + 2)
+        for j in range(4):
+            for shift, m in ((1, res.degrees[j]), (0, res.distance_degrees[j])):
+                done = 2 * (m + 1) - 1 + shift
+                assert _degree(hist[:, j], shift, done, DEFAULT_REL_TOL) == m
+                assert _degree(hist[: done + 1, j], shift, done, DEFAULT_REL_TOL) == m
+                assert _degree(hist[:, j], shift, done - 1, DEFAULT_REL_TOL) is None
+
+    def test_matches_the_state_machine(self):
+        # the draws of acceptance criterion 6
+        rng = np.random.default_rng(2024)
+        for trial in range(100):
+            g = random_strongly_connected(rng, int(rng.integers(2, 11)))
+            x0 = rng.normal(size=(g.node_count, 3 if trial % 3 == 0 else 1))
+            res = finite_time_average(g, x0)
+            assert state_machine_bootstrap(g, x0) == (
+                res.rounds_used, res.done_rounds, res.phi_done, res.degrees,
+                res.distance_degrees,
+            )
+            assert res.detection_rounds == [2 * (m + 1) for m in res.degrees]
 
 
 class TestFiniteTimeAverage:
@@ -417,6 +484,15 @@ class TestFiniteTimeAverage:
         assert err.value.history.shape == (4, 4, 1)   # (N, rounds+1, n)
 
 
+    def test_wrong_average_raises(self):
+        # on this near-ring digraph the float rank monitors stop short of the
+        # ids' true degree; the unchecked quotient was off by 2.61
+        g = random_strongly_connected(np.random.default_rng(24021), 24)
+        with pytest.raises(DegenerateInitializationError, match="consecutive windows") as err:
+            finite_time_average(g, np.arange(24.0))
+        assert err.value.history.shape[0] == 24
+
+
 class TestFixedRounds:
     def test_all_equal_estimates(self):
         g = digraph_from_weight_matrix(FOURNODE_P)
@@ -484,7 +560,7 @@ class TestStoredKernels:
         def forbidden(*args, **kwargs):
             raise AssertionError("an agreement ran a rank test")
 
-        for name in ("_detect", "numerical_rank", "common_kernel_vector"):
+        for name in ("_degree", "numerical_rank", "common_kernel_vector"):
             monkeypatch.setattr(consensus, name, forbidden)
         mu = agree(
             g, [0.0, 1.0, 2.0, 3.0], 11, kernels, weights=FOURNODE_P

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,10 @@ class TestPlaceSingle:
     def test_uncontrollable_direction(self):
         with pytest.raises(UncontrollableDirectionError):
             place_single(np.diag([2.0, 0.5]), [1.0, 0.0], 0.5, 0.1, [0.0, 1.0])
+
+    def test_zero_column_is_uncontrollable(self):
+        with pytest.raises(UncontrollableDirectionError):
+            place_single(np.diag([2.0, 0.5]), [0.0, 0.0], 2.0, 0.6, [1.0, 0.0])
 
     def test_random_spectrum_check(self):
         rng = np.random.default_rng(31)
@@ -365,6 +371,34 @@ class TestTokenProtocol:
             run_token_protocol(g, sys, [0.3])
         assert "every node in 2 hops" in str(err.value)
         assert "[0.382421+0.322109j, 0.382421-0.322109j]" in str(err.value)
+
+    def test_walk_with_no_way_to_an_unvisited_node_raises(self):
+        # no edge enters node 2, so once nodes 0 and 1 have placed, node 1
+        # cannot route the token anywhere new
+        e = np.eye(3)
+        g = Digraph(3, ((0, 1), (1, 0), (2, 0)))
+        sys = LtiSystem(
+            a=np.diag([1.5, 0.5, 0.2]),
+            b_list=(e[:, [1]], e[:, [2]], e[:, [0]]),
+            c_list=tuple(e[[i], :] for i in range(3)),
+        )
+        with pytest.raises(ProtocolFailureError, match=r"node 1 leads to an unvisited node \[2\]"):
+            run_token_protocol(g, sys, [0.1, 0.2, 0.3], leader=0)
+
+    def test_zero_input_columns_place_nothing(self):
+        g = Digraph(3, ((0, 1), (1, 2), (2, 0)))
+        zero = np.zeros((3, 1))
+        sys = LtiSystem(
+            a=np.diag([1.5, 0.5, 0.2]),
+            b_list=(zero, zero, np.ones((3, 1))),
+            c_list=tuple(np.eye(3)[[i], :] for i in range(3)),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_token_protocol(g, sys, [0.1, 0.3, 0.4], leader=0)
+        assert res.visit_order == [0, 1, 2]
+        assert not np.any(res.gains[0]) and not np.any(res.gains[1])
+        assert worst_target_miss(sys.a + res.f, [0.1, 0.3, 0.4]) < 1e-9
 
     def test_observer_mode_duality(self):
         rng = np.random.default_rng(13)
