@@ -16,11 +16,10 @@ runs three steps:
 3. Check: ``_checked_average`` forms each node's kernel quotient on its
    latest window and raises unless it matches the one a window earlier.
 
-The closed loop's agreements reuse what the bootstrap fixed: an Agreement,
-prepared once per run, holds P (validated and converted), the stored kernels
-grouped by width as (G, w) arrays, and the pi-window denominators, since
-pi = P^k 1 carries no data.  Each agreement advances only the N x n
-numerators and ends in the same check.
+With P and the kernels fixed, a node's quotient is a fixed linear functional
+of the inputs, so an Agreement, prepared once per run from one history of the
+identity, holds them as two N x N maps (latest window, one window earlier);
+the check, in the bootstrap and in every agreement, is two products with them.
 
 Two indexing conventions matter and are easy to get wrong:
 
@@ -48,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateInitializationError, InvalidInputError
-from .graph import Digraph, SyncFabric, out_weight_matrix, round_exchange, support_edges
+from .graph import Digraph, SyncFabric, out_weight_matrix, round_exchange
 from .linalg import as_matrix, common_kernel_vector, numerical_rank
 
 DEFAULT_REL_TOL = 1e-8
@@ -81,7 +80,7 @@ def validate_weights(g: Digraph, p) -> np.ndarray:
     colsum = pm.sum(axis=0)
     if np.max(np.abs(colsum - 1.0)) > 1e-12:
         raise InvalidInputError("P must be column-stochastic")
-    if support_edges(pm) != g.edges:
+    if not np.array_equal((pm.T > 0) & ~np.eye(n, dtype=bool), g.adjacency):
         raise InvalidInputError("off-diagonal support of P does not match the graph")
     return pm
 
@@ -155,19 +154,6 @@ def _kernel(view: np.ndarray, rel_tol: float) -> np.ndarray | None:
         if _is_defective(stack, rel_tol):
             return common_kernel_vector(stack, rel_tol)
     return None
-
-
-def _window_sum(hist: np.ndarray, nodes: np.ndarray, beta: np.ndarray, lag: int = 0):
-    """(G, k): sum_t beta[:, t] hist[s0 + t, nodes], each node's kernel (a row of
-    ``beta``, in the history's arithmetic) over its latest complete window,
-    which suppresses residual-mode contamination, or the one ``lag`` rounds before.
-    """
-    width = beta.shape[1]
-    s0 = len(hist) - width - lag   # callers keep s0 >= 1, past the inputs
-    acc = beta[:, :1] * hist[s0, nodes]
-    for t in range(1, width):
-        acc = acc + beta[:, t : t + 1] * hist[s0 + t, nodes]
-    return acc
 
 
 @dataclass
@@ -279,54 +265,62 @@ def _ladder(fabric: SyncFabric, c0: list[int], last: int, round_cap: int):
 class Agreement:
     """What every agreement of a run reuses, fixed once, in the loop arithmetic.
 
-    ``groups`` holds per stored-kernel width the nodes (ascending), their
-    kernels (G, w) and the latest and lag-1 pi-window denominators
-    p_win @ beta (G, 1), or None twice when ``rounds`` leaves no earlier window.
+    Row j of ``w`` (``w_lag``) maps the inputs to node j's kernel quotient on
+    its latest window (one window earlier); both rows are zero where ``rounds``
+    leaves node j's width-``widths[j]`` kernel no earlier window (``earlier``).
     """
 
     rounds: int
     rel_tol: float
     p: np.ndarray
-    groups: tuple
+    w: np.ndarray
+    w_lag: np.ndarray
+    widths: np.ndarray
+    earlier: np.ndarray
 
 
-def _groups(pi: np.ndarray, kernels) -> tuple:
-    """``Agreement.groups`` from a (rounds+1, N, 1) pi history, in its arithmetic."""
+def _agreement(pw: np.ndarray, rounds: int, kernels, rel_tol: float) -> Agreement:
+    """The quotient maps, from one history of the identity under P (already in the arithmetic).
+
+    A node's kernel sums over its latest complete window, which suppresses
+    residual-mode contamination, give its numerator coefficients; pi = P^k 1
+    is the row sum of P^k, so their sum is its denominator.
+    """
+    hist = _ratio_history(pw, in_arithmetic(np.eye(len(pw)), pw.dtype), max(rounds, 0))
     widths = np.array([len(beta) for beta in kernels])
-    groups = []
-    for w in sorted(set(widths)):
+    earlier = widths < rounds   # else the check raises, with the history
+    maps = (hist[0] * 0, hist[0] * 0)
+    for w in sorted(set(widths[earlier])):
         nodes = np.flatnonzero(widths == w)
-        beta = in_arithmetic([kernels[j] for j in nodes], pi.dtype)
-        earlier = len(pi) - 1 > w   # else the check raises, with the history
-        dens = [_window_sum(pi, nodes, beta, lag) if earlier else None for lag in (0, 1)]
-        groups.append((nodes, beta, *dens))
-    return tuple(groups)
+        beta = in_arithmetic([kernels[j] for j in nodes], pw.dtype)
+        for m, lag in zip(maps, (0, 1)):
+            s0 = rounds + 1 - w - lag   # >= 1: the window starts past the inputs
+            sums = sum(beta[:, t : t + 1] * hist[s0 + t, nodes] for t in range(w))
+            m[nodes] = sums / sums.sum(axis=1, keepdims=True)
+    return Agreement(rounds, rel_tol, pw, *maps, widths, earlier)
 
 
-def _checked_average(agreement: Agreement, hist: np.ndarray) -> np.ndarray:
-    """The (N, n) quotients on each node's latest window of the numerator history.
+def _checked_average(agreement: Agreement, vals: np.ndarray, hist=None) -> np.ndarray:
+    """The (N, n) quotients on each node's latest window, two products with the inputs.
 
     Each node checks its quotient against the one a window earlier, equal in
     exact arithmetic unless beta_j misses a mode: a gap above rel_tol times
     the largest input, or no earlier window, raises
-    DegenerateInitializationError naming the lowest-indexed failing node.
+    DegenerateInitializationError naming the lowest-indexed failing node and
+    carrying the numerator history, ``hist`` or else rebuilt from ``vals``.
     """
-    n_nodes = hist.shape[1]
-    mu, gaps, widths = np.empty_like(hist[0]), np.full(n_nodes, np.inf), np.empty(n_nodes, int)
-    for nodes, beta, den, den_lag in agreement.groups:
-        widths[nodes] = beta.shape[1]
-        if den is not None:
-            mu[nodes] = quotients = _window_sum(hist, nodes, beta) / den
-            lagged = _window_sum(hist, nodes, beta, lag=1) / den_lag
-            gaps[nodes] = np.max(np.abs(quotients - lagged), axis=1)
-    tol = agreement.rel_tol * float(np.max(np.abs(hist[0])))
+    mu, earlier = agreement.w @ vals, agreement.earlier
+    gaps = np.full(len(mu), np.inf)
+    gaps[earlier] = np.max(np.abs(mu - agreement.w_lag @ vals), axis=1)[earlier]
+    tol = agreement.rel_tol * float(np.max(np.abs(vals)))
     bad = np.flatnonzero(~(gaps <= tol))   # a NaN gap fails too
     if len(bad):
-        j, rounds = bad[0], agreement.rounds
+        j, widths = bad[0], agreement.widths
         fault = (
-            f"consecutive windows differ by {gaps[j]:.3e}" if rounds > widths[j]
-            else f"{rounds} rounds leave no earlier window"
+            f"consecutive windows differ by {gaps[j]:.3e}" if earlier[j]
+            else f"{agreement.rounds} rounds leave no earlier window"
         )
+        hist = _ratio_history(agreement.p, vals, max(agreement.rounds, 0)) if hist is None else hist
         raise _degenerate(f"node {j}, stored width-{widths[j]} kernel: {fault}", hist)
     return mu
 
@@ -383,9 +377,8 @@ def finite_time_average(
     missing = [j for j, beta in enumerate(kernels) if beta is None]
     if missing:
         raise _degenerate(f"nodes {missing}: no rank-deficient Hankel width", hist[..., :-1])
-    agreement = Agreement(rounds, rel_tol, pw, _groups(hist[..., -1:], kernels))
     return AverageResult(
-        mu=_checked_average(agreement, hist[..., :-1]),
+        mu=_checked_average(_agreement(pw, rounds, kernels, rel_tol), rows[:, :-1], hist[..., :-1]),
         degrees=degrees,
         rounds_used=rounds,
         detection_rounds=c0,
@@ -401,30 +394,27 @@ def finite_time_average(
 def prepare_agreement(
     g: Digraph, rounds: int, kernels, dtype=float, rel_tol=DEFAULT_REL_TOL, weights=None
 ) -> Agreement:
-    """Validate and convert P, group the stored kernels, and fix the denominators.
+    """Validate and convert P and fix each node's quotient as a map of the inputs, once.
 
-    pi evolves as P^k 1 whatever the data, so its windows are computed here,
-    once; ``dtype`` is the arithmetic of the values the agreements will get.
+    ``dtype`` is the arithmetic of the values the agreements will get.
     """
     if len(kernels) != g.node_count:
         raise InvalidInputError(f"need one stored kernel per node, got {len(kernels)}")
     p = out_weight_matrix(g) if weights is None else validate_weights(g, weights)
-    pw = in_arithmetic(p, dtype)
-    pi = _ratio_history(pw, in_arithmetic(np.ones((g.node_count, 1)), dtype), max(rounds, 0))
-    return Agreement(rounds, rel_tol, pw, _groups(pi, kernels))
+    return _agreement(in_arithmetic(p, dtype), rounds, kernels, rel_tol)
 
 
 def exact_average_fixed_rounds(agreement: Agreement, initial_values) -> np.ndarray:
-    """Agreement phase: ``rounds`` products, then one checked quotient per node.
+    """Agreement phase: ``rounds`` rounds, then one checked quotient per node.
 
     For fixed weights node j's iterates satisfy one recurrence whatever the
     data, so the bootstrap kernel beta_j (``AverageResult.kernels``) serves
-    every agreement and no rank test runs; the products carry the
-    numerators only.  Returns the (N, n) averages, or raises
-    DegenerateInitializationError as the bootstrap's check does.
+    every agreement and no rank test runs, and the quotients are the
+    prepared maps applied to the inputs.  Returns the (N, n) averages, or
+    raises DegenerateInitializationError as the bootstrap's check does.
     """
     pw = agreement.p
     vals = _values(len(pw), initial_values)
     if vals.dtype != pw.dtype:
         raise InvalidInputError(f"values in {vals.dtype}, agreement prepared for {pw.dtype}")
-    return _checked_average(agreement, _ratio_history(pw, vals, max(agreement.rounds, 0)))
+    return _checked_average(agreement, vals)

@@ -9,7 +9,9 @@ per round instead (``ftcc.consensus``).  Every run is bit-for-bit reproducible.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
@@ -46,6 +48,15 @@ class Digraph:
         """Out-neighbours of node j in ascending order."""
         return self._out[j]
 
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """Read-only (N, N) booleans, True at [a, b] for each edge a -> b."""
+        ends = np.fromiter(itertools.chain.from_iterable(self.edges), np.intp, 2 * len(self.edges))
+        adj = np.zeros((self.node_count,) * 2, dtype=bool)
+        adj[ends[0::2], ends[1::2]] = True
+        adj.flags.writeable = False
+        return adj
+
 
 def support_edges(p: np.ndarray) -> tuple[tuple[int, int], ...]:
     """Edges j -> l of the off-diagonal entries p[l, j] > 0, sorted as Digraph.edges."""
@@ -66,21 +77,13 @@ def digraph_from_weight_matrix(p) -> Digraph:
 
 def out_weight_matrix(g: Digraph) -> np.ndarray:
     """Column-stochastic weights: p[l, j] = 1/(1 + outdeg(j)) on out(j) and self."""
-    n = g.node_count
-    p = np.zeros((n, n))
-    for j in range(n):
-        w = 1.0 / (1.0 + len(g.out_neighbors(j)))
-        p[j, j] = w
-        for l in g.out_neighbors(j):
-            p[l, j] = w
-    return p
+    support = g.adjacency.T | np.eye(g.node_count, dtype=bool)
+    return support / support.sum(axis=0)
 
 
 def is_strongly_connected(g: Digraph) -> bool:
     """True iff node 0 reaches every node both along and against the edges."""
-    ins = [[] for _ in range(g.node_count)]
-    for a, b in g.edges:
-        ins[b].append(a)
+    ins = [np.flatnonzero(column).tolist() for column in g.adjacency.T]
     return all(min(_hops(nbrs, 0)) >= 0 for nbrs in (g._out, ins))
 
 

@@ -10,10 +10,10 @@ which every node reads the average of the state estimates off the Hankel
 kernel it stored at bootstrap, applies the local control u_i = K_i xbar, and
 updates its estimate with the network-wide feedback sum from initialization.
 What does not change between steps is prepared once per run_closed_loop,
-in the loop arithmetic: the agreement (consensus.prepare_agreement) and the
-matrices B_i K_i, L_i C_i and A + F.  A step is then one agreement and two
-updates batched over the nodes, x' = A x + sum_i B_i K_i xbar_i and
-xhat'_i = (A + F) xbar_i + L_i C_i (x - xbar_i).
+in the loop arithmetic: the agreement's N x N maps (consensus.prepare_agreement)
+and the matrices B_i K_i, L_i C_i and A + F.  A step is then one agreement
+(two products) and two updates batched over the nodes,
+x' = A x + sum_i B_i K_i xbar_i and xhat'_i = (A + F) xbar_i + L_i C_i (x - xbar_i).
 
 The simulation arithmetic runs at a configurable precision, chosen here
 once: the loop casts its inputs to that arithmetic and the consensus layer
@@ -28,7 +28,7 @@ clean over the horizons the diagnostics look at.
 from __future__ import annotations
 
 import decimal
-import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,16 +124,23 @@ def initialize(cfg: ScenarioConfig) -> InitializationResult:
     )
 
 
+def _products(lefts, rights, dtype) -> list[np.ndarray]:
+    """Each l_i @ r_i in ``dtype``, every side converted once as one concatenation."""
+    left, right = in_arithmetic(np.hstack(lefts), dtype), in_arithmetic(np.vstack(rights), dtype)
+    cols = itertools.pairwise([0, *itertools.accumulate(l.shape[1] for l in lefts)])
+    rows = itertools.pairwise([0, *itertools.accumulate(r.shape[0] for r in rights)])
+    return [left[:, a:b] @ right[c:d] for (a, b), (c, d) in zip(cols, rows, strict=True)]
+
+
 def _step_matrices(sys, k_gains, l_gains, f_control, dtype):
     """The update's fixed matrices in ``dtype``, each formed there (never cast from float64).
 
     A, [B_1 K_1 | ... | B_N K_N] (n, N*n), A + F, and the stack L_i C_i (N, n, n).
     """
-    cast = functools.partial(in_arithmetic, dtype=dtype)
-    a = cast(sys.a)
-    hk = np.hstack([cast(b) @ cast(k) for b, k in zip(sys.b_list, k_gains, strict=True)])
-    lc = np.stack([cast(l) @ cast(c) for l, c in zip(l_gains, sys.c_list, strict=True)])
-    return a, hk, a + cast(f_control), lc
+    a = in_arithmetic(sys.a, dtype)
+    hk = np.hstack(_products(sys.b_list, k_gains, dtype))
+    lc = np.stack(_products(l_gains, sys.c_list, dtype))
+    return a, hk, a + in_arithmetic(f_control, dtype), lc
 
 
 def _estimate_and_control(a, hk, af, lc, x, xbar):

@@ -187,12 +187,13 @@ MIXED_WIDTHS = Digraph(
 
 
 class TestBatchedAgreement:
-    """The width-grouped agreement against the node-order loop it replaced.
+    """The prepared quotient maps against the node-order loop they replaced.
 
-    With P, the kernels and the pi windows prepared once, only the
-    summation order differs: measured at most 0.81 units of roundoff in
-    double and none in extended or quad; the stated bound is 8 units
-    relative to the largest input.
+    Both compute the same quotients; the maps fold P^k, the kernel and the
+    denominator into one N x N matrix before the inputs arrive, so the
+    roundoff differs: measured at most 1.07 units in double, 1.23 in
+    extended and 0.40 in quad; the stated bound is 8 units relative to the
+    largest input.
     """
 
     def cases(self, paper_scenario, paper_init):
@@ -219,6 +220,62 @@ class TestBatchedAgreement:
                     assert new.dtype == old.dtype and new.shape == old.shape
                     gap = float(np.max(np.abs(new - old)))
                     assert gap <= 8 * eps * float(np.max(np.abs(vals)))
+
+    def test_a_passing_agreement_replays_no_rounds(self, monkeypatch, paper_scenario, paper_init):
+        import ftcc.consensus as consensus
+
+        cfg = paper_scenario
+        agreement = prepare_agreement(
+            cfg.graph, paper_init.m_bar, paper_init.kernels, weights=cfg.weights
+        )
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a passing agreement replayed its rounds")
+
+        monkeypatch.setattr(consensus, "_ratio_history", forbidden)
+        mu = exact_average_fixed_rounds(agreement, np.arange(8.0).reshape(4, 2))
+        assert np.allclose(mu, [3.0, 4.0], atol=1e-12)
+
+    @pytest.mark.parametrize("precision", ["double", "extended", "quad"])
+    def test_map_rows_sum_to_one(self, precision, paper_scenario, paper_init):
+        # measured at most 0.5 ulp in double, 1.0 in extended and 0.1 in quad
+        dtype = _dtype_for(precision)
+        with decimal.localcontext(decimal.Context(prec=QUAD_DIGITS)):
+            eps = 10.0 ** (1 - QUAD_DIGITS) if dtype == object else np.finfo(dtype).eps
+            for g, weights, rounds, kernels in self.cases(paper_scenario, paper_init):
+                agreement = prepare_agreement(g, rounds, kernels, dtype, weights=weights)
+                for m in (agreement.w, agreement.w_lag):
+                    assert float(np.max(np.abs(m.sum(axis=1) - 1))) <= 8 * eps
+
+    def test_maps_are_the_average_in_double(self, paper_scenario, paper_init):
+        # measured at most 8.2e-15 from J/N, and row sums within 1 ulp
+        rng = np.random.default_rng(7)
+        cfg = paper_scenario
+        cases = [(cfg.graph, cfg.weights, paper_init.m_bar, paper_init.kernels)]
+        for _ in range(30):
+            g = random_strongly_connected(rng, int(rng.integers(2, 11)))
+            boot = finite_time_average(g, np.arange(g.node_count, dtype=float))
+            cases.append((g, None, boot.m_bar, boot.kernels))
+        for g, weights, rounds, kernels in cases:
+            agreement = prepare_agreement(g, rounds, kernels, weights=weights)
+            for m in (agreement.w, agreement.w_lag):
+                assert np.max(np.abs(m - 1 / g.node_count)) <= 1e-12
+                assert np.max(np.abs(m.sum(axis=1) - 1)) <= 8 * np.finfo(float).eps
+
+    def test_quad_maps_are_as_exact_as_the_float64_kernels(self, paper_scenario, paper_init):
+        """The float64-kernel envelope: paper-4node's quad map is 1.8e-17 from J/N.
+
+        The stored kernels are float64 (beta_1 = -0.41666666666666{56, 474,
+        7146, 56}, not -5/12), so 37 digits of arithmetic cannot bring the
+        map closer; exact kernels would, and would move this figure.
+        """
+        cfg = paper_scenario
+        with decimal.localcontext(decimal.Context(prec=QUAD_DIGITS)):
+            agreement = prepare_agreement(
+                cfg.graph, paper_init.m_bar, paper_init.kernels, object, weights=cfg.weights
+            )
+            dist = float(np.max(np.abs(agreement.w - Decimal(1) / 4)))
+        assert 1e-18 < dist <= 3e-17
 
     def test_names_the_lowest_failing_node(self):
         # width groups run 4 then 5; node 4 (width 4) and node 3 (width 5,
@@ -490,7 +547,10 @@ class TestFiniteTimeAverage:
         g = random_strongly_connected(np.random.default_rng(24021), 24)
         with pytest.raises(DegenerateInitializationError, match="consecutive windows") as err:
             finite_time_average(g, np.arange(24.0))
-        assert err.value.history.shape[0] == 24
+        # the error carries the bootstrap's own numerator history
+        rounds = err.value.history.shape[1] - 1
+        hist = _ratio_history(out_weight_matrix(g), _rows(g, np.arange(24.0)), rounds)
+        assert np.array_equal(err.value.history, hist[..., :-1].swapaxes(0, 1))
 
 
 class TestFixedRounds:

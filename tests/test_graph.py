@@ -60,6 +60,14 @@ class TestDigraph:
         assert repr(shuffled) == "Digraph(node_count=3, edges=((0, 1), (0, 2), (1, 2), (2, 0)))"
         assert shuffled.out_neighbors(0) == (1, 2)
 
+    def test_adjacency(self):
+        g = Digraph(3, ((0, 1), (2, 1), (1, 0)))
+        assert g.adjacency.tolist() == [[False, True, False], [True, False, False], [False, True, False]]
+        with pytest.raises(ValueError):
+            g.adjacency[0, 2] = True   # shared by every reader, so read-only
+        assert g == Digraph(3, ((1, 0), (0, 1), (2, 1)))   # the cache is no field
+        assert Digraph(1, ()).adjacency.tolist() == [[False]]
+
 
 class TestWeights:
     def test_single_node(self):
