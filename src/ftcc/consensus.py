@@ -43,6 +43,8 @@ from __future__ import annotations
 
 import decimal
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -228,10 +230,10 @@ def _counter_round(fabric: SyncFabric, tops: list[int]) -> list[int]:
     heard = [0] * len(tops)
 
     def send(j):
-        return [(l, tops[j]) for l in fabric.graph.out_neighbors(j)]
+        return zip(fabric.graph.out_neighbors(j), repeat(tops[j]))
 
     def receive(j, inbox):
-        heard[j] = max((top for _, top in inbox), default=0)
+        heard[j] = max(map(itemgetter(1), inbox), default=0)
 
     round_exchange(fabric, send, receive)
     return heard

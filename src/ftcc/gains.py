@@ -29,6 +29,8 @@ Two bookkeeping details:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -293,17 +295,14 @@ def elect_leader(g: Digraph, d_prime: int, values=None) -> int:
         raise InvalidInputError("need one election value per node")
     best = [(float(values[j]), j) for j in range(n)]
     fabric = SyncFabric(g)
+
+    def send(j):   # every send of a round comes before its first receive
+        return zip(g.out_neighbors(j), repeat(best[j]))
+
+    def receive(j, inbox):
+        best[j] = max(chain((best[j],), map(itemgetter(1), inbox)))
+
     for _ in range(max(d_prime, 0)):
-        snapshot = list(best)
-
-        def send(j):
-            return [(l, snapshot[j]) for l in g.out_neighbors(j)]
-
-        def receive(j, inbox):
-            for _, pair in inbox:
-                if pair > best[j]:
-                    best[j] = pair
-
         round_exchange(fabric, send, receive)
     winners = {pair[1] for pair in best}
     if len(winners) != 1:
@@ -473,7 +472,7 @@ def run_token_protocol(
             fabric, lambda j: [(holder, "token")] if j == sender else (), lambda j, inbox: None
         )
 
-    reached, senders = {holder}, [holder]   # the holder declares F read-only
+    reached, senders = {holder}, {holder}   # the holder declares F read-only
     while len(reached) < n_agents:
         if not senders:
             raise ProtocolFailureError(
@@ -483,10 +482,10 @@ def run_token_protocol(
         inboxes = {}
         round_exchange(
             fabric,
-            lambda j: [(l, f) for l in g.out_neighbors(j)] if j in senders else (),
+            lambda j: zip(g.out_neighbors(j), repeat(f)) if j in senders else (),
             inboxes.__setitem__,
         )
-        senders = [j for j, inbox in inboxes.items() if inbox and j not in reached]
+        senders = {j for j, inbox in inboxes.items() if inbox and j not in reached}
         reached.update(senders)
 
     _check_placed(base + f, targets.consumed_values(), mode)

@@ -2,9 +2,12 @@
 
 The fabric simulates a lockstep network: a message sent in round m is
 delivered in round m+1, deliveries within a round are ordered by sender id,
-and sends along non-edges are rejected.  The consensus counter ladder, leader
-election and token passes run on it; the linear ratio iterate is one product
-per round instead (``ftcc.consensus``).  Every run is bit-for-bit reproducible.
+and sends along non-edges are rejected.  Each send is checked in O(1) against
+its sender's out-neighbour set, built once per digraph, so a round costs O(1)
+per node and per message: O(E) for a broadcast.  The consensus counter ladder,
+leader election and token passes run on it; the linear ratio iterate is one
+product per round instead (``ftcc.consensus``).  Every run is bit-for-bit
+reproducible.
 """
 
 from __future__ import annotations
@@ -47,6 +50,11 @@ class Digraph:
     def out_neighbors(self, j: int) -> tuple[int, ...]:
         """Out-neighbours of node j in ascending order."""
         return self._out[j]
+
+    @cached_property
+    def out_sets(self) -> tuple[frozenset[int], ...]:
+        """Each node's out-neighbours as a set, for O(1) edge checks."""
+        return tuple(map(frozenset, self._out))
 
     @cached_property
     def adjacency(self) -> np.ndarray:
@@ -141,10 +149,9 @@ def round_exchange(
     Senders are asked in ascending id order, so each inbox is ordered by
     sender id and, within one sender, by send order.
     """
-    g = fabric.graph
-    inboxes: list[list[tuple[int, object]]] = [[] for _ in range(g.node_count)]
-    for j in range(g.node_count):
-        outs = g.out_neighbors(j)
+    out_sets = fabric.graph.out_sets
+    inboxes: list[list[tuple[int, object]]] = [[] for _ in out_sets]
+    for j, outs in enumerate(out_sets):
         for dst, payload in send(j) or ():
             if dst not in outs:
                 raise ProtocolViolationError(

@@ -89,8 +89,7 @@ class ScenarioConfig:
         for j, order in self.priorities.items():
             if not 0 <= j < g.node_count:
                 raise ConfigError(f"priorities: {j} is not a node id (0..{g.node_count - 1})")
-            outs = set(g.out_neighbors(j))
-            if not set(order) <= outs:
+            if not set(order) <= g.out_sets[j]:
                 raise ConfigError(f"priorities[{j}] lists non-out-neighbors")
         if self.election_values is not None and len(self.election_values) != g.node_count:
             raise ConfigError("election_values must have one entry per node")

@@ -7,6 +7,7 @@ import pytest
 # digraphs as acceptance criterion 6
 from ftcc.acceptance import AcceptanceContext, random_strongly_connected  # noqa: F401
 from ftcc.consensus import exact_average_fixed_rounds, finite_time_average, prepare_agreement
+from ftcc.graph import Digraph
 from ftcc.plant import LtiSystem, joint_rank_checks
 from ftcc.scenario import load_scenario
 
@@ -27,6 +28,11 @@ def paper_init(paper_scenario):
 def acceptance_ctx():
     """The acceptance context (initialization plus three traces), built once."""
     return AcceptanceContext.build()
+
+
+def complete_digraph(n: int) -> Digraph:
+    """Every ordered pair of distinct nodes is an edge."""
+    return Digraph(n, tuple((a, b) for a in range(n) for b in range(n) if a != b))
 
 
 def stored_kernels(g, weights=None):

@@ -31,7 +31,7 @@ from ftcc.graph import (
 )
 from ftcc.runtime import QUAD_DIGITS, _dtype_for
 
-from conftest import agree, random_strongly_connected, stored_kernels
+from conftest import agree, complete_digraph, random_strongly_connected, stored_kernels
 
 FOURNODE_P = np.array(
     [
@@ -458,11 +458,16 @@ class TestTerminationMechanics:
                 assert _degree(hist[:, j], shift, done - 1, DEFAULT_REL_TOL) is None
 
     def test_matches_the_state_machine(self):
-        # the draws of acceptance criterion 6
+        # the draws of acceptance criterion 6 stop at N = 10; the complete
+        # 48-node digraph and a 16-node draw follow them
         rng = np.random.default_rng(2024)
+        inputs = []
         for trial in range(100):
             g = random_strongly_connected(rng, int(rng.integers(2, 11)))
-            x0 = rng.normal(size=(g.node_count, 3 if trial % 3 == 0 else 1))
+            inputs.append((g, rng.normal(size=(g.node_count, 3 if trial % 3 == 0 else 1))))
+        for g in (complete_digraph(48), random_strongly_connected(rng, 16)):
+            inputs.append((g, rng.normal(size=(g.node_count, 1))))
+        for g, x0 in inputs:
             res = finite_time_average(g, x0)
             assert state_machine_bootstrap(g, x0) == (
                 res.rounds_used, res.done_rounds, res.phi_done, res.degrees,

@@ -18,7 +18,7 @@ from ftcc.gains import (
     place_single,
     run_token_protocol,
 )
-from ftcc.graph import Digraph, digraph_from_weight_matrix
+from ftcc.graph import Digraph, bfs_distances, diameter, digraph_from_weight_matrix
 from ftcc.linalg import eigen_left, is_schur_stable
 from ftcc.plant import LtiSystem
 
@@ -245,6 +245,19 @@ class TestElection:
         g = Digraph(3, ((0, 1), (1, 2), (2, 0)))
         with pytest.raises(ProtocolFailureError):
             elect_leader(g, 0, values=[1.0, 2.0, 3.0])
+
+    def test_largest_pair_wins_once_it_reaches_every_node(self):
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            g = random_strongly_connected(rng, int(rng.integers(2, 25)))
+            n = g.node_count
+            values = (rng.integers(-2, 3, n) / 2).tolist()   # ties are common
+            winner = max(zip(values, range(n)))[1]
+            reach = max(bfs_distances(g, winner))   # the winner's out-eccentricity
+            assert elect_leader(g, diameter(g), values) == winner
+            assert elect_leader(g, reach, values) == winner
+            with pytest.raises(ProtocolFailureError):
+                elect_leader(g, int(rng.integers(0, reach)), values)
 
 
 class TestTokenProtocol:

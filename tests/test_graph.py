@@ -19,7 +19,7 @@ from ftcc.graph import (
     round_exchange,
 )
 
-from conftest import random_strongly_connected
+from conftest import complete_digraph, random_strongly_connected
 
 FOURNODE_P = np.array(
     [
@@ -51,6 +51,7 @@ class TestDigraph:
     def test_neighborhoods(self):
         g = Digraph(3, ((0, 1), (2, 1), (1, 0)))
         assert [g.out_neighbors(j) for j in range(3)] == [(1,), (0,), (1,)]
+        assert g.out_sets == ({1}, {0}, {1})
 
     def test_edge_order_does_not_matter(self):
         edges = ((2, 0), (0, 2), (1, 2), (0, 1))
@@ -244,3 +245,76 @@ class TestFabric:
 
         round_exchange(SyncFabric(g), send, receive)
         assert np.allclose(acc, FOURNODE_P @ x, atol=1e-15)
+
+
+def tuple_scan_round_exchange(fabric, send, receive):
+    """The fabric round before the per-node out-sets: each destination is
+    checked by a scan of the sender's out-neighbour tuple."""
+    g = fabric.graph
+    inboxes = [[] for _ in range(g.node_count)]
+    for j in range(g.node_count):
+        outs = g.out_neighbors(j)
+        for dst, payload in send(j) or ():
+            if dst not in outs:
+                raise ProtocolViolationError(
+                    f"node {j} attempted to send to non-neighbor {dst}"
+                )
+            inboxes[dst].append((j, payload))
+    fabric.sent_count += sum(map(len, inboxes))
+    fabric.round_index += 1
+    for j, inbox in enumerate(inboxes):
+        fabric.delivered_count += len(inbox)
+        receive(j, inbox)
+
+
+class TestFabricOracle:
+    """round_exchange against the tuple-scan round on the same send plans."""
+
+    @staticmethod
+    def send_plan(rng, g, legal):
+        """Each sender's (destination, payload) list; a sender may be absent.
+
+        Unless ``legal``, a few sends go to the sender itself, to a
+        non-neighbour, to -1 or to N.  Some destinations are numpy integers.
+        """
+        n, plan = g.node_count, {}
+        for j in map(int, rng.permutation(n)[: int(rng.integers(n // 2, n + 1))]):
+            outs = g.out_neighbors(j)
+            picks = rng.integers(0, len(outs), int(rng.integers(0, 2 * len(outs) + 1)))
+            plan[j] = [
+                (np.int64(outs[i]) if rng.random() < 0.2 else outs[i], (j, k))
+                for k, i in enumerate(picks)
+            ]
+        for _ in range(0 if legal else int(rng.integers(1, 4))):
+            j = int(rng.integers(0, n))
+            strangers = sorted(set(range(n)) - set(g.out_neighbors(j)) - {j})
+            bad = [j, -1, n, np.intp(j)] + strangers[:1]
+            msgs = plan.setdefault(j, [])
+            msgs.insert(int(rng.integers(0, len(msgs) + 1)), (bad[rng.integers(0, len(bad))], "bad"))
+        return plan
+
+    @staticmethod
+    def play(exchange, g, plans):
+        """Every plan as one round on one fabric: inboxes or error, then counters."""
+        fabric, log = SyncFabric(g), []
+        for plan in plans:
+            inboxes = {}
+            try:
+                exchange(fabric, plan.get, inboxes.__setitem__)
+                outcome = inboxes
+            except ProtocolViolationError as exc:
+                outcome = str(exc)
+            log.append((outcome, fabric.round_index, fabric.sent_count, fabric.delivered_count))
+        return log
+
+    def test_matches_the_tuple_scan(self):
+        rng = np.random.default_rng(13)
+        graphs = [random_strongly_connected(rng, int(rng.integers(2, 25))) for _ in range(50)]
+        graphs += [complete_digraph(n) for n in (2, 8, 48)]
+        raised = 0
+        for g in graphs:
+            plans = [self.send_plan(rng, g, legal=rng.random() < 0.5) for _ in range(6)]
+            expected = self.play(tuple_scan_round_exchange, g, plans)
+            assert self.play(round_exchange, g, plans) == expected
+            raised += sum(isinstance(outcome, str) for outcome, *_ in expected)
+        assert 50 < raised < 250   # both kinds of round are drawn often

@@ -155,6 +155,15 @@ class TestLoading:
         with pytest.raises(ConfigError, match=f"^priorities: {key} is not a node id"):
             scenario_from_dict(doc)
 
+    @pytest.mark.parametrize("order", [[0], [1, 0], [1, 2]])
+    def test_priorities_must_be_out_neighbors(self, order):
+        doc = minimal_doc()
+        doc["priorities"] = {"0": order}
+        with pytest.raises(ConfigError, match=r"^priorities\[0\] lists non-out-neighbors$"):
+            scenario_from_dict(doc)
+        doc["priorities"] = {"0": [1]}
+        assert scenario_from_dict(doc).priorities == {0: [1]}
+
     def test_unknown_scenario_name(self):
         with pytest.raises(ConfigError):
             load_scenario("no-such-scenario")
