@@ -9,8 +9,10 @@ or Decimal at the caller's context precision).  The iterates ignore the
 counters, so the bootstrap builds its history to the round cap once and then
 runs three steps:
 
-1. Detect: ``_degree`` finds each node's first rank-deficient square Hankel
-   of iterate differences, in each of two windows (below).
+1. Detect: ``_first_defective`` finds each node's first rank-deficient
+   square Hankel of iterate differences, in each of two windows (below), as
+   one batched rank test per width over the nodes still searching, grouped
+   by live-column mask; each node's test still reads only hist[:, j].
 2. Terminate: a max-consensus ladder over step counters, sent on the fabric,
    tells every node when to stop and yields m_bar and a diameter bound D'.
 3. Check: ``_checked_average`` forms each node's kernel quotient on its
@@ -47,10 +49,11 @@ from itertools import repeat
 from operator import itemgetter
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import DegenerateInitializationError, InvalidInputError
 from .graph import Digraph, SyncFabric, out_weight_matrix, round_exchange
-from .linalg import as_matrix, common_kernel_vector, numerical_rank
+from .linalg import as_matrix, common_kernel_vector
 
 DEFAULT_REL_TOL = 1e-8
 
@@ -87,10 +90,6 @@ def validate_weights(g: Digraph, p) -> np.ndarray:
     return pm
 
 
-def _window_rows(seq: np.ndarray, width: int) -> np.ndarray:
-    return np.array([seq[i : i + width] for i in range(len(seq) - width + 1)])
-
-
 def _dtype_eps(dtype) -> float:
     if dtype == object:
         return 10.0 ** (1 - decimal.getcontext().prec)
@@ -105,57 +104,57 @@ def in_arithmetic(a, dtype) -> np.ndarray:
     return arr.astype(dtype)
 
 
-def _live_difference_stack(view: np.ndarray, width: int, shift: int = 1) -> np.ndarray | None:
-    """Row-normalized Hankel blocks of the sequences that still carry signal.
+def _first_defective(hist: np.ndarray, shift: int, rel_tol: float, square: bool = True) -> list:
+    """Each node's first rank-deficient Hankel stack of its iterate differences, all nodes at once.
 
-    ``view`` is one node's iterates, shape (rounds+1, n+1).  Each scalar
-    sequence (every column of [alpha | pi]) gets its own noise floor, 64 eps
-    times the largest iterate magnitude it ever reached: a node whose
-    sequence is constant up to arithmetic noise (for example when its row of
-    the weight matrix is already proportional to the consensus functional)
-    would otherwise present pure rounding noise as a full-rank Hankel.
-    Converged blocks impose no kernel constraint; live blocks are scaled by
-    their own difference magnitude so the rank test compares like with
-    like.  Returns None when every sequence has converged.  Every window of
-    the differences from ``shift`` on contributes a row, so a view of 2w +
-    shift iterates gives the square Hankel of width w.
+    Node j's differences hist[k+1, j] - hist[k, j] from k = ``shift`` on, taken
+    in the history's arithmetic and cast to float, give one scalar sequence
+    per column of [alpha | pi].  Width w reads the iterates up to round
+    2w - 1 + shift when ``square`` (its square Hankel completes then), else the
+    whole history; every window of the differences read gives a row.  A
+    column is live while its largest difference exceeds 64 eps times its
+    largest iterate magnitude, both over the rounds read: below that it is
+    constant up to arithmetic noise, which would otherwise show as a
+    full-rank Hankel, and imposes no constraint.  Each live column is scaled
+    by its largest difference, so the rank test compares like with like, and
+    the blocks of a node's live columns are stacked.  The nodes still
+    searching are grouped by their live-column mask, one batched SVD per
+    group; a stack has rank below w when its smallest singular value is at
+    most rel_tol times its largest.  Entry j is (w, stack) for node j's
+    first width whose stack has rank below w, stack None when every column
+    has converged; None when no width up to (len(hist) - shift) // 2 is.
     """
-    diffs = np.diff(view, axis=0)[shift:]
-    eps = _dtype_eps(view.dtype)
-    blocks = []
-    for r in range(view.shape[1]):
-        seq_scale = float(np.max(np.abs(view[:, r])))
-        d = np.asarray(diffs[:, r], dtype=float)
-        d_scale = float(np.max(np.abs(d))) if len(d) else 0.0
-        if d_scale <= 64.0 * eps * max(seq_scale, 1e-300):
-            continue
-        blocks.append(_window_rows(d / d_scale, width))
-    if not blocks:
-        return None
-    return np.vstack(blocks)
-
-
-def _is_defective(stack: np.ndarray | None, rel_tol: float) -> bool:
-    return stack is None or numerical_rank(stack, rel_tol) < stack.shape[1]
-
-
-def _kernel(view: np.ndarray, rel_tol: float) -> np.ndarray | None:
-    """The node's Hankel kernel beta, normalized so beta[-1] == 1.
-
-    Rather than trusting the minimal square Hankel that triggered detection
-    (which can look singular out of sheer ill-conditioning), the kernel
-    width is re-established on the full difference history: every available
-    window contributes a row, and the first width whose stack is genuinely
-    rank-deficient wins.  Sequences that all converged within arithmetic
-    noise give degree zero, beta = [1]; None when no width is rank-deficient.
-    """
-    for width in range(1, (len(view) - 1) // 2 + 1):
-        stack = _live_difference_stack(view, width)
-        if stack is None:
-            return np.ones(1)
-        if _is_defective(stack, rel_tol):
-            return common_kernel_vector(stack, rel_tol)
-    return None
+    eps = _dtype_eps(hist.dtype)
+    diffs = np.diff(hist, axis=0)[shift:].astype(float, copy=False)
+    sizes = np.abs(hist).astype(float, copy=False)
+    found, searching = [None] * hist.shape[1], np.arange(hist.shape[1])
+    for w in range(1, (len(hist) - shift) // 2 + 1):
+        end = 2 * w - 1 if square else len(diffs)   # the differences width w reads
+        scale = np.max(np.abs(diffs[:end, searching]), axis=0)
+        top = np.max(sizes[: end + shift + 1, searching], axis=0)
+        live = ~(scale <= 64.0 * eps * np.maximum(top, 1e-300))
+        if np.isinf(scale[live]).any():   # differences past the float range: inf / inf
+            raise InvalidInputError("matrix contains non-finite entries")
+        z = diffs[:end, searching] / np.where(live, scale, 1.0)
+        windows = sliding_window_view(z, w, axis=0).transpose(1, 2, 0, 3)   # (k, c, rows, w)
+        groups = {}
+        for i, mask in enumerate(map(tuple, live.tolist())):
+            groups.setdefault(mask, []).append(i)
+        for mask, at in groups.items():
+            at, cols = np.array(at), np.flatnonzero(mask)
+            if not len(cols):   # every column converged
+                hits = zip(at, repeat(None))
+            else:
+                stacks = windows[at[:, None], cols].reshape(len(at), -1, w)
+                sv = np.linalg.svd(stacks, compute_uv=False)
+                deficient = ~np.all(sv > rel_tol * sv[:, :1], axis=1)
+                hits = zip(at[deficient], stacks[deficient])
+            for i, stack in hits:
+                found[searching[i]] = (w, stack)
+        searching = np.array([j for j in searching if found[j] is None], dtype=np.intp)
+        if not len(searching):
+            break
+    return found
 
 
 @dataclass
@@ -210,19 +209,6 @@ def _ratio_history(pw: np.ndarray, rows: np.ndarray, rounds: int) -> np.ndarray:
 def _degenerate(message: str, numerators: np.ndarray) -> DegenerateInitializationError:
     """The error, carrying every node's numerator history (N, rounds+1, n)."""
     return DegenerateInitializationError(message, history=numerators.swapaxes(0, 1))
-
-
-def _degree(view: np.ndarray, shift: int, round_cap: int, rel_tol: float) -> int | None:
-    """Width - 1 of the node's first defective square Hankel in one difference window.
-
-    Width w completes at round 2w - 1 + shift and reads view[: 2w + shift], the
-    iterates up to that round; None when no width completing by ``round_cap`` is.
-    """
-    for width in range(1, (round_cap + 1 - shift) // 2 + 1):
-        stack = _live_difference_stack(view[: 2 * width + shift], width, shift)
-        if _is_defective(stack, rel_tol):
-            return width - 1
-    return None
 
 
 def _counter_round(fabric: SyncFabric, tops: list[int]) -> list[int]:
@@ -358,11 +344,14 @@ def finite_time_average(
     p = out_weight_matrix(g) if weights is None else validate_weights(g, weights)
     if round_cap is None:
         round_cap = 4 * g.node_count + 2
+    if rel_tol <= 0:
+        raise InvalidInputError("rel_tol must be positive")
     pw = in_arithmetic(p, rows.dtype)
     hist = _ratio_history(pw, rows, max(round_cap, 0))
-    views = [hist[:, j] for j in range(g.node_count)]
-    degrees = [_degree(view, 1, round_cap, rel_tol) for view in views]
-    distance_degrees = [_degree(view, 0, round_cap, rel_tol) for view in views]
+    degrees, distance_degrees = (
+        [None if f is None else f[0] - 1 for f in _first_defective(hist, shift, rel_tol)]
+        for shift in (1, 0)
+    )
     fabric, ladder = SyncFabric(g), None
     if None not in degrees + distance_degrees:
         c0 = [2 * (m + 1) for m in degrees]
@@ -375,7 +364,10 @@ def finite_time_average(
         )
     rounds = fabric.round_index
     hist = hist[: rounds + 1]
-    kernels = [_kernel(hist[:, j], rel_tol) for j in range(g.node_count)]
+    kernels = [
+        None if f is None else np.ones(1) if f[1] is None else common_kernel_vector(f[1], rel_tol)
+        for f in _first_defective(hist, 1, rel_tol, square=False)
+    ]
     missing = [j for j, beta in enumerate(kernels) if beta is None]
     if missing:
         raise _degenerate(f"nodes {missing}: no rank-deficient Hankel width", hist[..., :-1])

@@ -153,7 +153,11 @@ def round_exchange(
     inboxes: list[list[tuple[int, object]]] = [[] for _ in out_sets]
     for j, outs in enumerate(out_sets):
         for dst, payload in send(j) or ():
-            if dst not in outs:
+            try:
+                legal = dst in outs
+            except TypeError:   # unhashable, so no node id
+                legal = False
+            if not legal:
                 raise ProtocolViolationError(
                     f"node {j} attempted to send to non-neighbor {dst}"
                 )

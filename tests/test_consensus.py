@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from ftcc.consensus import (
     DEFAULT_REL_TOL,
     _counter_round,
-    _degree,
+    _first_defective,
     _ladder,
     _ratio_history,
     _rows,
@@ -32,6 +32,7 @@ from ftcc.graph import (
 from ftcc.runtime import QUAD_DIGITS, _dtype_for
 
 from conftest import agree, complete_digraph, random_strongly_connected, stored_kernels
+from hankel_reference import _is_defective, _live_difference_stack
 
 FOURNODE_P = np.array(
     [
@@ -363,8 +364,6 @@ def state_machine_bootstrap(g, x0, rel_tol=DEFAULT_REL_TOL):
     ladder were separated: counters, rank monitors and stop rule interleaved
     round by round.  Returns (rounds_used, done_rounds, phi_done, degrees,
     distance_degrees)."""
-    from ftcc.consensus import _is_defective, _live_difference_stack
-
     n, cap = g.node_count, 4 * g.node_count + 2
     hist = _ratio_history(out_weight_matrix(g), _rows(g, x0), cap)
     c, r, phi = [0] * n, [0] * n, [0] * n
@@ -450,12 +449,18 @@ class TestTerminationMechanics:
         g = digraph_from_weight_matrix(FOURNODE_P)
         res = finite_time_average(g, np.arange(4.0), weights=FOURNODE_P)
         hist = _ratio_history(FOURNODE_P, _rows(g, np.arange(4.0)), 4 * 4 + 2)
+
+        def degree(rounds, shift, j):
+            # node j's entry of the batched search over the iterates up to ``rounds``
+            found = _first_defective(hist[: rounds + 1], shift, DEFAULT_REL_TOL)[j]
+            return None if found is None else found[0] - 1
+
         for j in range(4):
             for shift, m in ((1, res.degrees[j]), (0, res.distance_degrees[j])):
                 done = 2 * (m + 1) - 1 + shift
-                assert _degree(hist[:, j], shift, done, DEFAULT_REL_TOL) == m
-                assert _degree(hist[: done + 1, j], shift, done, DEFAULT_REL_TOL) == m
-                assert _degree(hist[:, j], shift, done - 1, DEFAULT_REL_TOL) is None
+                assert degree(len(hist) - 1, shift, j) == m
+                assert degree(done, shift, j) == m
+                assert degree(done - 1, shift, j) is None
 
     def test_matches_the_state_machine(self):
         # the draws of acceptance criterion 6 stop at N = 10; the complete
@@ -625,8 +630,9 @@ class TestStoredKernels:
         def forbidden(*args, **kwargs):
             raise AssertionError("an agreement ran a rank test")
 
-        for name in ("_degree", "numerical_rank", "common_kernel_vector"):
+        for name in ("_first_defective", "common_kernel_vector"):
             monkeypatch.setattr(consensus, name, forbidden)
+        monkeypatch.setattr(np.linalg, "svd", forbidden)   # every rank test is an SVD
         mu = agree(
             g, [0.0, 1.0, 2.0, 3.0], 11, kernels, weights=FOURNODE_P
         )

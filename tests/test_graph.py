@@ -275,7 +275,8 @@ class TestFabricOracle:
         """Each sender's (destination, payload) list; a sender may be absent.
 
         Unless ``legal``, a few sends go to the sender itself, to a
-        non-neighbour, to -1 or to N.  Some destinations are numpy integers.
+        non-neighbour, to -1, to N or to an unhashable list.  Some
+        destinations are numpy integers.
         """
         n, plan = g.node_count, {}
         for j in map(int, rng.permutation(n)[: int(rng.integers(n // 2, n + 1))]):
@@ -288,7 +289,7 @@ class TestFabricOracle:
         for _ in range(0 if legal else int(rng.integers(1, 4))):
             j = int(rng.integers(0, n))
             strangers = sorted(set(range(n)) - set(g.out_neighbors(j)) - {j})
-            bad = [j, -1, n, np.intp(j)] + strangers[:1]
+            bad = [j, -1, n, np.intp(j), [j]] + strangers[:1]
             msgs = plan.setdefault(j, [])
             msgs.insert(int(rng.integers(0, len(msgs) + 1)), (bad[rng.integers(0, len(bad))], "bad"))
         return plan

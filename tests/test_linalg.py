@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftcc.consensus import _window_rows
 from ftcc.exceptions import (
     DegenerateKernelError,
     InvalidInputError,
@@ -68,6 +67,11 @@ TOKEN_PASS_16 = np.array(
         [0.41883, 0.43637, -0.01587, 0.49581, 0.097427, -0.33936, -0.26814, -0.42741, 0.33804, -0.10953, -0.43663, -0.60216, -0.53901, 0.28951, 0.44005, 0.92152],
     ]
 )
+
+
+def _window_rows(seq: np.ndarray, width: int) -> np.ndarray:
+    """Every run of ``width`` consecutive entries of ``seq``, one per row."""
+    return np.array([seq[i : i + width] for i in range(len(seq) - width + 1)])
 
 
 class TestHankel:
