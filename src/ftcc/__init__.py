@@ -5,6 +5,7 @@ consensus between estimation steps and token-passing gain design."""
 from .consensus import (
     AverageResult,
     diameter_upper_bound,
+    elect_leader,
     exact_average_fixed_rounds,
     finite_time_average,
     m_bar,
@@ -13,7 +14,6 @@ from .consensus import (
 from .gains import (
     PlacementTargets,
     TokenResult,
-    elect_leader,
     place_for_agent,
     place_single,
     run_token_protocol,

@@ -15,6 +15,8 @@ runs three steps:
    by live-column mask; each node's test still reads only hist[:, j].
 2. Terminate: a max-consensus ladder over step counters, sent on the fabric,
    tells every node when to stop and yields m_bar and a diameter bound D'.
+   Its round, ``_max_round``, is also the leader election's (``elect_leader``,
+   D' rounds over (value, id) pairs).
 3. Check: ``_checked_average`` forms each node's kernel quotient on its
    latest window and raises unless it matches the one a window earlier.
 
@@ -45,17 +47,21 @@ from __future__ import annotations
 
 import decimal
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from operator import itemgetter
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .exceptions import DegenerateInitializationError, InvalidInputError
+from .exceptions import DegenerateInitializationError, InvalidInputError, ProtocolFailureError
 from .graph import Digraph, SyncFabric, out_weight_matrix, round_exchange
 from .linalg import as_matrix, common_kernel_vector
 
 DEFAULT_REL_TOL = 1e-8
+# The largest float64, also as a Decimal: a Decimal compared with a float
+# converts the float anew on every comparison
+_FLOAT_MAX = np.finfo(float).max
+_FLOAT_MAX_DECIMAL = decimal.Decimal(_FLOAT_MAX)
 
 
 def m_bar(m_values) -> int:
@@ -174,7 +180,7 @@ class AverageResult:
 
 
 def _values(node_count: int, initial_values) -> np.ndarray:
-    """(N, n) initial values, n >= 1, in their own arithmetic (ints become float), checked finite."""
+    """(N, n) initial values, n >= 1, in their own arithmetic (ints become float), within float64."""
     vals = np.asarray(initial_values)
     vals = vals.astype(np.result_type(vals.dtype, float), copy=False)
     if vals.ndim == 1:
@@ -185,9 +191,11 @@ def _values(node_count: int, initial_values) -> np.ndarray:
         )
     if vals.shape[1] == 0:
         raise InvalidInputError("initial values need at least one entry per node")
-    # == and != are the comparisons a Decimal NaN answers without signalling
-    if not (np.all(vals == vals) and np.all(np.abs(vals) != np.inf)):
-        raise InvalidInputError("initial values must be finite")
+    # NaN first, by ==, the one comparison a Decimal NaN answers without
+    # signalling; then the float range, which the rank monitor casts to
+    top = _FLOAT_MAX_DECIMAL if vals.dtype == object else _FLOAT_MAX
+    if not (np.all(vals == vals) and np.all(np.abs(vals) <= top)):
+        raise InvalidInputError("initial values must be finite in float64")
     return vals
 
 
@@ -211,35 +219,37 @@ def _degenerate(message: str, numerators: np.ndarray) -> DegenerateInitializatio
     return DegenerateInitializationError(message, history=numerators.swapaxes(0, 1))
 
 
-def _counter_round(fabric: SyncFabric, tops: list[int]) -> list[int]:
-    """One lockstep exchange of each node's max(phi, c); the largest value each heard (0: none)."""
-    heard = [0] * len(tops)
+def _max_round(fabric: SyncFabric, values: list) -> list:
+    """One lockstep max-consensus round: each node sends its value to its
+    out-neighbours and keeps the largest of its own and those it received."""
+    kept = [None] * len(values)
 
     def send(j):
-        return zip(fabric.graph.out_neighbors(j), repeat(tops[j]))
+        return zip(fabric.graph.out_neighbors(j), repeat(values[j]))
 
     def receive(j, inbox):
-        heard[j] = max(map(itemgetter(1), inbox), default=0)
+        kept[j] = max(chain((values[j],), map(itemgetter(1), inbox)))
 
     round_exchange(fabric, send, receive)
-    return heard
+    return kept
 
 
 def _ladder(fabric: SyncFabric, c0: list[int], last: int, round_cap: int):
     """Each node's (done round, phi at done), or None when the ladder passes ``round_cap``.
 
     Node j's counter min(round, c0_j) freezes at its detection round c0_j.
-    phi_j takes the max of itself, the counter and what the in-neighbours sent
-    a round before.  From round c0_j on, node j stops once phi_j has held for
+    Each round one max round spreads phi, which already covers every counter
+    of the round before, and phi_j takes the max of what node j kept and its
+    counter.  From round c0_j on, node j stops once phi_j has held for
     c0_j rounds (the attainment round included) or round 2*phi_j - 1 has come.
     The ladder ends once every node has stopped and round ``last`` has come.
     """
     n = len(c0)
     phi, held, done, phi_done = [0] * n, [0] * n, [None] * n, [None] * n
     for k in range(1, round_cap + 1):
-        heard = _counter_round(fabric, [max(phi[j], min(k - 1, c0[j])) for j in range(n)])
+        kept = _max_round(fabric, phi)
         for j in range(n):
-            top = max(phi[j], min(k, c0[j]), heard[j])
+            top = max(kept[j], min(k, c0[j]))
             held[j] = held[j] + 1 if top == phi[j] else 1
             phi[j] = top
             if done[j] is None and k >= c0[j] and (held[j] >= c0[j] or k >= 2 * top - 1):
@@ -247,6 +257,30 @@ def _ladder(fabric: SyncFabric, c0: list[int], last: int, round_cap: int):
         if k >= last and None not in done:
             return done, phi_done
     return None
+
+
+def elect_leader(g: Digraph, d_prime: int, values=None) -> int:
+    """Max-consensus leader election over per-node values for D' rounds.
+
+    Every node ends up knowing the winning (value, id) pair; ties in value
+    resolve to the larger id.  With the default values (node ids) the
+    maximum id wins.
+    """
+    n = g.node_count
+    if values is None:
+        values = list(range(n))
+    if len(values) != n:
+        raise InvalidInputError("need one election value per node")
+    best = [(float(values[j]), j) for j in range(n)]
+    fabric = SyncFabric(g)
+    for _ in range(max(d_prime, 0)):
+        best = _max_round(fabric, best)
+    winners = {pair[1] for pair in best}
+    if len(winners) != 1:
+        raise ProtocolFailureError(
+            f"leader election did not converge in {d_prime} rounds: views {best}"
+        )
+    return winners.pop()
 
 
 @dataclass(frozen=True)

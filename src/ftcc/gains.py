@@ -29,8 +29,7 @@ Two bookkeeping details:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from operator import itemgetter
+from itertools import repeat
 
 import numpy as np
 
@@ -279,37 +278,6 @@ def place_for_agent(
         rows.append(k_col)
         a_running = a_running + b[:, col : col + 1] @ k_col
     return np.vstack(rows)
-
-
-def elect_leader(g: Digraph, d_prime: int, values=None) -> int:
-    """Max-consensus leader election over per-node values for D' rounds.
-
-    Every node ends up knowing the winning (value, id) pair; ties in value
-    resolve to the larger id.  With the default values (node ids) the
-    maximum id wins.
-    """
-    n = g.node_count
-    if values is None:
-        values = list(range(n))
-    if len(values) != n:
-        raise InvalidInputError("need one election value per node")
-    best = [(float(values[j]), j) for j in range(n)]
-    fabric = SyncFabric(g)
-
-    def send(j):   # every send of a round comes before its first receive
-        return zip(g.out_neighbors(j), repeat(best[j]))
-
-    def receive(j, inbox):
-        best[j] = max(chain((best[j],), map(itemgetter(1), inbox)))
-
-    for _ in range(max(d_prime, 0)):
-        round_exchange(fabric, send, receive)
-    winners = {pair[1] for pair in best}
-    if len(winners) != 1:
-        raise ProtocolFailureError(
-            f"leader election did not converge in {d_prime} rounds: views {best}"
-        )
-    return winners.pop()
 
 
 @dataclass

@@ -58,11 +58,6 @@ def numerical_rank(m, rel_tol: float | None = None) -> int:
     return int(np.sum(sv > rel_tol * sv[0]))
 
 
-def _smallest_right_singular_vector(a: np.ndarray) -> np.ndarray:
-    _, _, vt = np.linalg.svd(a)
-    return vt[-1]
-
-
 def common_kernel_vector(stack, rel_tol: float | None = None) -> np.ndarray:
     """Kernel vector shared by all row blocks of a (possibly tall) stack.
 
@@ -74,7 +69,7 @@ def common_kernel_vector(stack, rel_tol: float | None = None) -> np.ndarray:
     cols = a.shape[1]
     if rel_tol is None:
         rel_tol = default_rel_tol(*a.shape)
-    sv = np.linalg.svd(a, compute_uv=False)
+    _, sv, vt = np.linalg.svd(a)
     if sv[0] == 0:
         beta = np.zeros(cols)
         beta[-1] = 1.0
@@ -85,7 +80,7 @@ def common_kernel_vector(stack, rel_tol: float | None = None) -> np.ndarray:
             f"matrix is full rank at rel_tol={rel_tol:g} "
             f"(smallest/largest singular value = {sv[-1] / sv[0]:.3e})"
         )
-    beta = _smallest_right_singular_vector(a)
+    beta = vt[-1]
     scale_floor = np.sqrt(_EPS) / np.sqrt(cols)
     if abs(beta[-1]) < scale_floor:
         raise DegenerateKernelError(

@@ -33,10 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .consensus import exact_average_fixed_rounds, finite_time_average
+from .consensus import elect_leader, exact_average_fixed_rounds, finite_time_average
 from .consensus import in_arithmetic, prepare_agreement
 from .exceptions import InvalidInputError
-from .gains import TokenResult, elect_leader, run_token_protocol
+from .gains import TokenResult, run_token_protocol
 from .linalg import eigenvalues
 from .plant import require_jointly_controllable_observable
 from .scenario import ScenarioConfig

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from ftcc.consensus import (
     DEFAULT_REL_TOL,
-    _counter_round,
     _first_defective,
     _ladder,
+    _max_round,
     _ratio_history,
     _rows,
     diameter_upper_bound,
@@ -406,14 +406,30 @@ class TestTerminationMechanics:
     LATE_MAX = (Digraph(3, ((0, 1), (1, 2), (2, 0))), [4, 5, 3])
 
     def test_all_zero_stays_zero(self):
-        assert _counter_round(SyncFabric(three_cycle()), [0, 0, 0]) == [0, 0, 0]
+        assert _max_round(SyncFabric(three_cycle()), [0, 0, 0]) == [0, 0, 0]
 
     def test_max_propagates_within_diameter_rounds(self):
         g = three_cycle()
         fabric, tops = SyncFabric(g), [1, 5, 3]
         for _ in range(diameter(g)):
-            tops = [max(t, h) for t, h in zip(tops, _counter_round(fabric, tops))]
+            tops = _max_round(fabric, tops)
         assert tops == [5, 5, 5]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_max_round_keeps_the_max_over_the_closed_in_neighbourhood(self, seed):
+        rng = np.random.default_rng(seed)
+        g = random_strongly_connected(rng, int(rng.integers(2, 13)))
+        n, adj = g.node_count, g.adjacency   # adj[i, j]: edge i -> j
+        fabric = SyncFabric(g)
+        ints = rng.integers(-2, 3, n).tolist()   # ties are common
+        pairs = list(zip(rng.integers(-2, 3, n).astype(float).tolist(), range(n)))
+        for values in (ints, pairs, ints, pairs):
+            sent = fabric.sent_count
+            kept = _max_round(fabric, values)
+            assert kept == [
+                max(values[i] for i in range(n) if i == j or adj[i, j]) for j in range(n)
+            ]
+            assert fabric.sent_count - sent == int(adj.sum())
 
     def test_quiet_rounds_accumulate_to_done(self):
         # node 2 holds phi = 5 for c0 = 3 rounds (6-8) and stops before 2 * 5 - 1
@@ -444,6 +460,25 @@ class TestTerminationMechanics:
     def test_round_cap_ends_the_ladder(self):
         g, c0 = self.LATE_MAX
         assert _ladder(SyncFabric(g), c0, 0, 8) is None
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the held-count stop rule lets a node with a small c0 stop before a "
+        "larger counter reaches it, certifying a phi below the network maximum",
+    )
+    @pytest.mark.parametrize("case", ["two_cycle", "criterion_6_draw_94"])
+    def test_every_node_certifies_the_largest_counter(self, case):
+        if case == "two_cycle":
+            c0 = [2, 6]
+            _, phi_done = _ladder(SyncFabric(Digraph(2, ((0, 1), (1, 0)))), c0, 0, 30)
+        else:
+            rng = np.random.default_rng(2024)
+            for trial in range(95):
+                g = random_strongly_connected(rng, int(rng.integers(2, 11)))
+                x0 = rng.normal(size=(g.node_count, 3 if trial % 3 == 0 else 1))
+            res = finite_time_average(g, x0)
+            c0, phi_done = res.detection_rounds, res.phi_done
+        assert phi_done == [max(c0)] * len(c0)
 
     def test_a_width_counts_from_the_round_it_completes(self):
         g = digraph_from_weight_matrix(FOURNODE_P)
@@ -712,6 +747,19 @@ class TestPrecision:
         kernels = stored_kernels(g, FOURNODE_P)
         with pytest.raises(InvalidInputError, match="finite"):
             agree(g, vals, 11, kernels, weights=FOURNODE_P)
+
+    @pytest.mark.parametrize("precision", ["extended", "quad"])
+    def test_values_past_the_float_range_rejected(self, precision):
+        # the rank monitor reads the iterates in float, where 1e400 is inf
+        g = three_cycle()
+        if precision == "extended":
+            vals = np.array(["1e400", "-1e400", "3"], dtype=np.longdouble)
+        else:
+            vals = np.array([Decimal("1e400"), Decimal("-1e400"), Decimal(3)], dtype=object)
+        with pytest.raises(InvalidInputError, match="finite"):
+            finite_time_average(g, vals)
+        with pytest.raises(InvalidInputError, match="finite"):
+            agree(g, vals, 5, stored_kernels(g))
 
     @pytest.mark.parametrize("precision", ["double", "extended", "quad"])
     def test_averages_keep_the_input_arithmetic(self, precision):

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ftcc.consensus import elect_leader
 from ftcc.exceptions import (
     InsufficientTargetsError,
     InvalidInputError,
@@ -12,7 +13,6 @@ from ftcc.exceptions import (
 from ftcc.gains import (
     PlacementTargets,
     conjugate_closed,
-    elect_leader,
     place_for_agent,
     place_pair,
     place_single,
