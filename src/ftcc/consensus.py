@@ -6,19 +6,25 @@ single (rounds+1, N, n+1) history.  P is supported on the edges
 (validate_weights), so a product moves values only along them; node j reads
 only hist[:, j], in the arithmetic of the initial values (float64, longdouble
 or Decimal at the caller's context precision).  The iterates ignore the
-counters, so the bootstrap builds its history to the round cap once and then
-runs three steps:
+counters, so the bootstrap runs three steps, and grows the history only as
+far as they read it:
 
 1. Detect: ``_first_defective`` finds each node's first rank-deficient
    square Hankel of iterate differences, in each of two windows (below), as
    one batched rank test per width over the nodes still searching, grouped
-   by live-column mask; each node's test still reads only hist[:, j].
+   by live-column mask; each node's test still reads only hist[:, j].  Width
+   w reads the rounds up to 2w - 1 + shift, so the history doubles from 4
+   rounds, up to the round cap, until every node has detected, and each
+   search resumes at the first width not yet tested.
 2. Terminate: a max-consensus ladder over step counters, sent on the fabric,
    tells every node when to stop and yields m_bar and a diameter bound D'.
    Its round, ``_max_round``, is also the leader election's (``elect_leader``,
    D' rounds over (value, id) pairs).
 3. Check: ``_checked_average`` forms each node's kernel quotient on its
    latest window and raises unless it matches the one a window earlier.
+   It reads the history cut or continued to the ladder's last round.  When
+   detection or the ladder fails, the error carries the history continued
+   to the round cap.
 
 With P and the kernels fixed, a node's quotient is a fixed linear functional
 of the inputs, so an Agreement, prepared once per run from one history of the
@@ -110,7 +116,9 @@ def in_arithmetic(a, dtype) -> np.ndarray:
     return arr.astype(dtype)
 
 
-def _first_defective(hist: np.ndarray, shift: int, rel_tol: float, square: bool = True) -> list:
+def _first_defective(
+    hist: np.ndarray, shift: int, rel_tol: float, square: bool = True, found=None, start: int = 1
+) -> list:
     """Each node's first rank-deficient Hankel stack of its iterate differences, all nodes at once.
 
     Node j's differences hist[k+1, j] - hist[k, j] from k = ``shift`` on, taken
@@ -129,12 +137,20 @@ def _first_defective(hist: np.ndarray, shift: int, rel_tol: float, square: bool 
     most rel_tol times its largest.  Entry j is (w, stack) for node j's
     first width whose stack has rank below w, stack None when every column
     has converged; None when no width up to (len(hist) - shift) // 2 is.
+
+    A square search resumes on a longer history: given the ``found`` of a
+    call on a prefix and ``start``, the first width that prefix left
+    untested, it searches only the nodes still at None, from width
+    ``start`` on, and returns what one call on the whole history would.
     """
     eps = _dtype_eps(hist.dtype)
     diffs = np.diff(hist, axis=0)[shift:].astype(float, copy=False)
     sizes = np.abs(hist).astype(float, copy=False)
-    found, searching = [None] * hist.shape[1], np.arange(hist.shape[1])
-    for w in range(1, (len(hist) - shift) // 2 + 1):
+    found = [None] * hist.shape[1] if found is None else list(found)
+    searching = np.flatnonzero([f is None for f in found])
+    for w in range(start, (len(hist) - shift) // 2 + 1):
+        if not len(searching):
+            break
         end = 2 * w - 1 if square else len(diffs)   # the differences width w reads
         scale = np.max(np.abs(diffs[:end, searching]), axis=0)
         top = np.max(sizes[: end + shift + 1, searching], axis=0)
@@ -158,8 +174,6 @@ def _first_defective(hist: np.ndarray, shift: int, rel_tol: float, square: bool 
             for i, stack in hits:
                 found[searching[i]] = (w, stack)
         searching = np.array([j for j in searching if found[j] is None], dtype=np.intp)
-        if not len(searching):
-            break
     return found
 
 
@@ -212,6 +226,33 @@ def _ratio_history(pw: np.ndarray, rows: np.ndarray, rounds: int) -> np.ndarray:
     for k in range(rounds):
         hist[k + 1] = pw @ hist[k]
     return hist
+
+
+def _grown(pw: np.ndarray, hist: np.ndarray, rounds: int) -> np.ndarray:
+    """``hist`` continued by the same products to at least ``rounds`` rounds."""
+    if len(hist) > rounds:
+        return hist
+    return np.concatenate([hist, _ratio_history(pw, hist[-1], rounds + 1 - len(hist))[1:]])
+
+
+def _detected(pw: np.ndarray, rows: np.ndarray, cap: int, rel_tol: float):
+    """The history and each node's first defective width in both windows (shift 1, then 0).
+
+    The history starts at 4 rounds and doubles, up to ``cap`` rounds, until
+    every node has both widths; each search resumes where the last one
+    stopped, so no width is tested twice.
+    """
+    hist = _ratio_history(pw, rows, min(4, cap))
+    found, starts = [None, None], [1, 1]   # indexed by shift
+    while True:
+        for shift in (1, 0):
+            found[shift] = _first_defective(
+                hist, shift, rel_tol, found=found[shift], start=starts[shift]
+            )
+            starts[shift] = (len(hist) - shift) // 2 + 1
+        if len(hist) > cap or None not in found[1] + found[0]:
+            return hist, found[1], found[0]
+        hist = _grown(pw, hist, min(2 * (len(hist) - 1), cap))
 
 
 def _degenerate(message: str, numerators: np.ndarray) -> DegenerateInitializationError:
@@ -381,11 +422,8 @@ def finite_time_average(
     if rel_tol <= 0:
         raise InvalidInputError("rel_tol must be positive")
     pw = in_arithmetic(p, rows.dtype)
-    hist = _ratio_history(pw, rows, max(round_cap, 0))
-    degrees, distance_degrees = (
-        [None if f is None else f[0] - 1 for f in _first_defective(hist, shift, rel_tol)]
-        for shift in (1, 0)
-    )
+    hist, *found = _detected(pw, rows, max(round_cap, 0), rel_tol)
+    degrees, distance_degrees = ([None if f is None else f[0] - 1 for f in fs] for fs in found)
     fabric, ladder = SyncFabric(g), None
     if None not in degrees + distance_degrees:
         c0 = [2 * (m + 1) for m in degrees]
@@ -394,10 +432,10 @@ def finite_time_average(
         raise _degenerate(
             f"no Hankel defectiveness within {round_cap} rounds; "
             "perturb the initial values and retry",
-            hist[..., :-1],
+            _grown(pw, hist, round_cap)[..., :-1],
         )
     rounds = fabric.round_index
-    hist = hist[: rounds + 1]
+    hist = _grown(pw, hist, rounds)[: rounds + 1]
     kernels = [
         None if f is None else np.ones(1) if f[1] is None else common_kernel_vector(f[1], rel_tol)
         for f in _first_defective(hist, 1, rel_tol, square=False)

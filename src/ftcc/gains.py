@@ -198,6 +198,7 @@ def _place_through_column(
     """Place everything this column can; returns its (1, n) gain row."""
     n = a_base.shape[0]
     k_accum = np.zeros((1, n))
+    b, floor = column.astype(complex), CONTROLLABILITY_TOL * np.linalg.norm(column)
     for _ in range(2 * n):
         current = a_base + column[:, None] @ k_accum
         placed = targets.consumed_values()
@@ -207,8 +208,7 @@ def _place_through_column(
                 continue
             if p.value.imag < -1e-12:
                 continue  # conjugate pairs are handled from the +Im member
-            wb = p.left_vector @ column.astype(complex)
-            if abs(wb) <= CONTROLLABILITY_TOL * np.linalg.norm(column):
+            if abs(p.left_vector @ b) <= floor:
                 continue
             candidate = p
             break
@@ -413,7 +413,7 @@ def run_token_protocol(
     gains = [np.zeros((b.shape[1], sys.n)) for b in inputs]
     visit_order: list[int] = []
     holder, hops = leader, 0
-    while not (is_schur_stable(base + f, 0.0) and targets.all_consumed):
+    while not (targets.all_consumed and is_schur_stable(base + f, 0.0)):
         if len(visit_order) == n_agents:
             placed = targets.consumed_values()
             left = [v for v in np.linalg.eigvals(base + f)

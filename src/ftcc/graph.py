@@ -32,20 +32,37 @@ class Digraph:
     _out: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.node_count < 1:
+        n = self.node_count
+        if n < 1:
             raise InvalidInputError("digraph needs at least one node")
-        edges = tuple(sorted((a, b) for a, b in self.edges))
-        outs = [[] for _ in range(self.node_count)]
-        for k, (a, b) in enumerate(edges):
-            if not (0 <= a < self.node_count and 0 <= b < self.node_count):
+        edges = tuple(self.edges)   # any iterable of pairs, read twice
+        if set(map(len, edges)) - {2}:
+            raise InvalidInputError("edges must be (tail, head) pairs")
+        ends = np.array(list(itertools.chain.from_iterable(edges))).reshape(-1, 2)
+        ends = ends[np.lexsort(ends.T[::-1])]
+        tails, heads = ends.T
+        # an edge's faults in the order they are reported; the first faulty edge raises
+        out_of_range = (tails < 0) | (tails >= n) | (heads < 0) | (heads >= n)
+        loop = tails == heads
+        repeat = np.zeros(len(tails), dtype=bool)
+        repeat[1:] = (tails[1:] == tails[:-1]) & (heads[1:] == heads[:-1])
+        faulty = out_of_range | loop | repeat
+        if faulty.any():
+            k = int(np.argmax(faulty))
+            a, b = ends[k].tolist()
+            if out_of_range[k]:
                 raise InvalidInputError(f"edge ({a}, {b}) out of range")
-            if a == b:
+            if loop[k]:
                 raise InvalidInputError(f"self-loop ({a}, {b}) not allowed")
-            if k and edges[k - 1] == (a, b):
-                raise InvalidInputError(f"duplicate edge ({a}, {b})")
-            outs[a].append(b)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_out", tuple(map(tuple, outs)))
+            raise InvalidInputError(f"duplicate edge ({a}, {b})")
+        if ends.size and ends.dtype.kind not in "biu":
+            raise InvalidInputError(f"edges must be pairs of integer node ids, got {ends.dtype}")
+        tails, heads = tails.astype(np.intp), heads.astype(np.intp).tolist()
+        starts = np.searchsorted(tails, range(n + 1)).tolist()   # the out-lists' row splits
+        object.__setattr__(self, "edges", tuple(zip(tails.tolist(), heads)))
+        object.__setattr__(
+            self, "_out", tuple(tuple(heads[s:e]) for s, e in zip(starts, starts[1:]))
+        )
 
     def out_neighbors(self, j: int) -> tuple[int, ...]:
         """Out-neighbours of node j in ascending order."""
@@ -90,25 +107,30 @@ def out_weight_matrix(g: Digraph) -> np.ndarray:
 
 
 def is_strongly_connected(g: Digraph) -> bool:
-    """True iff node 0 reaches every node both along and against the edges."""
-    ins = [np.flatnonzero(column).tolist() for column in g.adjacency.T]
-    return all(min(_hops(nbrs, 0)) >= 0 for nbrs in (g._out, ins))
+    """True iff node 0 reaches every node and every node reaches node 0.
+
+    ``reach`` marks the pairs joined by a path of at most 2^k hops, and one
+    product squares it, so about log2(diameter) products decide.
+    """
+    reach = g.adjacency | np.eye(g.node_count, dtype=bool)
+    while not (reach[0].all() and reach[:, 0].all()):
+        hops = reach.astype(np.float32)   # counts up to N: exact
+        longer = hops @ hops > 0
+        if np.array_equal(longer, reach):
+            return False
+        reach = longer
+    return True
 
 
 def bfs_distances(g: Digraph, source: int) -> list[int]:
     """Directed hop distances from source; unreachable nodes get -1."""
-    return _hops(g._out, source)
-
-
-def _hops(neighbors, source: int) -> list[int]:
-    """Breadth-first hop counts from source along ``neighbors[u]`` (-1: unreached)."""
-    dist = [-1] * len(neighbors)
+    dist = [-1] * g.node_count
     dist[source] = 0
     frontier = [source]
     while frontier:
         nxt = []
         for u in frontier:
-            for v in neighbors[u]:
+            for v in g.out_neighbors(u):
                 if dist[v] < 0:
                     dist[v] = dist[u] + 1
                     nxt.append(v)

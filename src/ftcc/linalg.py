@@ -8,6 +8,7 @@ so concurrent callers are safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,10 +38,25 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenPair:
-    """An eigenvalue with a unit-norm left eigenvector (w^T A = value * w^T)."""
+    """An eigenvalue with its left eigenvector (w^T A = value * w^T).
+
+    ``column`` is the eigenvector column as LAPACK returned it (real for a
+    real eigenvalue of a real matrix).  ``left_vector`` is that column scaled
+    to unit norm, its phase fixed so that its first entry above 1e-12 in
+    modulus is real positive; it is computed on first read, so a caller that
+    reads only ``value`` pays for no vector.
+    """
 
     value: complex
-    left_vector: np.ndarray
+    column: np.ndarray
+
+    @cached_property
+    def left_vector(self) -> np.ndarray:
+        v = self.column / np.linalg.norm(self.column)
+        nz = np.flatnonzero(np.abs(v) > 1e-12)
+        if len(nz):
+            v = v * (np.conj(v[nz[0]]) / abs(v[nz[0]]))
+        return v
 
 
 def numerical_rank(m, rel_tol: float | None = None) -> int:
@@ -69,7 +85,8 @@ def common_kernel_vector(stack, rel_tol: float | None = None) -> np.ndarray:
     cols = a.shape[1]
     if rel_tol is None:
         rel_tol = default_rel_tol(*a.shape)
-    _, sv, vt = np.linalg.svd(a)
+    # a thin V holds the null vector only when rows >= cols
+    _, sv, vt = np.linalg.svd(a, full_matrices=a.shape[0] < cols)
     if sv[0] == 0:
         beta = np.zeros(cols)
         beta[-1] = 1.0
@@ -94,7 +111,7 @@ def _eigen_sort_key(value: complex):
 
 
 def eigen_left(a) -> list[EigenPair]:
-    """All eigenvalues of A with unit-norm left eigenvectors.
+    """All eigenvalues of A with their left eigenvectors, normalized on first read.
 
     Ordering is deterministic: modulus descending, then real part, then
     imaginary part descending, so the positive-imaginary member of a
@@ -113,11 +130,6 @@ def eigen_left(a) -> list[EigenPair]:
         v = vectors[:, k]
         if real_input and values[k].imag == 0:
             v = v.real
-        v = v / np.linalg.norm(v)
-        # canonical phase: first significant entry real positive
-        nz = np.flatnonzero(np.abs(v) > 1e-12)
-        if len(nz):
-            v = v * (np.conj(v[nz[0]]) / abs(v[nz[0]]))
         pairs.append(EigenPair(complex(values[k]), v))
     pairs.sort(key=lambda p: _eigen_sort_key(p.value))
     return pairs

@@ -598,6 +598,66 @@ class TestFiniteTimeAverage:
         assert np.array_equal(err.value.history, hist[..., :-1].swapaxes(0, 1))
 
 
+class TestGrownHistory:
+    """The bootstrap grows its history only as far as detection and the ladder read it."""
+
+    def test_detection_equals_one_search_on_the_capped_history(self):
+        rng, checked = np.random.default_rng(31), 0
+        for _ in range(24):
+            g = random_strongly_connected(rng, int(rng.integers(3, 25)))
+            n = g.node_count
+            x0 = np.arange(n, dtype=float) if rng.integers(2) else rng.normal(size=n)
+            try:
+                res = finite_time_average(g, x0)
+            except DegenerateInitializationError:
+                continue   # a missed mode: the window check raises
+            hist = _ratio_history(out_weight_matrix(g), _rows(g, x0), 4 * n + 2)
+            for shift, degrees in ((1, res.degrees), (0, res.distance_degrees)):
+                found = _first_defective(hist, shift, DEFAULT_REL_TOL)
+                assert degrees == [f[0] - 1 for f in found]
+            checked += 1
+        assert checked >= 20
+
+    def test_a_resumed_search_equals_one_search(self):
+        g = random_strongly_connected(np.random.default_rng(7), 16)
+        hist = _ratio_history(out_weight_matrix(g), _rows(g, np.arange(16.0)), 66)
+        for shift in (1, 0):
+            whole = _first_defective(hist, shift, DEFAULT_REL_TOL)
+            found, start = None, 1
+            for rounds in (4, 8, 16, 32, 64, 66):
+                found = _first_defective(
+                    hist[: rounds + 1], shift, DEFAULT_REL_TOL, found=found, start=start
+                )
+                start = (rounds + 1 - shift) // 2 + 1
+            assert [f[0] for f in found] == [f[0] for f in whole]
+            assert all(np.array_equal(f[1], w[1]) for f, w in zip(found, whole))
+
+    @pytest.mark.parametrize("cap", [3, 7, 8, 10])
+    def test_a_degenerate_error_carries_the_history_to_the_cap(self, cap):
+        # cap 3 stops detection; from cap 7 on detection ends and the ladder passes the cap
+        g = digraph_from_weight_matrix(FOURNODE_P)
+        x0 = [0.0, 1.0, 2.0, 3.0]
+        with pytest.raises(DegenerateInitializationError, match=f"within {cap} rounds") as err:
+            finite_time_average(g, x0, weights=FOURNODE_P, round_cap=cap)
+        hist = _ratio_history(FOURNODE_P, _rows(g, x0), cap)[..., :-1].swapaxes(0, 1)
+        assert err.value.history.shape == (4, cap + 1, 1)
+        assert err.value.history.tobytes() == hist.tobytes()
+
+    def test_complete48_builds_a_few_rounds(self, monkeypatch):
+        import ftcc.consensus as consensus
+
+        built = []
+
+        def counted(pw, rows, rounds):
+            built.append(rounds)
+            return _ratio_history(pw, rows, rounds)
+
+        monkeypatch.setattr(consensus, "_ratio_history", counted)
+        res = finite_time_average(complete_digraph(48), np.arange(48.0))
+        assert res.rounds_used == 3
+        assert sum(built) <= 8   # the cap is 4 * 48 + 2 = 194 rounds
+
+
 class TestFixedRounds:
     def test_all_equal_estimates(self):
         g = digraph_from_weight_matrix(FOURNODE_P)

@@ -48,6 +48,26 @@ class TestDigraph:
         with pytest.raises(InvalidInputError):
             Digraph(2, ((0, 1), (0, 1)))
 
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            (((0, 1), (0, 1), (5, 5)), "duplicate edge (0, 1)"),
+            (((2, -1), (0, 0)), "self-loop (0, 0) not allowed"),
+            (((1, 0), (0, 3), (0, 3), (0, 1)), "edge (0, 3) out of range"),
+            (((1, 2), (0, 10**20)), "edge (0, 100000000000000000000) out of range"),
+        ],
+    )
+    def test_names_the_first_faulty_edge_in_sorted_order(self, edges, message):
+        with pytest.raises(InvalidInputError) as err:
+            Digraph(3, edges)
+        assert str(err.value) == message
+
+    def test_edges_are_python_ints(self):
+        g = Digraph(3, tuple(map(tuple, np.array([[2, 0], [0, 1], [1, 2]]))))
+        assert g.edges == ((0, 1), (1, 2), (2, 0))
+        assert all(type(v) is int for edge in g.edges for v in edge)
+        assert all(type(v) is int for j in range(3) for v in g.out_neighbors(j))
+
     def test_neighborhoods(self):
         g = Digraph(3, ((0, 1), (2, 1), (1, 0)))
         assert [g.out_neighbors(j) for j in range(3)] == [(1,), (0,), (1,)]

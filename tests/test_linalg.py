@@ -230,6 +230,45 @@ class TestEigenLeft:
         with pytest.raises(InvalidInputError):
             eigen_left(np.zeros((2, 3)))
 
+    @staticmethod
+    def eager_pairs(a):
+        """(value, left vector) with every vector normalized and phase-fixed up front."""
+        values, vectors = np.linalg.eig(a.T)
+        pairs = []
+        for k in range(len(values)):
+            v = vectors[:, k]
+            if np.isrealobj(a) and values[k].imag == 0:
+                v = v.real
+            v = v / np.linalg.norm(v)
+            nz = np.flatnonzero(np.abs(v) > 1e-12)
+            if len(nz):
+                v = v * (np.conj(v[nz[0]]) / abs(v[nz[0]]))
+            pairs.append((complex(values[k]), v))
+        pairs.sort(key=lambda p: (-abs(p[0]), -p[0].real, -p[0].imag))
+        return pairs
+
+    def test_vectors_on_first_read_equal_the_eager_ones(self):
+        rng = np.random.default_rng(17)
+        q = rng.normal(size=(5, 5))
+        # random real matrices carry conjugate pairs
+        cases = [rng.normal(size=(n, n)) for n in (1, 2, 5, 8) for _ in range(5)]
+        cases += [
+            q @ np.diag([2.0, 2.0, 0.5, 0.5, -1.0]) @ np.linalg.inv(q),   # repeated eigenvalues
+            np.eye(4),
+            np.diag([0.3, -2.0, 0.3, 1.0]),   # one-hot vectors: the phase rule
+            np.diag([1.0 + 1.0j, -0.5j, 2.0]),
+            rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)),   # complex input
+        ]
+        for a in cases:
+            pairs = eigen_left(a)
+            assert not any("left_vector" in vars(p) for p in pairs)   # none normalized yet
+            expected = self.eager_pairs(a)
+            assert [p.value for p in pairs] == [value for value, _ in expected]
+            assert list(eigenvalues(a)) == [value for value, _ in expected]
+            for p, (_, v) in zip(pairs, expected):
+                assert p.left_vector.dtype == v.dtype
+                assert p.left_vector.tobytes() == v.tobytes()
+
 
 class TestSchur:
     def test_zero_matrix(self):
