@@ -10,12 +10,12 @@ counters, so the bootstrap runs three steps, and grows the history only as
 far as they read it:
 
 1. Detect: ``_first_defective`` finds each node's first rank-deficient
-   square Hankel of iterate differences, in each of two windows (below), as
-   one batched rank test per width over the nodes still searching, grouped
-   by live-column mask; each node's test still reads only hist[:, j].  Width
-   w reads the rounds up to 2w - 1 + shift, so the history doubles from 4
-   rounds, up to the round cap, until every node has detected, and each
-   search resumes at the first width not yet tested.
+   square Hankel of iterate differences, in each of two windows (below),
+   width by width, as one batched rank test (``_deficient``) over the nodes
+   still searching, grouped by live-column mask; each node's test still
+   reads only hist[:, j].  Width w reads the rounds up to 2w - 1 + shift,
+   and the history grows as the search reads it, doubling up to the round
+   cap.
 2. Terminate: a max-consensus ladder over step counters, sent on the fabric,
    tells every node when to stop and yields m_bar and a diameter bound D'.
    Its round, ``_max_round``, is also the leader election's (``elect_leader``,
@@ -116,64 +116,66 @@ def in_arithmetic(a, dtype) -> np.ndarray:
     return arr.astype(dtype)
 
 
-def _first_defective(
-    hist: np.ndarray, shift: int, rel_tol: float, square: bool = True, found=None, start: int = 1
-) -> list:
-    """Each node's first rank-deficient Hankel stack of its iterate differences, all nodes at once.
+def _deficient(hist: np.ndarray, shift: int, w: int, nodes: np.ndarray, rel_tol: float) -> list:
+    """The (node, stack) pairs of ``nodes`` whose width-``w`` Hankel stack is rank deficient.
 
     Node j's differences hist[k+1, j] - hist[k, j] from k = ``shift`` on, taken
     in the history's arithmetic and cast to float, give one scalar sequence
-    per column of [alpha | pi].  Width w reads the iterates up to round
-    2w - 1 + shift when ``square`` (its square Hankel completes then), else the
-    whole history; every window of the differences read gives a row.  A
-    column is live while its largest difference exceeds 64 eps times its
-    largest iterate magnitude, both over the rounds read: below that it is
-    constant up to arithmetic noise, which would otherwise show as a
-    full-rank Hankel, and imposes no constraint.  Each live column is scaled
-    by its largest difference, so the rank test compares like with like, and
-    the blocks of a node's live columns are stacked.  The nodes still
-    searching are grouped by their live-column mask, one batched SVD per
-    group; a stack has rank below w when its smallest singular value is at
-    most rel_tol times its largest.  Entry j is (w, stack) for node j's
-    first width whose stack has rank below w, stack None when every column
-    has converged; None when no width up to (len(hist) - shift) // 2 is.
-
-    A square search resumes on a longer history: given the ``found`` of a
-    call on a prefix and ``start``, the first width that prefix left
-    untested, it searches only the nodes still at None, from width
-    ``start`` on, and returns what one call on the whole history would.
+    per column of [alpha | pi]; every width-``w`` window of them gives a row.
+    A column is live while its largest difference exceeds 64 eps times its
+    largest iterate magnitude: below that it is constant up to arithmetic
+    noise, which would otherwise show as a full-rank Hankel, and imposes no
+    constraint.  Each live column is scaled by its largest difference, so the
+    rank test compares like with like, and the blocks of a node's live
+    columns are stacked.  The nodes are grouped by their live-column mask,
+    one batched SVD per group; a stack has rank below w when its smallest
+    singular value is at most rel_tol times its largest.  The stack is None
+    when every column has converged.
     """
-    eps = _dtype_eps(hist.dtype)
-    diffs = np.diff(hist, axis=0)[shift:].astype(float, copy=False)
-    sizes = np.abs(hist).astype(float, copy=False)
-    found = [None] * hist.shape[1] if found is None else list(found)
-    searching = np.flatnonzero([f is None for f in found])
-    for w in range(start, (len(hist) - shift) // 2 + 1):
-        if not len(searching):
+    eps, hist = _dtype_eps(hist.dtype), hist[:, nodes]
+    diffs = np.diff(hist[shift:], axis=0).astype(float, copy=False)
+    scale = np.max(np.abs(diffs), axis=0)
+    top = np.max(np.abs(hist).astype(float, copy=False), axis=0)
+    live = ~(scale <= 64.0 * eps * np.maximum(top, 1e-300))
+    if np.isinf(scale[live]).any():   # differences past the float range: inf / inf
+        raise InvalidInputError("matrix contains non-finite entries")
+    z = diffs / np.where(live, scale, 1.0)
+    windows = sliding_window_view(z, w, axis=0).transpose(1, 2, 0, 3)   # (k, c, rows, w)
+    groups, hits = {}, []
+    for i, mask in enumerate(map(tuple, live.tolist())):
+        groups.setdefault(mask, []).append(i)
+    for mask, at in groups.items():
+        at, cols = np.array(at), np.flatnonzero(mask)
+        if not len(cols):   # every column converged
+            hits += zip(nodes[at], repeat(None))
+            continue
+        stacks = windows[at[:, None], cols].reshape(len(at), -1, w)
+        sv = np.linalg.svd(stacks, compute_uv=False)
+        deficient = ~np.all(sv > rel_tol * sv[:, :1], axis=1)
+        hits += zip(nodes[at[deficient]], stacks[deficient])
+    return hits
+
+
+def _first_defective(history, shift: int, rel_tol: float) -> list:
+    """Each node's first rank-deficient Hankel stack of its iterate differences, all nodes at once.
+
+    ``history(r)`` gives the iterates to round r, or all it has when it ends
+    sooner; width w is tested on ``history(2w - 1 + shift)``, on the nodes
+    still searching, and the search ends once none is or the history ends
+    before that round.  A square Hankel is a history cut at that round, a
+    tall one the whole history.  Entry j is (w, stack) for node j's first
+    width whose stack has rank below w (``_deficient``), else None.
+    """
+    found = [None] * history(0).shape[1]
+    searching, w = np.arange(len(found)), 1
+    while len(searching):
+        hist = history(2 * w - 1 + shift)
+        if len(hist) < 2 * w + shift:
             break
-        end = 2 * w - 1 if square else len(diffs)   # the differences width w reads
-        scale = np.max(np.abs(diffs[:end, searching]), axis=0)
-        top = np.max(sizes[: end + shift + 1, searching], axis=0)
-        live = ~(scale <= 64.0 * eps * np.maximum(top, 1e-300))
-        if np.isinf(scale[live]).any():   # differences past the float range: inf / inf
-            raise InvalidInputError("matrix contains non-finite entries")
-        z = diffs[:end, searching] / np.where(live, scale, 1.0)
-        windows = sliding_window_view(z, w, axis=0).transpose(1, 2, 0, 3)   # (k, c, rows, w)
-        groups = {}
-        for i, mask in enumerate(map(tuple, live.tolist())):
-            groups.setdefault(mask, []).append(i)
-        for mask, at in groups.items():
-            at, cols = np.array(at), np.flatnonzero(mask)
-            if not len(cols):   # every column converged
-                hits = zip(at, repeat(None))
-            else:
-                stacks = windows[at[:, None], cols].reshape(len(at), -1, w)
-                sv = np.linalg.svd(stacks, compute_uv=False)
-                deficient = ~np.all(sv > rel_tol * sv[:, :1], axis=1)
-                hits = zip(at[deficient], stacks[deficient])
-            for i, stack in hits:
-                found[searching[i]] = (w, stack)
+        for j, stack in _deficient(hist, shift, w, searching, rel_tol):
+            found[j] = (w, stack)
         searching = np.array([j for j in searching if found[j] is None], dtype=np.intp)
+        w += 1
     return found
 
 
@@ -233,26 +235,6 @@ def _grown(pw: np.ndarray, hist: np.ndarray, rounds: int) -> np.ndarray:
     if len(hist) > rounds:
         return hist
     return np.concatenate([hist, _ratio_history(pw, hist[-1], rounds + 1 - len(hist))[1:]])
-
-
-def _detected(pw: np.ndarray, rows: np.ndarray, cap: int, rel_tol: float):
-    """The history and each node's first defective width in both windows (shift 1, then 0).
-
-    The history starts at 4 rounds and doubles, up to ``cap`` rounds, until
-    every node has both widths; each search resumes where the last one
-    stopped, so no width is tested twice.
-    """
-    hist = _ratio_history(pw, rows, min(4, cap))
-    found, starts = [None, None], [1, 1]   # indexed by shift
-    while True:
-        for shift in (1, 0):
-            found[shift] = _first_defective(
-                hist, shift, rel_tol, found=found[shift], start=starts[shift]
-            )
-            starts[shift] = (len(hist) - shift) // 2 + 1
-        if len(hist) > cap or None not in found[1] + found[0]:
-            return hist, found[1], found[0]
-        hist = _grown(pw, hist, min(2 * (len(hist) - 1), cap))
 
 
 def _degenerate(message: str, numerators: np.ndarray) -> DegenerateInitializationError:
@@ -422,8 +404,18 @@ def finite_time_average(
     if rel_tol <= 0:
         raise InvalidInputError("rel_tol must be positive")
     pw = in_arithmetic(p, rows.dtype)
-    hist, *found = _detected(pw, rows, max(round_cap, 0), rel_tol)
-    degrees, distance_degrees = ([None if f is None else f[0] - 1 for f in fs] for fs in found)
+    hist = rows[None]
+
+    def history(r):   # the iterates to round r, the history doubled as needed up to the cap
+        nonlocal hist
+        if r >= len(hist):
+            hist = _grown(pw, hist, min(max(r, 2 * (len(hist) - 1)), round_cap))
+        return hist[: r + 1]
+
+    degrees, distance_degrees = (
+        [None if f is None else f[0] - 1 for f in _first_defective(history, shift, rel_tol)]
+        for shift in (1, 0)
+    )
     fabric, ladder = SyncFabric(g), None
     if None not in degrees + distance_degrees:
         c0 = [2 * (m + 1) for m in degrees]
@@ -438,7 +430,7 @@ def finite_time_average(
     hist = _grown(pw, hist, rounds)[: rounds + 1]
     kernels = [
         None if f is None else np.ones(1) if f[1] is None else common_kernel_vector(f[1], rel_tol)
-        for f in _first_defective(hist, 1, rel_tol, square=False)
+        for f in _first_defective(lambda r: hist, 1, rel_tol)
     ]
     missing = [j for j, beta in enumerate(kernels) if beta is None]
     if missing:

@@ -25,7 +25,11 @@ from .linalg import as_matrix
 
 @dataclass(frozen=True)
 class Digraph:
-    """A directed graph on nodes 0..N-1 with no self-loops, equal by its edges."""
+    """A directed graph on nodes 0..N-1 with no self-loops, equal by its edges.
+
+    ``edges`` may be given as (tail, head) pairs or as an (E, 2) array; it is
+    stored as sorted pairs of Python ints.
+    """
 
     node_count: int
     edges: tuple[tuple[int, int], ...]
@@ -35,10 +39,13 @@ class Digraph:
         n = self.node_count
         if n < 1:
             raise InvalidInputError("digraph needs at least one node")
-        edges = tuple(self.edges)   # any iterable of pairs, read twice
-        if set(map(len, edges)) - {2}:
+        try:
+            ends = np.array(self.edges)
+        except ValueError:   # ragged pairs
+            ends = None
+        if ends is None or (ends.shape != (0,) and ends.shape[1:] != (2,)):
             raise InvalidInputError("edges must be (tail, head) pairs")
-        ends = np.array(list(itertools.chain.from_iterable(edges))).reshape(-1, 2)
+        ends = ends.reshape(-1, 2)
         ends = ends[np.lexsort(ends.T[::-1])]
         tails, heads = ends.T
         # an edge's faults in the order they are reported; the first faulty edge raises
@@ -83,12 +90,6 @@ class Digraph:
         return adj
 
 
-def support_edges(p: np.ndarray) -> tuple[tuple[int, int], ...]:
-    """Edges j -> l of the off-diagonal entries p[l, j] > 0, sorted as Digraph.edges."""
-    mask = (p.T > 0) & ~np.eye(len(p), dtype=bool)
-    return tuple(zip(*(idx.tolist() for idx in np.nonzero(mask))))
-
-
 def digraph_from_weight_matrix(p) -> Digraph:
     """Recover the digraph from the support of a weight matrix.
 
@@ -97,7 +98,7 @@ def digraph_from_weight_matrix(p) -> Digraph:
     m = as_matrix(p, "weight matrix")
     if m.shape[0] != m.shape[1]:
         raise InvalidInputError("weight matrix must be square")
-    return Digraph(m.shape[0], support_edges(m))
+    return Digraph(m.shape[0], np.argwhere((m.T > 0) & ~np.eye(len(m), dtype=bool)))
 
 
 def out_weight_matrix(g: Digraph) -> np.ndarray:

@@ -223,6 +223,8 @@ def run_closed_loop(
     tau = cfg.taus[0] if tau is None else tau
     if horizon < 0:
         raise InvalidInputError("horizon must be nonnegative")
+    if not 0 < tau < np.inf:   # a NaN fails too
+        raise InvalidInputError(f"tau must be positive and finite, got {tau}")
     if cfg.precision == "quad":
         with decimal.localcontext(decimal.Context(prec=QUAD_DIGITS)):
             return _run_loop(cfg, init, horizon, tau)

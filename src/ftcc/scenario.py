@@ -215,7 +215,11 @@ def load_scenario(path_or_name) -> ScenarioConfig:
             f"no such scenario file {path} (built-ins: {sorted(BUILTIN_SCENARIOS)})"
         )
     try:
-        doc = json.loads(path.read_text())
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:   # a directory, no permission, not UTF-8
+        raise ConfigError(f"could not read {path}: {exc}") from None
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"could not parse {path}: {exc}") from None
     return scenario_from_dict(doc)

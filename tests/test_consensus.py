@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ftcc.consensus import (
     DEFAULT_REL_TOL,
+    _deficient,
     _first_defective,
     _ladder,
     _max_round,
@@ -487,7 +488,8 @@ class TestTerminationMechanics:
 
         def degree(rounds, shift, j):
             # node j's entry of the batched search over the iterates up to ``rounds``
-            found = _first_defective(hist[: rounds + 1], shift, DEFAULT_REL_TOL)[j]
+            part = hist[: rounds + 1]
+            found = _first_defective(lambda r: part[: r + 1], shift, DEFAULT_REL_TOL)[j]
             return None if found is None else found[0] - 1
 
         for j in range(4):
@@ -613,24 +615,36 @@ class TestGrownHistory:
                 continue   # a missed mode: the window check raises
             hist = _ratio_history(out_weight_matrix(g), _rows(g, x0), 4 * n + 2)
             for shift, degrees in ((1, res.degrees), (0, res.distance_degrees)):
-                found = _first_defective(hist, shift, DEFAULT_REL_TOL)
+                found = _first_defective(lambda r: hist[: r + 1], shift, DEFAULT_REL_TOL)
                 assert degrees == [f[0] - 1 for f in found]
             checked += 1
         assert checked >= 20
 
-    def test_a_resumed_search_equals_one_search(self):
+    def test_each_width_is_tested_once_per_node(self, monkeypatch):
+        import ftcc.consensus as consensus
+
+        passes, tested = [], []
+
+        def first(history, shift, rel_tol):
+            passes.append(shift)
+            return _first_defective(history, shift, rel_tol)
+
+        def deficient(hist, shift, w, nodes, rel_tol):
+            tested.extend((len(passes), w, j) for j in nodes.tolist())
+            return _deficient(hist, shift, w, nodes, rel_tol)
+
+        monkeypatch.setattr(consensus, "_first_defective", first)
+        monkeypatch.setattr(consensus, "_deficient", deficient)
         g = random_strongly_connected(np.random.default_rng(7), 16)
-        hist = _ratio_history(out_weight_matrix(g), _rows(g, np.arange(16.0)), 66)
-        for shift in (1, 0):
-            whole = _first_defective(hist, shift, DEFAULT_REL_TOL)
-            found, start = None, 1
-            for rounds in (4, 8, 16, 32, 64, 66):
-                found = _first_defective(
-                    hist[: rounds + 1], shift, DEFAULT_REL_TOL, found=found, start=start
-                )
-                start = (rounds + 1 - shift) // 2 + 1
-            assert [f[0] for f in found] == [f[0] for f in whole]
-            assert all(np.array_equal(f[1], w[1]) for f, w in zip(found, whole))
+        res = finite_time_average(g, np.arange(16.0))
+        # two square searches (shift 1, then 0), then the kernel pass
+        assert passes == [1, 0, 1]
+        assert len(tested) == len(set(tested))
+        for search, degrees in ((1, res.degrees), (2, res.distance_degrees)):
+            for j, m in enumerate(degrees):
+                # node j is tested at every width up to its first defective one, and no further
+                widths = sorted(w for s, w, i in tested if (s, i) == (search, j))
+                assert widths == list(range(1, m + 2))
 
     @pytest.mark.parametrize("cap", [3, 7, 8, 10])
     def test_a_degenerate_error_carries_the_history_to_the_cap(self, cap):
@@ -725,7 +739,7 @@ class TestStoredKernels:
         def forbidden(*args, **kwargs):
             raise AssertionError("an agreement ran a rank test")
 
-        for name in ("_first_defective", "common_kernel_vector"):
+        for name in ("_first_defective", "_deficient", "common_kernel_vector"):
             monkeypatch.setattr(consensus, name, forbidden)
         monkeypatch.setattr(np.linalg, "svd", forbidden)   # every rank test is an SVD
         mu = agree(

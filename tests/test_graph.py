@@ -68,6 +68,20 @@ class TestDigraph:
         assert all(type(v) is int for edge in g.edges for v in edge)
         assert all(type(v) is int for j in range(3) for v in g.out_neighbors(j))
 
+    def test_an_edge_array_reads_as_its_pairs(self):
+        pairs = ((2, 0), (0, 1), (1, 2))
+        g = Digraph(3, np.array(pairs))
+        assert g == Digraph(3, pairs)
+        assert all(type(v) is int for edge in g.edges for v in edge)
+        assert Digraph(2, np.zeros((0, 2), dtype=int)) == Digraph(2, ())
+
+    @pytest.mark.parametrize(
+        "edges", [((0, 1), (1, 2, 0)), ((0,),), ((), ()), (0, 1), np.zeros((2, 3), dtype=int)]
+    )
+    def test_edges_that_are_not_pairs_are_named(self, edges):
+        with pytest.raises(InvalidInputError, match=r"^edges must be \(tail, head\) pairs$"):
+            Digraph(3, edges)
+
     def test_neighborhoods(self):
         g = Digraph(3, ((0, 1), (2, 1), (1, 0)))
         assert [g.out_neighbors(j) for j in range(3)] == [(1,), (0,), (1,)]

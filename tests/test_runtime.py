@@ -282,6 +282,11 @@ class TestClosedLoop:
         # the widest stored kernel has width 3: its square Hankel completes at 6
         assert trace.rounds_used == [6] * 4
 
+    @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf")])
+    def test_tau_must_be_positive_and_finite(self, tau, paper_scenario, paper_init):
+        with pytest.raises(InvalidInputError, match="tau must be positive and finite"):
+            run_closed_loop(paper_scenario, paper_init, horizon=3, tau=tau)
+
     def test_tau_only_rescales_time(self, paper_scenario, paper_init):
         t1 = run_closed_loop(paper_scenario, paper_init, horizon=5, tau=0.1)
         t2 = run_closed_loop(paper_scenario, paper_init, horizon=5, tau=10.0)

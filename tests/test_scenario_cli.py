@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -168,6 +169,12 @@ class TestLoading:
         with pytest.raises(ConfigError):
             load_scenario("no-such-scenario")
 
+    def test_a_file_not_in_utf8_is_a_config_error(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(minimal_doc()).replace("tiny", "t\u00efny").encode("latin-1"))
+        with pytest.raises(ConfigError, match=f"^could not read {re.escape(str(path))}: .*utf-8"):
+            load_scenario(path)
+
     def test_round_trip(self, tmp_path):
         cfg = paper_4node()
         path = tmp_path / "scenario.json"
@@ -286,6 +293,20 @@ class TestCli:
         assert code == 1
         assert err.startswith(f"error: {section}: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("tau", ["-1", "nan"])
+    def test_a_bad_tau_is_an_error_line(self, capsys, tau):
+        code = main(["simulate", "--tau", tau, "--horizon", "3"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: tau must be positive and finite")
+        assert "Traceback" not in err
+
+    def test_a_directory_scenario_is_an_error_line(self, tmp_path, capsys):
+        code = main(["init", "--scenario", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: could not read {tmp_path}: ")
 
     def test_custom_scenario_file(self, tmp_path, capsys):
         path = tmp_path / "tiny.json"
