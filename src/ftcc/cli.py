@@ -6,13 +6,12 @@ import argparse
 import csv
 import json
 import sys as _sys
-from pathlib import Path
 
 import numpy as np
 
 from .acceptance import run_all
 from .exceptions import FtccError
-from .runtime import initialize, run_closed_loop
+from .runtime import initialize, loop_settings, run_closed_loop
 from .scenario import load_scenario
 
 
@@ -64,24 +63,26 @@ def cmd_init(args) -> int:
         print("closed-loop spectrum (control) :", np.sort_complex(init.controller_spectrum))
         print("closed-loop spectrum (observer):", np.sort_complex(init.observer_spectrum))
     if args.out:
-        Path(args.out).write_text(json.dumps(_gains_document(cfg, init), indent=2) + "\n")
+        document = json.dumps(_gains_document(cfg, init), indent=2) + "\n"
+        _write(args.out, lambda fh: fh.write(document))
         print(f"gains written to {args.out}")
     return 0
 
 
-def _write_trace_csv(trace, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in trace.csv_rows():
-            writer.writerow(row)
+def _write(path, write) -> None:
+    """Open ``path`` for text and hand it to ``write``; an OSError is an FtccError."""
+    try:
+        with open(path, "w", newline="") as fh:
+            write(fh)
+    except OSError as exc:   # a missing directory, no permission, a full disk
+        raise FtccError(f"could not write {path}: {exc.strerror or exc}") from None
 
 
 def _simulate(args, require_out: bool) -> int:
     cfg = load_scenario(args.scenario)
-    horizon = args.horizon if args.horizon is not None else cfg.horizon
-    tau = args.tau if args.tau is not None else cfg.taus[0]
     if require_out and not args.out:
         raise FtccError("export requires --out")
+    horizon, tau = loop_settings(cfg, args.horizon, args.tau)
     init = initialize(cfg)
     trace = run_closed_loop(cfg, init, horizon=horizon, tau=tau)
     print(
@@ -94,7 +95,7 @@ def _simulate(args, require_out: bool) -> int:
         f"|ebar| = {trace.norm_ebar[-1]:.3e}, t = {trace.times[-1]:.1f}"
     )
     if args.out:
-        _write_trace_csv(trace, args.out)
+        _write(args.out, lambda fh: csv.writer(fh).writerows(trace.csv_rows()))
         print(f"trace written to {args.out}")
     return 0
 

@@ -48,12 +48,12 @@ class InsufficientTargetsError(FtccError):
 class ProtocolFailureError(FtccError):
     """A gain-token pass cannot finish.
 
-    Its walk has visited every node without meeting the stop condition, ran
-    past its hop cap, met a node with no out-neighbors or one from which no
-    out-neighbor leads to an unvisited node; a column's
-    placement loop does not converge; its read-only flood cannot reach every
-    node; or a consumed target is not on the closed-loop spectrum.  Leader
-    election that does not converge raises it too.
+    Its walk has visited every node without meeting the stop condition, or
+    met a node with no out-neighbors or one from which no out-neighbor leads
+    to an unvisited node; a column's placement loop does not converge; its
+    read-only flood cannot reach every node; or a consumed target is not on
+    the closed-loop spectrum.  Leader election that does not converge raises
+    it too.
     """
 
 

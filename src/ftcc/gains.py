@@ -12,24 +12,29 @@ A + F is Schur stable and every target has been consumed, the holder
 declares F read-only and the flood sends it, round by round, until every
 node holds the network-wide F.
 
-Two bookkeeping details:
+Three bookkeeping details:
 
 * The token carries a PlacementTargets ledger of the consumed targets, the
-  only placement state of a pass.  An agent skips eigenvalues sitting
-  within PLACEMENT_TOL of a consumed target; without that memory a
-  downstream agent would re-place its predecessors' work (the spectra
+  only placement state of a pass and the one owner of the target policy:
+  ``take(lam)`` consumes the targets an eigenvalue moves to, and
+  ``covers(value)`` tells whether a value sits within PLACEMENT_TOL of a
+  consumed target.  An agent skips covered eigenvalues; without that memory
+  a downstream agent would re-place its predecessors' work (the spectra
   overlap whenever agents share controllable modes).  When the pass ends,
   every consumed target must sit within the same tolerance of a distinct
   closed-loop eigenvalue, or the pass raises.
 * A conjugate eigenvalue pair is placed in real arithmetic with one 2x2
   solve on its real left-invariant subspace, onto a conjugate pair of
   targets or, when none is left, onto two real targets.
+* A holder whose out-neighbors are all visited sends the token one step
+  toward the nearest unvisited node (one breadth-first search backwards from
+  the unvisited set), so a walk takes at most (N - 1) D + 1 hops.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -39,7 +44,7 @@ from .exceptions import (
     ProtocolFailureError,
     UncontrollableDirectionError,
 )
-from .graph import Digraph, SyncFabric, bfs_distances, round_exchange
+from .graph import Digraph, SyncFabric, round_exchange
 from .linalg import as_matrix, eigen_left, is_schur_stable
 from .plant import LtiSystem
 
@@ -81,42 +86,44 @@ class PlacementTargets:
         return all(self.consumed)
 
     def consumed_values(self) -> list[complex]:
-        return [v for v, used in zip(self.values, self.consumed) if used]
+        return list(compress(self.values, self.consumed))
 
-    def remaining(self) -> int:
-        return self.consumed.count(False)
+    def take(self, lam: complex) -> tuple[complex, ...] | None:
+        """Consume the targets that eigenvalue ``lam`` (and its conjugate) move to.
 
-    def take_real(self) -> float | None:
-        """Consume the earliest unconsumed real target."""
-        for i, (v, used) in enumerate(zip(self.values, self.consumed)):
-            if not used and abs(v.imag) <= 1e-12:
-                self.consumed[i] = True
-                return v.real
-        return None
-
-    def take_pair(self) -> tuple[complex, complex] | None:
-        """Consume a pair of targets for one conjugate eigenvalue pair.
-
-        The earliest unconsumed complex target with its conjugate (positive
-        imaginary member first), else the two earliest unconsumed reals,
-        else None with nothing consumed.
+        A real lam takes the earliest free real target.  A complex lam takes
+        the earliest free complex target with its conjugate, returned as
+        (plus, plus.conjugate()) with plus the positive imaginary member,
+        else the two earliest free reals.  None, with nothing consumed, when
+        too few targets are left.
         """
         free = [i for i, used in enumerate(self.consumed) if not used]
-        for i in free:
-            v = self.values[i]
-            if abs(v.imag) <= 1e-12:
-                continue
-            for j in free:
-                if j != i and abs(self.values[j] - v.conjugate()) <= 1e-9:
-                    self.consumed[i] = self.consumed[j] = True
-                    plus = v if v.imag > 0 else self.values[j]
-                    return plus, plus.conjugate()
-        reals = [i for i in free if abs(self.values[i].imag) <= 1e-12][:2]
-        if len(reals) < 2:
+        reals = [i for i in free if abs(self.values[i].imag) <= 1e-12]
+        real = abs(lam.imag) <= 1e-12
+        pairs = (
+            (i, j)
+            for i in free
+            if i not in reals
+            for j in free
+            if j != i and abs(self.values[j] - self.values[i].conjugate()) <= 1e-9
+        )
+        picks = reals[:1] if real else next(pairs, reals[:2])
+        if len(picks) < (1 if real else 2):
             return None
-        for i in reals:
+        for i in picks:
             self.consumed[i] = True
-        return self.values[reals[0]], self.values[reals[1]]
+        taken = tuple(self.values[i] for i in picks)
+        if picks[0] in reals:
+            return taken
+        plus = taken[0] if taken[0].imag > 0 else taken[1]
+        return plus, plus.conjugate()
+
+    def covers(self, value: complex) -> bool:
+        """True iff ``value`` sits within PLACEMENT_TOL of a consumed target."""
+        return any(
+            abs(value - t) <= PLACEMENT_TOL * max(1.0, abs(t))
+            for t in compress(self.values, self.consumed)
+        )
 
 
 def _checked_wb(a_eff, bv: np.ndarray, wv: np.ndarray, lam: complex) -> complex:
@@ -185,10 +192,6 @@ def _fmt(values) -> str:
     return ", ".join(f"{v.real:.6g}" if v.imag == 0 else f"{v:.6g}" for v in values)
 
 
-def _matches_any(value: complex, pool) -> bool:
-    return any(abs(value - t) <= PLACEMENT_TOL * max(1.0, abs(t)) for t in pool)
-
-
 def _place_through_column(
     a_base: np.ndarray,
     column: np.ndarray,
@@ -201,48 +204,35 @@ def _place_through_column(
     b, floor = column.astype(complex), CONTROLLABILITY_TOL * np.linalg.norm(column)
     for _ in range(2 * n):
         current = a_base + column[:, None] @ k_accum
-        placed = targets.consumed_values()
-        candidate = None
-        for p in eigen_left(current):
-            if _matches_any(p.value, placed):
-                continue
-            if p.value.imag < -1e-12:
-                continue  # conjugate pairs are handled from the +Im member
-            if abs(p.left_vector @ b) <= floor:
-                continue
-            candidate = p
-            break
-        if candidate is None:
-            return k_accum
-        lam = candidate.value
-        if abs(lam.imag) <= 1e-12:
-            t = targets.take_real()
-            if t is None:
-                if abs(lam) >= 1.0 - stability_margin:
-                    raise InsufficientTargetsError(
-                        f"no real target left for unstable eigenvalue {lam.real:.6g}"
-                    )
-                return k_accum
-            k_accum = k_accum + place_single(
-                current, column, lam, t, candidate.left_vector
-            ).real
+        for candidate in eigen_left(current):
+            lam = candidate.value   # a conjugate pair is placed from its +Im member
+            if lam.imag >= -1e-12 and not targets.covers(lam) and (
+                abs(candidate.left_vector @ b) > floor
+            ):
+                break
         else:
-            pair = targets.take_pair()
-            if pair is None:
-                if abs(lam) >= 1.0 - stability_margin:
-                    raise InsufficientTargetsError(
-                        f"no targets left for unstable pair {lam:.6g}"
-                    )
-                return k_accum
-            k_accum = k_accum + place_pair(current, column, lam, pair, candidate.left_vector)
-        if targets.remaining() == 0:
+            return k_accum
+        real = abs(lam.imag) <= 1e-12
+        taken = targets.take(lam)
+        if taken is None:
+            if abs(lam) >= 1.0 - stability_margin:
+                raise InsufficientTargetsError(
+                    f"no real target left for unstable eigenvalue {lam.real:.6g}"
+                    if real
+                    else f"no targets left for unstable pair {lam:.6g}"
+                )
+            return k_accum
+        w = candidate.left_vector
+        row = place_single(current, column, lam, *taken, w) if real else place_pair(
+            current, column, lam, taken, w
+        )
+        k_accum = k_accum + row.real
+        if targets.all_consumed:
             # nothing left to consume; unstable leftovers surface below
-            placed = targets.consumed_values()
             leftovers = [
                 p.value
                 for p in eigen_left(a_base + column[:, None] @ k_accum)
-                if abs(p.value) >= 1.0 - stability_margin
-                and not _matches_any(p.value, placed)
+                if abs(p.value) >= 1.0 - stability_margin and not targets.covers(p.value)
             ]
             if leftovers:
                 raise InsufficientTargetsError(
@@ -345,17 +335,21 @@ def _route(g: Digraph, priorities: dict, visited: list[int], j: int) -> int:
     unvisited = [v for v in range(g.node_count) if v not in visited]
     if not unvisited:
         return outs[0]
-
-    def hops_to_unvisited(v: int) -> tuple[float, int]:
-        dist = bfs_distances(g, v)
-        return min((dist[u] for u in unvisited if dist[u] >= 0), default=np.inf), v
-
-    hops, nearest = min(map(hops_to_unvisited, outs))
-    if hops == np.inf:
-        raise ProtocolFailureError(
-            f"no out-neighbor of node {j} leads to an unvisited node {unvisited}"
-        )
-    return nearest
+    # one BFS backwards from the unvisited set: layer k holds the nodes whose
+    # nearest unvisited node is k hops ahead; the first layer holding an
+    # out-neighbor names the hop, the smallest id breaking a tie
+    near = np.zeros(g.node_count, dtype=bool)
+    near[unvisited] = True
+    layer = near.copy()
+    while layer.any():
+        layer = g.adjacency[:, layer].any(axis=1) & ~near
+        near |= layer
+        ahead = [v for v in g.out_neighbors(j) if layer[v]]
+        if ahead:
+            return ahead[0]
+    raise ProtocolFailureError(
+        f"no out-neighbor of node {j} leads to an unvisited node {unvisited}"
+    )
 
 
 def run_token_protocol(
@@ -407,7 +401,6 @@ def run_token_protocol(
         priorities = {}
     if not isinstance(targets, PlacementTargets):
         targets = PlacementTargets(tuple(targets))
-    hop_cap = max(64, 8 * n_agents * n_agents)
     fabric = SyncFabric(g)
     f = np.zeros((sys.n, sys.n))   # rebound, never written in place: the flood sends it as is
     gains = [np.zeros((b.shape[1], sys.n)) for b in inputs]
@@ -415,9 +408,8 @@ def run_token_protocol(
     holder, hops = leader, 0
     while not (targets.all_consumed and is_schur_stable(base + f, 0.0)):
         if len(visit_order) == n_agents:
-            placed = targets.consumed_values()
             left = [v for v in np.linalg.eigvals(base + f)
-                    if abs(v) >= 1.0 or not _matches_any(v, placed)]
+                    if abs(v) >= 1.0 or not targets.covers(v)]
             unused = [v for v, used in zip(targets.values, targets.consumed) if not used]
             raise ProtocolFailureError(
                 f"{mode} token visited every node in {hops} hops and cannot "
@@ -432,10 +424,6 @@ def run_token_protocol(
             continue   # a lone node re-checks its own token
         sender, holder = holder, _route(g, priorities, visit_order, holder)
         hops += 1
-        if hops > hop_cap:
-            raise ProtocolFailureError(
-                f"token exceeded hop cap {hop_cap} without going read-only"
-            )
         round_exchange(
             fabric, lambda j: [(holder, "token")] if j == sender else (), lambda j, inbox: None
         )

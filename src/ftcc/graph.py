@@ -123,33 +123,6 @@ def is_strongly_connected(g: Digraph) -> bool:
     return True
 
 
-def bfs_distances(g: Digraph, source: int) -> list[int]:
-    """Directed hop distances from source; unreachable nodes get -1."""
-    dist = [-1] * g.node_count
-    dist[source] = 0
-    frontier = [source]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in g.out_neighbors(u):
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    return dist
-
-
-def diameter(g: Digraph) -> int:
-    """Exact directed diameter (max over all pairs of shortest-path length)."""
-    best = 0
-    for s in range(g.node_count):
-        d = bfs_distances(g, s)
-        if any(v < 0 for v in d):
-            raise InvalidInputError("diameter undefined: graph not strongly connected")
-        best = max(best, max(d))
-    return best
-
-
 @dataclass
 class SyncFabric:
     """Round and message counters of the synchronous network on one digraph."""

@@ -86,24 +86,21 @@ def initialize(cfg: ScenarioConfig) -> InitializationResult:
 
     leader = elect_leader(g, max(d_prime, 1), cfg.election_values)
 
-    control = run_token_protocol(
-        g,
-        sys,
-        list(cfg.controller_targets),
-        mode="control",
-        priorities=cfg.priorities,
-        stability_margin=cfg.stability_margin,
-        leader=leader,
-    )
-    observer = run_token_protocol(
-        g,
-        sys,
-        list(cfg.observer_targets),
-        mode="observer",
-        priorities=cfg.priorities,
-        stability_margin=cfg.stability_margin,
-        leader=leader,
-    )
+    control, observer = [
+        run_token_protocol(
+            g,
+            sys,
+            list(targets),
+            mode=mode,
+            priorities=cfg.priorities,
+            stability_margin=cfg.stability_margin,
+            leader=leader,
+        )
+        for mode, targets in (
+            ("control", cfg.controller_targets),
+            ("observer", cfg.observer_targets),
+        )
+    ]
     n_agents = g.node_count
     obs_matrix = sys.a - sum(
         l @ c for l, c in zip(observer.gains, sys.c_list)
@@ -205,6 +202,17 @@ class ClosedLoopTrace:
             yield [k, t, nx, ne, *errs, rounds]
 
 
+def loop_settings(cfg: ScenarioConfig, horizon: int | None, tau: float | None):
+    """The run's (horizon, tau): each given value, else the scenario's, checked."""
+    horizon = cfg.horizon if horizon is None else horizon
+    tau = cfg.taus[0] if tau is None else tau
+    if horizon < 0:
+        raise InvalidInputError("horizon must be nonnegative")
+    if not 0 < tau < np.inf:   # a NaN fails too
+        raise InvalidInputError(f"tau must be positive and finite, got {tau}")
+    return horizon, tau
+
+
 def run_closed_loop(
     cfg: ScenarioConfig,
     init: InitializationResult | None = None,
@@ -217,14 +225,9 @@ def run_closed_loop(
     t = k * (m_bar * tau + 1), charging one unit per estimation-control
     update and tau per consensus round.
     """
+    horizon, tau = loop_settings(cfg, horizon, tau)
     if init is None:
         init = initialize(cfg)
-    horizon = cfg.horizon if horizon is None else horizon
-    tau = cfg.taus[0] if tau is None else tau
-    if horizon < 0:
-        raise InvalidInputError("horizon must be nonnegative")
-    if not 0 < tau < np.inf:   # a NaN fails too
-        raise InvalidInputError(f"tau must be positive and finite, got {tau}")
     if cfg.precision == "quad":
         with decimal.localcontext(decimal.Context(prec=QUAD_DIGITS)):
             return _run_loop(cfg, init, horizon, tau)

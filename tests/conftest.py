@@ -7,6 +7,7 @@ import pytest
 # digraphs as acceptance criterion 6
 from ftcc.acceptance import AcceptanceContext, random_strongly_connected  # noqa: F401
 from ftcc.consensus import exact_average_fixed_rounds, finite_time_average, prepare_agreement
+from ftcc.exceptions import InvalidInputError
 from ftcc.graph import Digraph
 from ftcc.plant import LtiSystem, joint_rank_checks
 from ftcc.scenario import load_scenario
@@ -33,6 +34,33 @@ def acceptance_ctx():
 def complete_digraph(n: int) -> Digraph:
     """Every ordered pair of distinct nodes is an edge."""
     return Digraph(n, tuple((a, b) for a in range(n) for b in range(n) if a != b))
+
+
+def bfs_distances(g: Digraph, source: int) -> list[int]:
+    """Directed hop distances from source; unreachable nodes get -1."""
+    dist = [-1] * g.node_count
+    dist[source] = 0
+    frontier = [source]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in g.out_neighbors(u):
+                if dist[v] < 0:
+                    dist[v] = dist[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return dist
+
+
+def diameter(g: Digraph) -> int:
+    """Exact directed diameter (max over all pairs of shortest-path length)."""
+    best = 0
+    for s in range(g.node_count):
+        d = bfs_distances(g, s)
+        if any(v < 0 for v in d):
+            raise InvalidInputError("diameter undefined: graph not strongly connected")
+        best = max(best, max(d))
+    return best
 
 
 def stored_kernels(g, weights=None):

@@ -26,13 +26,18 @@ from ftcc.exceptions import DegenerateInitializationError, InvalidInputError
 from ftcc.graph import (
     Digraph,
     SyncFabric,
-    diameter,
     digraph_from_weight_matrix,
     out_weight_matrix,
 )
 from ftcc.runtime import QUAD_DIGITS, _dtype_for
 
-from conftest import agree, complete_digraph, random_strongly_connected, stored_kernels
+from conftest import (
+    agree,
+    complete_digraph,
+    diameter,
+    random_strongly_connected,
+    stored_kernels,
+)
 from hankel_reference import _is_defective, _live_difference_stack
 
 FOURNODE_P = np.array(

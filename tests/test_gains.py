@@ -18,11 +18,17 @@ from ftcc.gains import (
     place_single,
     run_token_protocol,
 )
-from ftcc.graph import Digraph, bfs_distances, diameter, digraph_from_weight_matrix
+from ftcc.graph import Digraph, digraph_from_weight_matrix
 from ftcc.linalg import eigen_left, is_schur_stable
 from ftcc.plant import LtiSystem
 
-from conftest import random_joint_system, random_strongly_connected, targets_for_spectrum
+from conftest import (
+    bfs_distances,
+    diameter,
+    random_joint_system,
+    random_strongly_connected,
+    targets_for_spectrum,
+)
 
 
 def rotation(radius: float, angle: float) -> np.ndarray:
@@ -57,26 +63,39 @@ class TestTargets:
         assert conjugate_closed((0.1 + 0.2j, 0.1 - 0.2j, 0.3))
 
     def test_take_real_in_order(self):
-        t = PlacementTargets((0.5, 0.6, 0.7))
-        assert t.take_real() == 0.5
-        assert t.take_real() == 0.6
-        assert t.remaining() == 1
+        t = PlacementTargets((0.5, 0.1 + 0.2j, 0.1 - 0.2j, 0.6, 0.7))
+        assert t.take(2.0) == (0.5,)
+        assert t.take(-1.1) == (0.6,)
+        assert t.consumed == [True, False, False, True, False]
 
     def test_take_conjugate_pair(self):
-        t = PlacementTargets((0.5, 0.1 + 0.2j, 0.1 - 0.2j))
-        plus, minus = t.take_pair()
-        assert plus == 0.1 + 0.2j and minus == 0.1 - 0.2j
-        assert t.remaining() == 1
+        # the -Im member stored first and 1e-13 off: the pair comes back +Im
+        # first, as exact conjugates
+        minus = complex(0.1, -0.2 + 1e-13)
+        t = PlacementTargets((0.5, minus, 0.1 + 0.2j))
+        plus, conj = t.take(1.2 + 0.3j)
+        assert plus == 0.1 + 0.2j and conj == plus.conjugate()
+        assert t.consumed == [False, True, True]
 
     def test_pair_takes_two_reals(self):
-        t = PlacementTargets((0.5, 0.6))
-        assert t.take_pair() == (0.5, 0.6)
-        assert t.all_consumed
+        t = PlacementTargets((0.5, 0.6, 0.7))
+        assert t.take(1.2 - 0.3j) == (0.5, 0.6)
+        assert t.consumed == [True, True, False]
 
     def test_pair_needs_two_targets(self):
         t = PlacementTargets((0.5,))
-        assert t.take_pair() is None
-        assert t.remaining() == 1
+        assert t.take(1.2 + 0.3j) is None
+        assert t.consumed == [False]
+        t = PlacementTargets((0.1 + 0.2j, 0.1 - 0.2j))
+        assert t.take(2.0) is None   # a real eigenvalue never takes a complex target
+        assert t.consumed == [False, False]
+
+    def test_covers_only_consumed_targets_within_the_relative_tolerance(self):
+        t = PlacementTargets((10.0, 0.5))
+        assert not t.covers(10.0)
+        t.take(2.0)
+        assert t.covers(10.0 + 5e-6) and not t.covers(10.0 + 2e-5)   # 1e-6 of |10|
+        assert not t.covers(0.5)
 
 
 class TestPlaceSingle:
@@ -332,6 +351,39 @@ class TestTokenProtocol:
             ))) < 1e-12
             assert res.flood_count <= len(g.edges)
             assert res.hop_count <= (n_agents - 1) ** 2 + n_agents
+
+    def test_walk_reaches_the_next_node_within_the_diameter(self):
+        # every agent must place its own unstable mode, so the walk visits
+        # every node; each hop routed through visited nodes brings the token
+        # one step closer to the nearest unvisited one, so the walk takes at
+        # most D hops per new node, plus one after the last
+        rng = np.random.default_rng(18)
+        routed = 0
+        for n_agents in range(3, 13):
+            e = np.eye(n_agents)
+            for _ in range(10):
+                g = random_strongly_connected(rng, n_agents)
+                sys = LtiSystem(
+                    a=np.diag(rng.uniform(1.05, 1.6, n_agents)),
+                    b_list=tuple(e[:, [i]] for i in range(n_agents)),
+                    c_list=tuple(e[[i], :] for i in range(n_agents)),
+                )
+                priorities = {
+                    j: [int(v) for v in rng.permutation(g.out_neighbors(j))]
+                    for j in range(n_agents)
+                }
+                res = run_token_protocol(
+                    g,
+                    sys,
+                    rng.uniform(-0.9, 0.9, n_agents).tolist(),
+                    priorities=priorities,
+                    leader=int(rng.integers(n_agents)),
+                )
+                assert len(res.visit_order) == n_agents
+                assert res.hop_count <= (n_agents - 1) * diameter(g) + 1
+                # hops beyond one per new node and the last: through visited nodes
+                routed += res.hop_count - n_agents
+        assert routed > 0
 
     @pytest.mark.parametrize("n", [16, 20, 24])
     def test_large_plants_land_or_raise_a_named_error(self, n):

@@ -11,15 +11,13 @@ from ftcc.exceptions import InvalidInputError, ProtocolViolationError
 from ftcc.graph import (
     Digraph,
     SyncFabric,
-    bfs_distances,
-    diameter,
     digraph_from_weight_matrix,
     is_strongly_connected,
     out_weight_matrix,
     round_exchange,
 )
 
-from conftest import complete_digraph, random_strongly_connected
+from conftest import bfs_distances, complete_digraph, diameter, random_strongly_connected
 
 FOURNODE_P = np.array(
     [

@@ -287,6 +287,20 @@ class TestClosedLoop:
         with pytest.raises(InvalidInputError, match="tau must be positive and finite"):
             run_closed_loop(paper_scenario, paper_init, horizon=3, tau=tau)
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [({"tau": -1.0}, "tau must be positive"), ({"horizon": -1}, "horizon must be")],
+    )
+    def test_settings_are_checked_before_set_up(
+        self, setting, message, paper_scenario, monkeypatch
+    ):
+        def no_set_up(cfg):
+            raise AssertionError("initialize ran")
+
+        monkeypatch.setattr(runtime, "initialize", no_set_up)
+        with pytest.raises(InvalidInputError, match=message):
+            run_closed_loop(paper_scenario, None, **setting)
+
     def test_tau_only_rescales_time(self, paper_scenario, paper_init):
         t1 = run_closed_loop(paper_scenario, paper_init, horizon=5, tau=0.1)
         t2 = run_closed_loop(paper_scenario, paper_init, horizon=5, tau=10.0)

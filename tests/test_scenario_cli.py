@@ -302,6 +302,37 @@ class TestCli:
         assert err.startswith("error: tau must be positive and finite")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--tau", "-1", "error: tau must be positive and finite, got -1.0"),
+            ("--horizon", "-1", "error: horizon must be nonnegative"),
+        ],
+    )
+    def test_a_bad_loop_setting_fails_before_any_set_up(
+        self, capsys, monkeypatch, flag, value, message
+    ):
+        def no_set_up(cfg):
+            raise AssertionError("initialize ran")
+
+        monkeypatch.setattr("ftcc.cli.initialize", no_set_up)
+        code = main(["simulate", flag, value])
+        assert code == 1
+        assert capsys.readouterr().err == message + "\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["init"], ["simulate", "--horizon", "2"]],
+        ids=["init", "simulate"],
+    )
+    def test_an_unwritable_out_is_an_error_line(self, tmp_path, capsys, argv):
+        out = tmp_path / "missing" / "out.txt"
+        code = main([*argv, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: could not write {out}: ")
+        assert "No such file or directory" in err
+
     def test_a_directory_scenario_is_an_error_line(self, tmp_path, capsys):
         code = main(["init", "--scenario", str(tmp_path)])
         err = capsys.readouterr().err
