@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys as _sys
 
 import numpy as np
@@ -48,6 +49,7 @@ def _print_matrix(name, m):
 
 def cmd_init(args) -> int:
     cfg = load_scenario(args.scenario)
+    _check_out(args.out)
     init = initialize(cfg)
     print(f"scenario      : {cfg.name}")
     print(f"m_bar         : {init.m_bar}")
@@ -69,6 +71,15 @@ def cmd_init(args) -> int:
     return 0
 
 
+def _check_out(path) -> None:
+    """Raise ``_write``'s error before any set-up when the directory of ``path`` is missing."""
+    if path:
+        try:
+            os.stat(os.path.dirname(path) or ".")
+        except OSError as exc:
+            raise FtccError(f"could not write {path}: {exc.strerror or exc}") from None
+
+
 def _write(path, write) -> None:
     """Open ``path`` for text and hand it to ``write``; an OSError is an FtccError."""
     try:
@@ -83,6 +94,7 @@ def _simulate(args, require_out: bool) -> int:
     if require_out and not args.out:
         raise FtccError("export requires --out")
     horizon, tau = loop_settings(cfg, args.horizon, args.tau)
+    _check_out(args.out)
     init = initialize(cfg)
     trace = run_closed_loop(cfg, init, horizon=horizon, tau=tau)
     print(

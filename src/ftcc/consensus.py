@@ -16,10 +16,10 @@ far as they read it:
    reads only hist[:, j].  Width w reads the rounds up to 2w - 1 + shift,
    and the history grows as the search reads it, doubling up to the round
    cap.
-2. Terminate: a max-consensus ladder over step counters, sent on the fabric,
-   tells every node when to stop and yields m_bar and a diameter bound D'.
-   Its round, ``_max_round``, is also the leader election's (``elect_leader``,
-   D' rounds over (value, id) pairs).
+2. Terminate: a max-consensus ladder over step counters tells every node
+   when to stop and yields m_bar and a diameter bound D'.  Its round,
+   ``_max_round``, one masked max, is also the leader election's
+   (``elect_leader``, D' rounds over (value, id) pairs).
 3. Check: ``_checked_average`` forms each node's kernel quotient on its
    latest window and raises unless it matches the one a window earlier.
    It reads the history cut or continued to the ladder's last round.  When
@@ -52,15 +52,15 @@ Two indexing conventions matter and are easy to get wrong:
 from __future__ import annotations
 
 import decimal
+import math
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import itemgetter
+from itertools import repeat
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import DegenerateInitializationError, InvalidInputError, ProtocolFailureError
-from .graph import Digraph, SyncFabric, out_weight_matrix, round_exchange
+from .graph import Digraph, SyncFabric, out_weight_matrix
 from .linalg import as_matrix, common_kernel_vector
 
 DEFAULT_REL_TOL = 1e-8
@@ -243,18 +243,16 @@ def _degenerate(message: str, numerators: np.ndarray) -> DegenerateInitializatio
 
 
 def _max_round(fabric: SyncFabric, values: list) -> list:
-    """One lockstep max-consensus round: each node sends its value to its
-    out-neighbours and keeps the largest of its own and those it received."""
-    kept = [None] * len(values)
-
-    def send(j):
-        return zip(fabric.graph.out_neighbors(j), repeat(values[j]))
-
-    def receive(j, inbox):
-        kept[j] = max(chain((values[j],), map(itemgetter(1), inbox)))
-
-    round_exchange(fabric, send, receive)
-    return kept
+    """One lockstep max-consensus round: each node keeps the largest value of
+    its closed in-neighbourhood, one masked max over the values' ranks, and
+    the fabric counts the round and one message per edge."""
+    g, order = fabric.graph, sorted(range(len(values)), key=values.__getitem__)
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = range(len(order))
+    fabric.round_index += 1
+    fabric.sent_count += len(g.edges)
+    fabric.delivered_count += len(g.edges)
+    return [values[order[r]] for r in np.where(g.closed_in, rank, -1).max(axis=1).tolist()]
 
 
 def _ladder(fabric: SyncFabric, c0: list[int], last: int, round_cap: int):
@@ -287,14 +285,16 @@ def elect_leader(g: Digraph, d_prime: int, values=None) -> int:
 
     Every node ends up knowing the winning (value, id) pair; ties in value
     resolve to the larger id.  With the default values (node ids) the
-    maximum id wins.
+    maximum id wins.  A value that is not finite raises InvalidInputError.
     """
     n = g.node_count
     if values is None:
         values = list(range(n))
     if len(values) != n:
         raise InvalidInputError("need one election value per node")
-    best = [(float(values[j]), j) for j in range(n)]
+    best = [(float(v), j) for j, v in enumerate(values)]
+    if not all(math.isfinite(v) for v, _ in best):
+        raise InvalidInputError("election values must be finite")
     fabric = SyncFabric(g)
     for _ in range(max(d_prime, 0)):
         best = _max_round(fabric, best)

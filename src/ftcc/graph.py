@@ -4,10 +4,10 @@ The fabric simulates a lockstep network: a message sent in round m is
 delivered in round m+1, deliveries within a round are ordered by sender id,
 and sends along non-edges are rejected.  Each send is checked in O(1) against
 its sender's out-neighbour set, built once per digraph, so a round costs O(1)
-per node and per message: O(E) for a broadcast.  The consensus counter ladder,
-leader election and token passes run on it; the linear ratio iterate is one
-product per round instead (``ftcc.consensus``).  Every run is bit-for-bit
-reproducible.
+per node and per message: O(E) for a broadcast.  Only the token walk and
+flood run on it; the linear ratio iterate is one product per round and a
+max-consensus round one masked max over ``closed_in`` (``ftcc.consensus``).
+Every run is bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -89,6 +89,13 @@ class Digraph:
         adj.flags.writeable = False
         return adj
 
+    @cached_property
+    def closed_in(self) -> np.ndarray:
+        """Read-only (N, N) booleans, True at [b, a] for each edge a -> b and at [a, a]."""
+        mask = self.adjacency.T | np.eye(self.node_count, dtype=bool)
+        mask.flags.writeable = False
+        return mask
+
 
 def digraph_from_weight_matrix(p) -> Digraph:
     """Recover the digraph from the support of a weight matrix.
@@ -103,8 +110,7 @@ def digraph_from_weight_matrix(p) -> Digraph:
 
 def out_weight_matrix(g: Digraph) -> np.ndarray:
     """Column-stochastic weights: p[l, j] = 1/(1 + outdeg(j)) on out(j) and self."""
-    support = g.adjacency.T | np.eye(g.node_count, dtype=bool)
-    return support / support.sum(axis=0)
+    return g.closed_in / g.closed_in.sum(axis=0)
 
 
 def is_strongly_connected(g: Digraph) -> bool:

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from itertools import chain, repeat
+from operator import itemgetter
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,7 @@ import pytest
 from ftcc.acceptance import AcceptanceContext, random_strongly_connected  # noqa: F401
 from ftcc.consensus import exact_average_fixed_rounds, finite_time_average, prepare_agreement
 from ftcc.exceptions import InvalidInputError
-from ftcc.graph import Digraph
+from ftcc.graph import Digraph, round_exchange
 from ftcc.plant import LtiSystem, joint_rank_checks
 from ftcc.scenario import load_scenario
 
@@ -61,6 +64,22 @@ def diameter(g: Digraph) -> int:
             raise InvalidInputError("diameter undefined: graph not strongly connected")
         best = max(best, max(d))
     return best
+
+
+def message_max_round(fabric, values: list) -> list:
+    """One max-consensus round sent message by message on the fabric: each node
+    sends its value to its out-neighbours and keeps the largest of its own and
+    those it received."""
+    kept = [None] * len(values)
+
+    def send(j):
+        return zip(fabric.graph.out_neighbors(j), repeat(values[j]))
+
+    def receive(j, inbox):
+        kept[j] = max(chain((values[j],), map(itemgetter(1), inbox)))
+
+    round_exchange(fabric, send, receive)
+    return kept
 
 
 def stored_kernels(g, weights=None):

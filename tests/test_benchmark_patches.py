@@ -12,6 +12,10 @@ from pathlib import Path
 import pytest
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+# Targets the package no longer has, which the tracer skips: the max rounds
+# are array rounds, so ftcc.consensus exchanges no messages.  The run report
+# and the tracer's retirement (ROADMAP items 1 and 6) drop the entry.
+RETIRED = {("ftcc.consensus", "round_exchange")}
 
 
 def load_patches():
@@ -24,7 +28,11 @@ def load_patches():
 
 @pytest.mark.parametrize("module_name, attr, span", load_patches())
 def test_patch_target_resolves(module_name, attr, span):
-    assert callable(getattr(importlib.import_module(module_name), attr, None)), span
+    target = getattr(importlib.import_module(module_name), attr, None)
+    if (module_name, attr) in RETIRED:
+        assert target is None, f"{span}: retired, yet {module_name}.{attr} resolves"
+    else:
+        assert callable(target), span
 
 
 def test_every_patch_target_is_called(monkeypatch):
@@ -34,6 +42,8 @@ def test_every_patch_target_is_called(monkeypatch):
 
     calls = {}
     for module_name, attr, _ in load_patches():
+        if (module_name, attr) in RETIRED:
+            continue
         module = importlib.import_module(module_name)
         key = (module_name, attr)
         calls[key] = 0

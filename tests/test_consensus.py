@@ -15,6 +15,7 @@ from ftcc.consensus import (
     _ratio_history,
     _rows,
     diameter_upper_bound,
+    elect_leader,
     exact_average_fixed_rounds,
     finite_time_average,
     in_arithmetic,
@@ -22,7 +23,7 @@ from ftcc.consensus import (
     prepare_agreement,
     validate_weights,
 )
-from ftcc.exceptions import DegenerateInitializationError, InvalidInputError
+from ftcc.exceptions import DegenerateInitializationError, InvalidInputError, ProtocolFailureError
 from ftcc.graph import (
     Digraph,
     SyncFabric,
@@ -35,6 +36,7 @@ from conftest import (
     agree,
     complete_digraph,
     diameter,
+    message_max_round,
     random_strongly_connected,
     stored_kernels,
 )
@@ -521,6 +523,61 @@ class TestTerminationMechanics:
                 res.distance_degrees,
             )
             assert res.detection_rounds == [2 * (m + 1) for m in res.degrees]
+
+
+class TestArrayMaxRound:
+    """``_max_round`` as one masked max against the round sent message by message."""
+
+    @staticmethod
+    def counters(fabric):
+        return fabric.round_index, fabric.sent_count, fabric.delivered_count
+
+    def test_matches_the_message_round(self):
+        rng = np.random.default_rng(19)
+        graphs = [random_strongly_connected(rng, n) for n in range(2, 49)]
+        for g in graphs + [complete_digraph(48)]:
+            n = g.node_count
+            fast, slow = SyncFabric(g), SyncFabric(g)
+            ints = rng.integers(-2, 3, n).tolist()   # ties are common
+            pairs = list(zip(rng.integers(-2, 3, n).astype(float).tolist(), range(n)))
+            for values in (ints, pairs, ints):
+                assert _max_round(fast, values) == message_max_round(slow, values)
+                assert self.counters(fast) == self.counters(slow)
+
+    @staticmethod
+    def outcome(run):
+        try:
+            return run()
+        except ProtocolFailureError as exc:
+            return str(exc)
+
+    def test_ladder_and_election_match_the_message_round(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        draws = []
+        for _ in range(200):
+            g = random_strongly_connected(rng, int(rng.integers(2, 25)))
+            n = g.node_count
+            c0 = rng.integers(1, 2 * n + 1, n).tolist()
+            last, cap = int(rng.integers(0, 2 * n)), int(rng.integers(1, 6 * n))
+            values = (rng.integers(-2, 3, n) / 2).tolist()
+            draws.append((g, c0, last, cap, values, int(rng.integers(0, n + 1))))
+
+        def run_all():
+            runs = []
+            for g, c0, last, cap, values, d_prime in draws:
+                fabric = SyncFabric(g)
+                runs.append((_ladder(fabric, c0, last, cap), fabric.round_index))
+                runs.append(self.outcome(lambda: elect_leader(g, d_prime, values)))
+            return runs
+
+        fast = run_all()
+        monkeypatch.setattr("ftcc.consensus._max_round", message_max_round)
+        slow = run_all()
+        assert fast == slow
+        # both stop kinds, and both election outcomes, are exercised
+        ladders, elections = fast[0::2], fast[1::2]
+        assert {lad is None for lad, _ in ladders} == {True, False}
+        assert {type(e) for e in elections} == {int, str}
 
 
 class TestFiniteTimeAverage:

@@ -265,6 +265,19 @@ class TestElection:
         with pytest.raises(ProtocolFailureError):
             elect_leader(g, 0, values=[1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_values_raise_before_any_round(self, bad, monkeypatch):
+        def no_round(fabric, values):
+            raise AssertionError("a max round ran")
+
+        monkeypatch.setattr("ftcc.consensus._max_round", no_round)
+        g = Digraph(3, ((0, 1), (1, 2), (2, 0)))
+        for at in range(3):
+            values = [1.0, 0.5, 0.25]
+            values[at] = bad
+            with pytest.raises(InvalidInputError, match="election values must be finite"):
+                elect_leader(g, 3, values)
+
     def test_largest_pair_wins_once_it_reaches_every_node(self):
         rng = np.random.default_rng(5)
         for _ in range(60):

@@ -333,6 +333,25 @@ class TestCli:
         assert err.startswith(f"error: could not write {out}: ")
         assert "No such file or directory" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["init"], ["simulate", "--horizon", "2"]],
+        ids=["init", "simulate"],
+    )
+    def test_a_missing_out_directory_fails_before_any_set_up(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        def no_set_up(cfg):
+            raise AssertionError("initialize ran")
+
+        monkeypatch.setattr("ftcc.cli.initialize", no_set_up)
+        out = tmp_path / "missing" / "out.txt"
+        code = main([*argv, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: could not write {out}: No such file or directory\n"
+        )
+
     def test_a_directory_scenario_is_an_error_line(self, tmp_path, capsys):
         code = main(["init", "--scenario", str(tmp_path)])
         err = capsys.readouterr().err
