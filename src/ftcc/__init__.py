@@ -18,7 +18,7 @@ from .gains import (
     place_single,
     run_token_protocol,
 )
-from .graph import Digraph, SyncFabric, is_strongly_connected, out_weight_matrix
+from .graph import Digraph, is_strongly_connected, out_weight_matrix
 from .linalg import EigenPair, eigen_left, is_schur_stable, numerical_rank
 from .plant import LtiSystem, joint_rank_checks, local_indices
 from .runtime import ClosedLoopTrace, InitializationResult, initialize, run_closed_loop
@@ -35,7 +35,6 @@ __all__ = [
     "LtiSystem",
     "PlacementTargets",
     "ScenarioConfig",
-    "SyncFabric",
     "TokenResult",
     "diameter_upper_bound",
     "eigen_left",

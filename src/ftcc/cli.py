@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import os
 import sys as _sys
@@ -72,10 +73,12 @@ def cmd_init(args) -> int:
 
 
 def _check_out(path) -> None:
-    """Raise ``_write``'s error before any set-up when the directory of ``path`` is missing."""
+    """Raise ``_write``'s error before any set-up when ``path`` cannot be opened for writing."""
     if path:
         try:
-            os.stat(os.path.dirname(path) or ".")
+            os.stat(os.path.join(os.path.dirname(path) or ".", ""))   # a file fails with "/"
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         except OSError as exc:
             raise FtccError(f"could not write {path}: {exc.strerror or exc}") from None
 

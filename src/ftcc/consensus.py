@@ -17,9 +17,9 @@ far as they read it:
    and the history grows as the search reads it, doubling up to the round
    cap.
 2. Terminate: a max-consensus ladder over step counters tells every node
-   when to stop and yields m_bar and a diameter bound D'.  Its round,
-   ``_max_round``, one masked max, is also the leader election's
-   (``elect_leader``, D' rounds over (value, id) pairs).
+   when to stop, counts its rounds and yields m_bar and a diameter bound D'.
+   Its round, ``_max_round``, one masked max over integer keys, is also the
+   leader election's (``elect_leader``, D' rounds over ranked (value, id) pairs).
 3. Check: ``_checked_average`` forms each node's kernel quotient on its
    latest window and raises unless it matches the one a window earlier.
    It reads the history cut or continued to the ladder's last round.  When
@@ -60,7 +60,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import DegenerateInitializationError, InvalidInputError, ProtocolFailureError
-from .graph import Digraph, SyncFabric, out_weight_matrix
+from .graph import Digraph, out_weight_matrix
 from .linalg import as_matrix, common_kernel_vector
 
 DEFAULT_REL_TOL = 1e-8
@@ -242,33 +242,28 @@ def _degenerate(message: str, numerators: np.ndarray) -> DegenerateInitializatio
     return DegenerateInitializationError(message, history=numerators.swapaxes(0, 1))
 
 
-def _max_round(fabric: SyncFabric, values: list) -> list:
-    """One lockstep max-consensus round: each node keeps the largest value of
-    its closed in-neighbourhood, one masked max over the values' ranks, and
-    the fabric counts the round and one message per edge."""
-    g, order = fabric.graph, sorted(range(len(values)), key=values.__getitem__)
-    rank = np.empty(len(order), dtype=np.intp)
-    rank[order] = range(len(order))
-    fabric.round_index += 1
-    fabric.sent_count += len(g.edges)
-    fabric.delivered_count += len(g.edges)
-    return [values[order[r]] for r in np.where(g.closed_in, rank, -1).max(axis=1).tolist()]
+def _max_round(g: Digraph, values: list[int]) -> list[int]:
+    """One lockstep max-consensus round on integer keys: each node keeps the
+    largest key of its closed in-neighbourhood, one masked max over
+    ``closed_in``.  A round sends one message per edge, E in all."""
+    return np.where(g.closed_in, values, min(values)).max(axis=1).tolist()
 
 
-def _ladder(fabric: SyncFabric, c0: list[int], last: int, round_cap: int):
-    """Each node's (done round, phi at done), or None when the ladder passes ``round_cap``.
+def _ladder(g: Digraph, c0: list[int], last: int, round_cap: int):
+    """(rounds, each node's done round, its phi at done), or None past ``round_cap``.
 
     Node j's counter min(round, c0_j) freezes at its detection round c0_j.
     Each round one max round spreads phi, which already covers every counter
     of the round before, and phi_j takes the max of what node j kept and its
     counter.  From round c0_j on, node j stops once phi_j has held for
     c0_j rounds (the attainment round included) or round 2*phi_j - 1 has come.
-    The ladder ends once every node has stopped and round ``last`` has come.
+    The ladder, rounds x E messages, ends once every node has stopped and
+    round ``last`` has come.
     """
     n = len(c0)
     phi, held, done, phi_done = [0] * n, [0] * n, [None] * n, [None] * n
     for k in range(1, round_cap + 1):
-        kept = _max_round(fabric, phi)
+        kept = _max_round(g, phi)
         for j in range(n):
             top = max(kept[j], min(k, c0[j]))
             held[j] = held[j] + 1 if top == phi[j] else 1
@@ -276,7 +271,7 @@ def _ladder(fabric: SyncFabric, c0: list[int], last: int, round_cap: int):
             if done[j] is None and k >= c0[j] and (held[j] >= c0[j] or k >= 2 * top - 1):
                 done[j], phi_done[j] = k, top
         if k >= last and None not in done:
-            return done, phi_done
+            return k, done, phi_done
     return None
 
 
@@ -286,18 +281,22 @@ def elect_leader(g: Digraph, d_prime: int, values=None) -> int:
     Every node ends up knowing the winning (value, id) pair; ties in value
     resolve to the larger id.  With the default values (node ids) the
     maximum id wins.  A value that is not finite raises InvalidInputError.
+    The pairs are ranked once; the D' rounds, D' x E messages, carry the ranks.
     """
     n = g.node_count
     if values is None:
         values = list(range(n))
     if len(values) != n:
         raise InvalidInputError("need one election value per node")
-    best = [(float(v), j) for j, v in enumerate(values)]
-    if not all(math.isfinite(v) for v, _ in best):
+    pairs = [(float(v), j) for j, v in enumerate(values)]
+    if not all(math.isfinite(v) for v, _ in pairs):
         raise InvalidInputError("election values must be finite")
-    fabric = SyncFabric(g)
+    order = sorted(range(n), key=pairs.__getitem__)   # the node of each rank
+    ranks = np.empty(n, dtype=np.intp)
+    ranks[order] = range(n)
     for _ in range(max(d_prime, 0)):
-        best = _max_round(fabric, best)
+        ranks = _max_round(g, ranks)
+    best = [pairs[order[r]] for r in ranks]
     winners = {pair[1] for pair in best}
     if len(winners) != 1:
         raise ProtocolFailureError(
@@ -416,17 +415,17 @@ def finite_time_average(
         [None if f is None else f[0] - 1 for f in _first_defective(history, shift, rel_tol)]
         for shift in (1, 0)
     )
-    fabric, ladder = SyncFabric(g), None
+    ladder = None
     if None not in degrees + distance_degrees:
         c0 = [2 * (m + 1) for m in degrees]
-        ladder = _ladder(fabric, c0, 2 * max(distance_degrees) + 1, round_cap)
+        ladder = _ladder(g, c0, 2 * max(distance_degrees) + 1, round_cap)
     if ladder is None:
         raise _degenerate(
             f"no Hankel defectiveness within {round_cap} rounds; "
             "perturb the initial values and retry",
             _grown(pw, hist, round_cap)[..., :-1],
         )
-    rounds = fabric.round_index
+    rounds, done, phi_done = ladder
     hist = _grown(pw, hist, rounds)[: rounds + 1]
     kernels = [
         None if f is None else np.ones(1) if f[1] is None else common_kernel_vector(f[1], rel_tol)
@@ -440,12 +439,12 @@ def finite_time_average(
         degrees=degrees,
         rounds_used=rounds,
         detection_rounds=c0,
-        done_rounds=ladder[0],
+        done_rounds=done,
         m_bar=m_bar(degrees),
         diameter_bound=diameter_upper_bound(distance_degrees),
         kernels=kernels,
         distance_degrees=distance_degrees,
-        phi_done=ladder[1],
+        phi_done=phi_done,
     )
 
 

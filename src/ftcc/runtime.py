@@ -1,9 +1,9 @@
 """The closed-loop schedule: initialization, agreement, estimation, control.
 
-Initialization runs three consecutive stages on the fabric: a bootstrap run
-of finite-time averaging (yielding the diameter bound D' and the round
-budget m_bar), a max-consensus leader election over D' rounds, and two token
-passes choosing the control gains K_i and then the observer gains L_i.
+Initialization runs three consecutive stages: a bootstrap run of
+finite-time averaging (yielding the diameter bound D' and the round budget
+m_bar), a max-consensus leader election over D' rounds, and two token passes
+on the synchronous fabric choosing the control gains K_i, then the observer gains L_i.
 
 Each closed-loop step k then grants exactly m_bar consensus rounds, after
 which every node reads the average of the state estimates off the Hankel

@@ -35,6 +35,20 @@ def _parse_targets(raw) -> tuple[complex, ...]:
     return tuple(out)
 
 
+def _numbers(raw) -> list:
+    """A JSON array of numbers, as given; a string, a bool or a nested array raises."""
+    if not isinstance(raw, (list, tuple)) or not all(type(v) in (int, float) for v in raw):
+        raise ValueError(f"must be an array of numbers, got {raw!r}")
+    return list(raw)
+
+
+def _whole(raw) -> int:
+    """A JSON number with no fraction, as an int: 60 and 60.0, not true or 2.9."""
+    if not (type(raw) is int or type(raw) is float and raw.is_integer()):
+        raise ValueError(f"must be a whole number, got {raw!r}")
+    return int(raw)
+
+
 def _targets_to_json(values) -> list:
     out = []
     for v in values:
@@ -110,8 +124,8 @@ class ScenarioConfig:
             raise ConfigError("horizon must be nonnegative")
         if self.precision not in PRECISIONS:
             raise ConfigError(f"precision must be one of {PRECISIONS}")
-        if not all(0 < t < np.inf for t in self.taus):
-            raise ConfigError("taus must be positive and finite")
+        if not self.taus or not all(0 < t < np.inf for t in self.taus):
+            raise ConfigError("taus: need at least one, each positive and finite")
         return self
 
     def to_dict(self) -> dict:
@@ -164,13 +178,13 @@ _FIELDS = {
     "controller_targets": _parse_targets,
     "observer_targets": _parse_targets,
     "priorities": lambda v: {int(k): list(order) for k, order in v.items()},
-    "election_values": list,
+    "election_values": _numbers,
     "stability_margin": float,
     "rank_rel_tol": float,
     "x0": lambda v: np.asarray(v, dtype=float),
     "xhat0": lambda v: np.asarray(v, dtype=float),
-    "horizon": int,
-    "taus": lambda v: tuple(float(t) for t in v),
+    "horizon": _whole,
+    "taus": lambda v: tuple(map(float, _numbers(v))),
     "precision": str,
 }
 

@@ -1,4 +1,5 @@
 import decimal
+import re
 from decimal import Decimal
 
 import numpy as np
@@ -414,13 +415,12 @@ class TestTerminationMechanics:
     LATE_MAX = (Digraph(3, ((0, 1), (1, 2), (2, 0))), [4, 5, 3])
 
     def test_all_zero_stays_zero(self):
-        assert _max_round(SyncFabric(three_cycle()), [0, 0, 0]) == [0, 0, 0]
+        assert _max_round(three_cycle(), [0, 0, 0]) == [0, 0, 0]
 
     def test_max_propagates_within_diameter_rounds(self):
-        g = three_cycle()
-        fabric, tops = SyncFabric(g), [1, 5, 3]
+        g, tops = three_cycle(), [1, 5, 3]
         for _ in range(diameter(g)):
-            tops = _max_round(fabric, tops)
+            tops = _max_round(g, tops)
         assert tops == [5, 5, 5]
 
     @pytest.mark.parametrize("seed", range(6))
@@ -428,49 +428,52 @@ class TestTerminationMechanics:
         rng = np.random.default_rng(seed)
         g = random_strongly_connected(rng, int(rng.integers(2, 13)))
         n, adj = g.node_count, g.adjacency   # adj[i, j]: edge i -> j
-        fabric = SyncFabric(g)
-        ints = rng.integers(-2, 3, n).tolist()   # ties are common
-        pairs = list(zip(rng.integers(-2, 3, n).astype(float).tolist(), range(n)))
-        for values in (ints, pairs, ints, pairs):
-            sent = fabric.sent_count
-            kept = _max_round(fabric, values)
-            assert kept == [
-                max(values[i] for i in range(n) if i == j or adj[i, j]) for j in range(n)
-            ]
-            assert fabric.sent_count - sent == int(adj.sum())
+
+        def kept(values):
+            return [max(values[i] for i in range(n) if i == j or adj[i, j]) for j in range(n)]
+
+        for _ in range(2):
+            ints = rng.integers(-2, 3, n).tolist()   # ties are common
+            assert _max_round(g, ints) == kept(ints)
+            # the election's (value, id) pairs: one round leaves these draws'
+            # views split, and the error lists them
+            pairs = list(zip(rng.integers(-2, 3, n).astype(float).tolist(), range(n)))
+            views = kept(pairs)
+            assert len({j for _, j in views}) > 1
+            with pytest.raises(ProtocolFailureError, match=re.escape(f"views {views}")):
+                elect_leader(g, 1, [v for v, _ in pairs])
 
     def test_quiet_rounds_accumulate_to_done(self):
         # node 2 holds phi = 5 for c0 = 3 rounds (6-8) and stops before 2 * 5 - 1
         g, c0 = self.LATE_MAX
-        done, phi_done = _ladder(SyncFabric(g), c0, 0, 30)
+        _, done, phi_done = _ladder(g, c0, 0, 30)
         assert (done[2], phi_done[2]) == (8, 5)
 
     def test_change_resets_the_held_count(self):
         # node 0's phi = 4 held rounds 4-6; without the restart at round 7 it
         # would stop there with phi 4
         g, c0 = self.LATE_MAX
-        done, phi_done = _ladder(SyncFabric(g), c0, 0, 30)
+        _, done, phi_done = _ladder(g, c0, 0, 30)
         assert (done[0], phi_done[0]) == (9, 5)
 
     def test_local_budget_cap_terminates(self):
         # node 0 stops at 2 * 5 - 1 = 9 with phi 5 held for 3 rounds only
         g, c0 = self.LATE_MAX
-        fabric = SyncFabric(g)
-        done, _ = _ladder(fabric, c0, 0, 30)
-        assert done == [9, 9, 8] and fabric.round_index == 9
+        rounds, done, _ = _ladder(g, c0, 0, 30)
+        assert done == [9, 9, 8] and rounds == 9
 
     def test_waits_for_the_last_distance_degree(self):
         g, c0 = self.LATE_MAX
-        fabric = SyncFabric(g)
-        assert _ladder(fabric, c0, 13, 30)[0] == [9, 9, 8]
-        assert fabric.round_index == 13
+        rounds, done, _ = _ladder(g, c0, 13, 30)
+        assert done == [9, 9, 8] and rounds == 13
 
     def test_round_cap_ends_the_ladder(self):
         g, c0 = self.LATE_MAX
-        assert _ladder(SyncFabric(g), c0, 0, 8) is None
+        assert _ladder(g, c0, 0, 8) is None
 
     @pytest.mark.xfail(
         strict=True,
+        raises=AssertionError,
         reason="the held-count stop rule lets a node with a small c0 stop before a "
         "larger counter reaches it, certifying a phi below the network maximum",
     )
@@ -478,7 +481,7 @@ class TestTerminationMechanics:
     def test_every_node_certifies_the_largest_counter(self, case):
         if case == "two_cycle":
             c0 = [2, 6]
-            _, phi_done = _ladder(SyncFabric(Digraph(2, ((0, 1), (1, 0)))), c0, 0, 30)
+            _, _, phi_done = _ladder(Digraph(2, ((0, 1), (1, 0))), c0, 0, 30)
         else:
             rng = np.random.default_rng(2024)
             for trial in range(95):
@@ -528,21 +531,17 @@ class TestTerminationMechanics:
 class TestArrayMaxRound:
     """``_max_round`` as one masked max against the round sent message by message."""
 
-    @staticmethod
-    def counters(fabric):
-        return fabric.round_index, fabric.sent_count, fabric.delivered_count
-
     def test_matches_the_message_round(self):
         rng = np.random.default_rng(19)
         graphs = [random_strongly_connected(rng, n) for n in range(2, 49)]
         for g in graphs + [complete_digraph(48)]:
-            n = g.node_count
-            fast, slow = SyncFabric(g), SyncFabric(g)
-            ints = rng.integers(-2, 3, n).tolist()   # ties are common
-            pairs = list(zip(rng.integers(-2, 3, n).astype(float).tolist(), range(n)))
-            for values in (ints, pairs, ints):
-                assert _max_round(fast, values) == message_max_round(slow, values)
-                assert self.counters(fast) == self.counters(slow)
+            fabric = SyncFabric(g)
+            for k in range(1, 4):
+                values = rng.integers(-2, 3, g.node_count).tolist()   # ties are common
+                assert _max_round(g, values) == message_max_round(fabric, values)
+                assert (fabric.round_index, fabric.sent_count, fabric.delivered_count) == (
+                    k, k * len(g.edges), k * len(g.edges)
+                )
 
     @staticmethod
     def outcome(run):
@@ -565,18 +564,28 @@ class TestArrayMaxRound:
         def run_all():
             runs = []
             for g, c0, last, cap, values, d_prime in draws:
-                fabric = SyncFabric(g)
-                runs.append((_ladder(fabric, c0, last, cap), fabric.round_index))
+                runs.append(_ladder(g, c0, last, cap))
                 runs.append(self.outcome(lambda: elect_leader(g, d_prime, values)))
             return runs
 
+        fabrics = {}
+
+        def oracle(g, values):   # the message round, on one fabric per draw's digraph
+            return message_max_round(fabrics.setdefault(id(g), SyncFabric(g)), values)
+
         fast = run_all()
-        monkeypatch.setattr("ftcc.consensus._max_round", message_max_round)
+        monkeypatch.setattr("ftcc.consensus._max_round", oracle)
         slow = run_all()
         assert fast == slow
+        # the ladder's rounds and the election's D' rounds send E messages each
+        for (g, _, _, cap, _, d_prime), ladder in zip(draws, fast[0::2]):
+            rounds = (cap if ladder is None else ladder[0]) + d_prime
+            fabric = fabrics[id(g)]
+            assert fabric.round_index == rounds
+            assert fabric.sent_count == fabric.delivered_count == rounds * len(g.edges)
         # both stop kinds, and both election outcomes, are exercised
         ladders, elections = fast[0::2], fast[1::2]
-        assert {lad is None for lad, _ in ladders} == {True, False}
+        assert {lad is None for lad in ladders} == {True, False}
         assert {type(e) for e in elections} == {int, str}
 
 

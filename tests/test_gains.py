@@ -267,7 +267,7 @@ class TestElection:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_values_raise_before_any_round(self, bad, monkeypatch):
-        def no_round(fabric, values):
+        def no_round(g, values):
             raise AssertionError("a max round ran")
 
         monkeypatch.setattr("ftcc.consensus._max_round", no_round)

@@ -33,6 +33,11 @@ MALFORMED = [
     (("priorities",), 5, "priorities"),
     (("graph",), {"weight_matrix": [[0.5, 0.5], [0.5, 0.5]], "edges": [[0, 1]]}, "graph"),
     (("graph",), {"node_count": 2}, "graph"),
+    (("election_values",), ["a", 1, 2, 3], "election_values"),
+    (("taus",), [], "taus"),
+    (("taus",), "12", "taus"),
+    (("horizon",), True, "horizon"),
+    (("horizon",), 2.9, "horizon"),
 ]
 
 
@@ -351,6 +356,29 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"error: could not write {out}: No such file or directory\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["init"], ["simulate", "--horizon", "2"]],
+        ids=["init", "simulate"],
+    )
+    @pytest.mark.parametrize(
+        "out, reason",
+        [(".", "Is a directory"), ("file/out.txt", "Not a directory")],
+        ids=["a-directory", "under-a-file"],
+    )
+    def test_an_out_that_cannot_be_opened_fails_before_any_set_up(
+        self, tmp_path, capsys, monkeypatch, argv, out, reason
+    ):
+        def no_set_up(cfg):
+            raise AssertionError("initialize ran")
+
+        monkeypatch.setattr("ftcc.cli.initialize", no_set_up)
+        (tmp_path / "file").write_text("")
+        out = tmp_path / out
+        code = main([*argv, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: could not write {out}: {reason}\n"
 
     def test_a_directory_scenario_is_an_error_line(self, tmp_path, capsys):
         code = main(["init", "--scenario", str(tmp_path)])
