@@ -16,7 +16,7 @@ class LtiSystem:
 
     Dimensions are validated on construction; joint controllability and
     observability of the stacked pair is checked separately by
-    ``joint_rank_checks`` (scenario loading enforces it).
+    ``joint_rank_checks`` (a ScenarioConfig enforces it on construction).
     """
 
     a: np.ndarray

@@ -1,65 +1,175 @@
-"""Scenario configuration: schema, validation, and the built-in 4-node case.
+"""Scenario configuration: one field table, and the built-in 4-node case.
 
 A scenario is a single JSON document.  Matrices are nested arrays of rows;
 complex eigenvalue targets are [re, im] pairs (plain numbers mean real).
-Every invariant a run relies on is validated here with a named error, so
-failures surface at load time rather than mid-protocol.
+``_FIELDS`` is the schema: one entry per field of ScenarioConfig, with the
+parser of its JSON value and the check of its type, shape and bounds.  A
+ScenarioConfig is checked against that table on construction, and again by
+``dataclasses.replace``, so a config that exists is valid: a bad value fails
+at load time, as a ConfigError whose message starts with the field's name.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .consensus import validate_weights
-from .exceptions import ConfigError, DisconnectedGraphError, InvalidInputError
+from .exceptions import ConfigError, DisconnectedGraphError
 from .gains import DEFAULT_STABILITY_MARGIN, conjugate_closed
 from .graph import Digraph, digraph_from_weight_matrix, is_strongly_connected, out_weight_matrix
 from .plant import LtiSystem, require_jointly_controllable_observable
 
-PRECISIONS = ("double", "extended", "quad")
+# each precision's array dtype; "quad" holds Decimals in an object array
+PRECISIONS = {"double": float, "extended": np.longdouble, "quad": object}
 
 
-def _parse_targets(raw) -> tuple[complex, ...]:
-    out = []
-    for v in raw:
-        if isinstance(v, (int, float)):
-            out.append(complex(v))
-        elif isinstance(v, (list, tuple)) and len(v) == 2:
-            out.append(complex(float(v[0]), float(v[1])))
-        else:
-            raise ValueError("targets must be numbers or [re, im] pairs")
-    return tuple(out)
+def _is_number(v, kind=numbers.Real) -> bool:
+    """True for a number of ``kind``; a bool or a numeric string is none."""
+    return isinstance(v, kind) and not isinstance(v, bool)
 
 
-def _numbers(raw) -> list:
-    """A JSON array of numbers, as given; a string, a bool or a nested array raises."""
-    if not isinstance(raw, (list, tuple)) or not all(type(v) in (int, float) for v in raw):
-        raise ValueError(f"must be an array of numbers, got {raw!r}")
-    return list(raw)
+def _number(v, kind=float):
+    """A number as a float, or as an int for ``kind=int``: 60 and 60.0, not true, "60" or 2.9."""
+    if not _is_number(v) or kind is int and not float(v).is_integer():
+        raise ValueError(f"must be a {'whole ' if kind is int else ''}number, got {v!r}")
+    return kind(v)
 
 
-def _whole(raw) -> int:
-    """A JSON number with no fraction, as an int: 60 and 60.0, not true or 2.9."""
-    if not (type(raw) is int or type(raw) is float and raw.is_integer()):
-        raise ValueError(f"must be a whole number, got {raw!r}")
-    return int(raw)
+def _numbers(v) -> tuple[float, ...]:
+    """A flat array of numbers as floats; a string, a bool or a nested array raises."""
+    if not isinstance(v, (list, tuple, np.ndarray)) or not all(map(_is_number, v)):
+        raise ValueError(f"must be an array of numbers, got {v!r}")
+    return tuple(map(float, v))
 
 
-def _targets_to_json(values) -> list:
-    out = []
-    for v in values:
-        v = complex(v)
-        out.append(v.real if v.imag == 0 else [v.real, v.imag])
+def _matrix(v) -> np.ndarray:
+    """A float array made by one asarray: its dtype is checked, not each entry."""
+    a = np.asarray(v)
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"must be an array of numbers, got dtype {a.dtype}")
+    return a.astype(float, copy=False)
+
+
+def _rule(ok, message: str, convert=lambda v: v, error=ValueError):
+    """The check that converts a value and requires ``ok`` of the result."""
+    def check(v, cfg):
+        v = convert(v)
+        if not ok(v):   # each ``ok`` is written so that a NaN fails it
+            raise error(message)
+        return v
+    return check
+
+
+def _target(v) -> complex:
+    if _is_number(v):
+        return complex(v)
+    if isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)):
+        return complex(*v)
+    raise ValueError("targets must be numbers or [re, im] pairs")
+
+
+def _parse_graph(doc) -> tuple[Digraph, np.ndarray]:
+    """The digraph and its weights: a weight matrix, or edges with out-degree weights."""
+    edges = tuple(tuple(e) for e in doc.get("edges", ()))
+    if not all(_is_number(v, numbers.Integral) for e in edges for v in e):
+        raise ValueError("edges must be pairs of integer node ids")
+    if "weight_matrix" in doc:
+        weights = _matrix(doc["weight_matrix"])
+        g = digraph_from_weight_matrix(weights)
+        n, m = _number(doc.get("node_count", g.node_count), int), g.node_count
+        if n != m:
+            raise ValueError(f"node_count {n} disagrees with the {m}x{m} weight matrix")
+        if "edges" in doc and Digraph(n, edges).edges != g.edges:
+            raise ValueError("explicit edges disagree with weight-matrix support")
+        return g, weights
+    if "edges" in doc:
+        g = Digraph(_number(doc["node_count"], int), edges)
+        return g, out_weight_matrix(g)
+    raise ValueError("needs either weight_matrix or edges")
+
+
+def _joint(plant, cfg) -> LtiSystem:
+    if plant.agent_count != cfg.graph.node_count:
+        raise ValueError(f"{plant.agent_count} agents but {cfg.graph.node_count} graph nodes")
+    require_jointly_controllable_observable(plant)
+    return plant
+
+
+def _targets(v, cfg) -> tuple:
+    v = tuple(v)
+    if not all(_is_number(t, numbers.Complex) for t in v):
+        raise ValueError(f"must be numbers, got {v!r}")
+    if not conjugate_closed(v):
+        raise ValueError("must be conjugate-closed")
+    if len(v) > cfg.plant.n:
+        raise ValueError(f"more targets than eigenvalues ({cfg.plant.n})")
+    if not all(abs(t) < 1.0 for t in v):
+        raise ValueError("must lie strictly inside the unit disk")
+    return v
+
+
+def _priorities(v, cfg) -> dict[int, list[int]]:
+    out, n = {}, cfg.graph.node_count
+    for key, order in v.items():
+        j = _number(key, int)
+        if not 0 <= j < n:
+            raise ValueError(f"{j} is not a node id (0..{n - 1})")
+        out[j] = [_number(i, int) for i in order]
+        if not set(out[j]) <= cfg.graph.out_sets[j]:
+            raise ValueError(f"priorities[{j}] lists non-out-neighbors")
     return out
 
 
-@dataclass
+def _array(v, shape: tuple) -> np.ndarray | None:
+    """None, or ``v`` (numbers, or rows of them) as a finite float array of ``shape``."""
+    if v is None:
+        return None
+    a = np.asarray(_numbers(v) if len(shape) == 1 else [_numbers(r) for r in v], dtype=float)
+    if a.shape != shape:
+        raise ValueError(f"must have shape {shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("must be finite")
+    return a
+
+
+# The schema: one entry per field, checked in this order, so a check may read the
+# fields above it.  An entry holds the parser of the field's JSON value (None takes
+# it as given; the weights come with the graph) and the check of a value, which
+# returns it normalised.  Either one's error becomes a ConfigError naming the field.
+_FIELDS = {
+    "name": (None, _rule(lambda v: isinstance(v, str), "must be a string")),
+    "graph": (_parse_graph, _rule(
+        is_strongly_connected, "graph is not strongly connected", error=DisconnectedGraphError
+    )),
+    "weights": (None, lambda v, cfg: validate_weights(cfg.graph, _matrix(v))),
+    "plant": (lambda v: LtiSystem(_matrix(v["a"]), *(map(_matrix, v[k]) for k in "bc")), _joint),
+    "controller_targets": (lambda v: tuple(map(_target, v)), _targets),
+    "observer_targets": (lambda v: tuple(map(_target, v)), _targets),
+    "priorities": (lambda v: {int(k): order for k, order in v.items()}, _priorities),
+    "election_values": (None, lambda v, cfg: _array(v, (cfg.graph.node_count,))),
+    "stability_margin": (None, _rule(lambda m: 0 <= m < np.inf, "must be finite, >= 0", _number)),
+    "rank_rel_tol": (None, _rule(lambda t: 0 < t < 1, "must lie in (0, 1)", _number)),
+    "x0": (None, lambda v, cfg: _array(v, (cfg.plant.n,))),
+    "xhat0": (None, lambda v, cfg: _array(v, (cfg.graph.node_count, cfg.plant.n))),
+    "horizon": (None, _rule(lambda h: h >= 0, "must be nonnegative", lambda v: _number(v, int))),
+    "taus": (None, _rule(
+        lambda ts: ts and all(0 < t < np.inf for t in ts),
+        "need at least one, each positive and finite", _numbers,
+    )),
+    "precision": (None, _rule(
+        lambda p: isinstance(p, str) and p in PRECISIONS, f"must be one of {tuple(PRECISIONS)}"
+    )),
+}
+
+
+@dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated inputs for one estimation-and-control scenario."""
+    """The inputs of one estimation-and-control scenario, checked on construction."""
 
     name: str
     graph: Digraph
@@ -68,7 +178,7 @@ class ScenarioConfig:
     controller_targets: tuple[complex, ...]
     observer_targets: tuple[complex, ...]
     priorities: dict[int, list[int]] = field(default_factory=dict)
-    election_values: list[float] | None = None
+    election_values: np.ndarray | None = None
     stability_margin: float = DEFAULT_STABILITY_MARGIN
     rank_rel_tol: float = 1e-8
     x0: np.ndarray | None = None
@@ -78,144 +188,48 @@ class ScenarioConfig:
     precision: str = "double"
 
     def validate(self) -> "ScenarioConfig":
-        g, sys = self.graph, self.plant
-        if sys.agent_count != g.node_count:
-            raise ConfigError(
-                f"{sys.agent_count} agents in plant but {g.node_count} graph nodes"
-            )
-        if not is_strongly_connected(g):
-            raise DisconnectedGraphError("graph is not strongly connected")
-        try:
-            validate_weights(g, self.weights)
-        except InvalidInputError as exc:
-            raise ConfigError(f"weights: {exc}") from None
-        require_jointly_controllable_observable(sys)
-        for nm, targets in (
-            ("controller_targets", self.controller_targets),
-            ("observer_targets", self.observer_targets),
-        ):
-            if not conjugate_closed(targets):
-                raise ConfigError(f"{nm} must be conjugate-closed")
-            if len(targets) > sys.n:
-                raise ConfigError(f"{nm}: more targets than eigenvalues ({sys.n})")
-            if any(abs(complex(t)) >= 1.0 for t in targets):
-                raise ConfigError(f"{nm} must lie strictly inside the unit disk")
-        for j, order in self.priorities.items():
-            if not 0 <= j < g.node_count:
-                raise ConfigError(f"priorities: {j} is not a node id (0..{g.node_count - 1})")
-            if not set(order) <= g.out_sets[j]:
-                raise ConfigError(f"priorities[{j}] lists non-out-neighbors")
-        if self.election_values is not None and len(self.election_values) != g.node_count:
-            raise ConfigError("election_values must have one entry per node")
-        for nm in ("x0", "xhat0", "election_values"):
-            value = getattr(self, nm)
-            if value is not None and not np.all(np.isfinite(np.asarray(value, dtype=float))):
-                raise ConfigError(f"{nm} must be finite")
-        # the negated comparisons also reject NaN
-        if not 0 < self.rank_rel_tol < 1:
-            raise ConfigError("rank_rel_tol must lie strictly between 0 and 1")
-        if not 0 <= self.stability_margin < np.inf:
-            raise ConfigError("stability_margin must be finite and nonnegative")
-        if self.x0 is not None and self.x0.shape != (sys.n,):
-            raise ConfigError(f"x0 must have length {sys.n}")
-        if self.xhat0 is not None and self.xhat0.shape != (g.node_count, sys.n):
-            raise ConfigError(f"xhat0 must be {g.node_count} x {sys.n}")
-        if self.horizon < 0:
-            raise ConfigError("horizon must be nonnegative")
-        if self.precision not in PRECISIONS:
-            raise ConfigError(f"precision must be one of {PRECISIONS}")
-        if not self.taus or not all(0 < t < np.inf for t in self.taus):
-            raise ConfigError("taus: need at least one, each positive and finite")
+        """Check and normalise every field through _FIELDS, in its order; return self."""
+        for name, (_, check) in _FIELDS.items():
+            try:
+                object.__setattr__(self, name, check(getattr(self, name), self))
+            except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+                error = type(exc) if isinstance(exc, ConfigError) else ConfigError
+                raise error(str(exc) if str(exc).startswith(name) else f"{name}: {exc}") from None
         return self
 
+    __post_init__ = validate
+
     def to_dict(self) -> dict:
-        d = {
-            "name": self.name,
-            "graph": {"weight_matrix": self.weights.tolist()},
-            "plant": {
-                "a": self.plant.a.tolist(),
-                "b": [b.tolist() for b in self.plant.b_list],
-                "c": [c.tolist() for c in self.plant.c_list],
-            },
-            "controller_targets": _targets_to_json(self.controller_targets),
-            "observer_targets": _targets_to_json(self.observer_targets),
-            "priorities": {str(k): v for k, v in self.priorities.items()},
-            "stability_margin": self.stability_margin,
-            "rank_rel_tol": self.rank_rel_tol,
-            "horizon": self.horizon,
-            "taus": list(self.taus),
-            "precision": self.precision,
-        }
-        if self.election_values is not None:
-            d["election_values"] = list(self.election_values)
-        if self.x0 is not None:
-            d["x0"] = self.x0.tolist()
-        if self.xhat0 is not None:
-            d["xhat0"] = self.xhat0.tolist()
+        """The JSON document: each field that is set, in _FIELDS order, in its JSON form."""
+        d = {name: getattr(self, name) for name in _FIELDS if getattr(self, name) is not None}
+        d["graph"] = {"weight_matrix": d.pop("weights").tolist()}
+        a, b, c = self.plant.a, self.plant.b_list, self.plant.c_list
+        d["plant"] = {"a": a.tolist(), "b": [m.tolist() for m in b], "c": [m.tolist() for m in c]}
+        for name in ("controller_targets", "observer_targets"):
+            d[name] = [t.real if t.imag == 0 else [t.real, t.imag] for t in map(complex, d[name])]
+        d["priorities"] = {str(j): order for j, order in self.priorities.items()}
+        d["taus"] = list(self.taus)
+        d.update({k: d[k].tolist() for k in ("election_values", "x0", "xhat0") if k in d})
         return d
 
 
-def _parse_graph(graph_doc) -> tuple[Digraph, np.ndarray]:
-    edges = tuple(tuple(e) for e in graph_doc.get("edges", ()))
-    if "weight_matrix" in graph_doc:
-        weights = np.asarray(graph_doc["weight_matrix"], dtype=float)
-        g = digraph_from_weight_matrix(weights)
-        n, m = int(graph_doc.get("node_count", g.node_count)), g.node_count
-        if n != m:
-            raise ConfigError(f"graph: node_count {n} disagrees with the {m}x{m} weight matrix")
-        if "edges" in graph_doc and Digraph(n, edges).edges != g.edges:
-            raise ConfigError("graph: explicit edges disagree with weight-matrix support")
-        return g, weights
-    if "edges" in graph_doc:
-        g = Digraph(int(graph_doc["node_count"]), edges)
-        return g, out_weight_matrix(g)
-    raise ConfigError("graph: needs either weight_matrix or edges")
-
-
-# optional top-level fields and their parsers; absent ones keep their defaults
-_FIELDS = {
-    "name": str,
-    "controller_targets": _parse_targets,
-    "observer_targets": _parse_targets,
-    "priorities": lambda v: {int(k): list(order) for k, order in v.items()},
-    "election_values": _numbers,
-    "stability_margin": float,
-    "rank_rel_tol": float,
-    "x0": lambda v: np.asarray(v, dtype=float),
-    "xhat0": lambda v: np.asarray(v, dtype=float),
-    "horizon": _whole,
-    "taus": lambda v: tuple(map(float, _numbers(v))),
-    "precision": str,
-}
-
-
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
-    """Parse and validate a scenario document.
+    """Parse a scenario document through _FIELDS; the config then checks itself.
 
-    A malformed value (wrong type, missing key, ragged matrix) raises a
-    ConfigError that names the section it was found in.
+    A malformed value raises a ConfigError that names the section it was found in.
     """
     fields = {"name": "scenario", "controller_targets": (), "observer_targets": ()}
     section = "scenario"
     try:
-        graph_doc, plant_doc = doc["graph"], doc["plant"]
-        section = "graph"
-        fields["graph"], fields["weights"] = _parse_graph(graph_doc)
-        section = "plant"
-        fields["plant"] = LtiSystem(
-            a=np.asarray(plant_doc["a"], dtype=float),
-            b_list=tuple(np.asarray(b, dtype=float) for b in plant_doc["b"]),
-            c_list=tuple(np.asarray(c, dtype=float) for c in plant_doc["c"]),
-        )
-        for section, parse in _FIELDS.items():
+        doc["graph"], doc["plant"]   # the two required sections
+        for section, (parse, _) in _FIELDS.items():
             if section in doc:
-                fields[section] = parse(doc[section])
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, KeyError, AttributeError) as exc:
+                fields[section] = doc[section] if parse is None else parse(doc[section])
+        fields["graph"], fields["weights"] = fields["graph"]
+    except (TypeError, ValueError, KeyError, AttributeError, OverflowError) as exc:
         missing = "missing " if isinstance(exc, KeyError) else ""
         raise ConfigError(f"{section}: {missing}{exc}") from None
-    return ScenarioConfig(**fields).validate()
+    return ScenarioConfig(**fields)
 
 
 def load_scenario(path_or_name) -> ScenarioConfig:
@@ -225,9 +239,7 @@ def load_scenario(path_or_name) -> ScenarioConfig:
         return BUILTIN_SCENARIOS[name]()
     path = Path(path_or_name)
     if not path.exists():
-        raise ConfigError(
-            f"no such scenario file {path} (built-ins: {sorted(BUILTIN_SCENARIOS)})"
-        )
+        raise ConfigError(f"no such scenario file {path} (built-ins: {sorted(BUILTIN_SCENARIOS)})")
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:   # a directory, no permission, not UTF-8
@@ -272,23 +284,12 @@ def paper_4node() -> ScenarioConfig:
         ],
         dtype=float,
     )
-    def unit_col(i):
-        v = np.zeros((8, 1))
-        v[i, 0] = 1.0
-        return v
-
-    def unit_row(i):
-        v = np.zeros((1, 8))
-        v[0, i] = 1.0
-        return v
-
-    b_list = (unit_col(1), unit_col(3), unit_col(5), unit_col(7))
-    c_list = (unit_row(0), unit_row(2), unit_row(4), unit_row(6))
-    cfg = ScenarioConfig(
+    eye = np.eye(8)   # B_i: unit columns, the actuated states; C_i: unit rows, the sensed ones
+    return ScenarioConfig(
         name="paper-4node",
         graph=digraph_from_weight_matrix(weights),
         weights=weights,
-        plant=LtiSystem(a=a, b_list=b_list, c_list=c_list),
+        plant=LtiSystem(a, [eye[:, [i]] for i in (1, 3, 5, 7)], [eye[[i]] for i in (0, 2, 4, 6)]),
         controller_targets=tuple(complex(0.60 + 0.01 * i) for i in range(8)),
         observer_targets=tuple(complex(0.20 + 0.01 * i) for i in range(8)),
         election_values=[4.0, 3.0, 2.0, 1.0],   # node 0 wins -> leader v1
@@ -297,7 +298,6 @@ def paper_4node() -> ScenarioConfig:
         taus=(0.1, 1.0, 10.0),
         precision="quad",
     )
-    return cfg.validate()
 
 
 BUILTIN_SCENARIOS = {"paper-4node": paper_4node}

@@ -31,7 +31,8 @@ from ftcc.graph import (
     digraph_from_weight_matrix,
     out_weight_matrix,
 )
-from ftcc.runtime import QUAD_DIGITS, _dtype_for
+from ftcc.runtime import QUAD_DIGITS
+from ftcc.scenario import PRECISIONS
 
 from conftest import (
     agree,
@@ -135,7 +136,7 @@ class TestHistoryOracle:
     @pytest.mark.parametrize("precision", ["double", "extended", "quad"])
     def test_matches_the_inbox_sum(self, precision):
         rng = np.random.default_rng(31)
-        dtype = _dtype_for(precision)
+        dtype = PRECISIONS[precision]
         with decimal.localcontext(decimal.Context(prec=QUAD_DIGITS)):
             eps = 10.0 ** (1 - QUAD_DIGITS) if dtype == object else np.finfo(dtype).eps
             for _ in range(6):
@@ -217,7 +218,7 @@ class TestBatchedAgreement:
     @pytest.mark.parametrize("precision", ["double", "extended", "quad"])
     def test_matches_the_node_loop(self, precision, paper_scenario, paper_init):
         rng = np.random.default_rng(41)
-        dtype = _dtype_for(precision)
+        dtype = PRECISIONS[precision]
         with decimal.localcontext(decimal.Context(prec=QUAD_DIGITS)):
             eps = 10.0 ** (1 - QUAD_DIGITS) if dtype == object else np.finfo(dtype).eps
             for g, weights, rounds, kernels in self.cases(paper_scenario, paper_init):
@@ -249,7 +250,7 @@ class TestBatchedAgreement:
     @pytest.mark.parametrize("precision", ["double", "extended", "quad"])
     def test_map_rows_sum_to_one(self, precision, paper_scenario, paper_init):
         # measured at most 0.5 ulp in double, 1.0 in extended and 0.1 in quad
-        dtype = _dtype_for(precision)
+        dtype = PRECISIONS[precision]
         with decimal.localcontext(decimal.Context(prec=QUAD_DIGITS)):
             eps = 10.0 ** (1 - QUAD_DIGITS) if dtype == object else np.finfo(dtype).eps
             for g, weights, rounds, kernels in self.cases(paper_scenario, paper_init):
@@ -823,7 +824,7 @@ class TestStoredKernels:
         cfg = paper_scenario
         rng = np.random.default_rng(5)
         xhat = rng.normal(size=(4, 8)) * 10.0 ** rng.uniform(-6, 6, size=(4, 8))
-        vals = in_arithmetic(xhat, _dtype_for(precision))
+        vals = in_arithmetic(xhat, PRECISIONS[precision])
         mu = agree(
             cfg.graph, vals, paper_init.m_bar, paper_init.kernels, weights=cfg.weights
         )
@@ -878,7 +879,7 @@ class TestPrecision:
     @pytest.mark.parametrize("precision", ["double", "extended", "quad"])
     def test_non_finite_estimate_rejected(self, precision):
         g = digraph_from_weight_matrix(FOURNODE_P)
-        vals = in_arithmetic([0.0, np.nan, 2.0, 3.0], _dtype_for(precision))
+        vals = in_arithmetic([0.0, np.nan, 2.0, 3.0], PRECISIONS[precision])
         kernels = stored_kernels(g, FOURNODE_P)
         with pytest.raises(InvalidInputError):
             agree(g, vals, 11, kernels, weights=FOURNODE_P)
@@ -888,7 +889,7 @@ class TestPrecision:
     def test_infinite_estimate_rejected(self, precision, value):
         g = digraph_from_weight_matrix(FOURNODE_P)
         rows = [[0.0, 1.0], [value, 2.0], [2.0, 3.0], [3.0, 4.0]]
-        vals = in_arithmetic(rows, _dtype_for(precision))
+        vals = in_arithmetic(rows, PRECISIONS[precision])
         kernels = stored_kernels(g, FOURNODE_P)
         with pytest.raises(InvalidInputError, match="finite"):
             agree(g, vals, 11, kernels, weights=FOURNODE_P)
@@ -910,7 +911,7 @@ class TestPrecision:
     def test_averages_keep_the_input_arithmetic(self, precision):
         g = digraph_from_weight_matrix(FOURNODE_P)
         rows = [[0.0, 1.0], [1.0, -2.0], [2.0, 0.5], [3.0, 4.0]]
-        vals = in_arithmetic(rows, _dtype_for(precision))
+        vals = in_arithmetic(rows, PRECISIONS[precision])
         kernels = stored_kernels(g, FOURNODE_P)
         mu = agree(g, vals, 11, kernels, weights=FOURNODE_P)
         assert mu.shape == (4, 2)

@@ -5,14 +5,14 @@ import decimal
 import numpy as np
 import pytest
 
-from ftcc import consensus, runtime
+from ftcc import consensus, plant, runtime
 from ftcc.consensus import in_arithmetic
-from ftcc.exceptions import InvalidInputError
+from ftcc.exceptions import DegenerateInitializationError, InvalidInputError
 from ftcc.graph import Digraph, out_weight_matrix
 from ftcc.linalg import is_schur_stable
 from ftcc.plant import LtiSystem
 from ftcc.runtime import _estimate_and_control, _step_matrices, initialize, run_closed_loop
-from ftcc.scenario import ScenarioConfig
+from ftcc.scenario import PRECISIONS, ScenarioConfig, load_scenario
 
 from conftest import (
     agree,
@@ -27,7 +27,7 @@ def random_scenario(seed: int, n_agents: int = 5, n: int = 5) -> ScenarioConfig:
     rng = np.random.default_rng(seed)
     g = random_strongly_connected(rng, n_agents)
     sys = random_joint_system(rng, n_agents, n)
-    cfg = ScenarioConfig(
+    return ScenarioConfig(
         name=f"random-{seed}",
         graph=g,
         weights=out_weight_matrix(g),
@@ -39,7 +39,6 @@ def random_scenario(seed: int, n_agents: int = 5, n: int = 5) -> ScenarioConfig:
         taus=(1.0,),
         precision="double",
     )
-    return cfg.validate()
 
 
 class TestInitialize:
@@ -76,7 +75,7 @@ class TestInitialize:
             observer_targets=(0.3, 0.4),
             horizon=5,
             taus=(1.0,),
-        ).validate()
+        )
         init = initialize(cfg)
         assert init.leader == 0
         assert init.m_bar == 3
@@ -206,7 +205,7 @@ class TestBatchedStep:
     @pytest.mark.parametrize("precision", ["double", "extended", "quad"])
     def test_matches_the_agent_loop(self, precision, paper_scenario, paper_init):
         sys, init = paper_scenario.plant, paper_init
-        dtype = runtime._dtype_for(precision)
+        dtype = PRECISIONS[precision]
         rng = np.random.default_rng(12)
         mags = np.abs
         with decimal.localcontext(decimal.Context(prec=runtime.QUAD_DIGITS)):
@@ -268,6 +267,19 @@ class TestPreparedOnce:
             per_horizon[horizon] = dict(calls)
         assert per_horizon[5][("ftcc.consensus", "validate_weights")] == 1
         assert per_horizon[5] == per_horizon[1]
+
+    def test_the_plant_is_checked_once(self, monkeypatch):
+        # at construction: initialize and the loop take a ScenarioConfig as valid
+        calls = []
+
+        def counted(*args, _fn=plant.joint_rank_checks, **kw):
+            calls.append(args)
+            return _fn(*args, **kw)
+
+        monkeypatch.setattr(plant, "joint_rank_checks", counted)
+        cfg = load_scenario("paper-4node")
+        run_closed_loop(cfg, initialize(cfg), horizon=2)
+        assert len(calls) == 1
 
 
 class TestClosedLoop:
@@ -360,12 +372,13 @@ class TestQuadArithmetic:
 
     @pytest.mark.parametrize("caller_prec", [None, 50])
     def test_caller_context_is_left_alone(self, paper_scenario, paper_init, caller_prec):
-        bad = dataclasses.replace(paper_scenario, xhat0=np.full((4, 8), np.nan))
+        # unit kernels fail the agreement's window check inside the quad loop
+        bad = dataclasses.replace(paper_init, kernels=[np.ones(1)] * 4)
         with decimal.localcontext() as ctx:
             ctx.prec = caller_prec or ctx.prec
             before = decimal.getcontext().prec
             run_closed_loop(paper_scenario, paper_init, horizon=1)
             assert decimal.getcontext().prec == before
-            with pytest.raises(InvalidInputError, match="finite"):
-                run_closed_loop(bad, paper_init, horizon=1)
+            with pytest.raises(DegenerateInitializationError, match="consecutive windows differ"):
+                run_closed_loop(paper_scenario, bad, horizon=1)
             assert decimal.getcontext().prec == before

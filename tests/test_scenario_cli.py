@@ -1,19 +1,27 @@
 import csv
+import dataclasses
 import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftcc.acceptance import AcceptanceContext
 from ftcc.cli import main
 from ftcc.exceptions import ConfigError, DisconnectedGraphError, JointSystemError
+from ftcc.graph import out_weight_matrix
 from ftcc.scenario import (
+    PRECISIONS,
+    ScenarioConfig,
     load_scenario,
     paper_4node,
     save_scenario,
     scenario_from_dict,
 )
+
+from conftest import random_joint_system, random_strongly_connected, targets_for_spectrum
 
 
 def set_path(doc, path, value):
@@ -38,6 +46,17 @@ MALFORMED = [
     (("taus",), "12", "taus"),
     (("horizon",), True, "horizon"),
     (("horizon",), 2.9, "horizon"),
+    # a bool or a numeric string is not a number, and only a string is a name
+    (("controller_targets",), [False, 0.2], "controller_targets"),
+    (("stability_margin",), True, "stability_margin"),
+    (("rank_rel_tol",), "1e-3", "rank_rel_tol"),
+    (("plant", "a"), [["1.5", "0"], ["0", "0.5"]], "plant"),
+    (("x0",), [True, 1.0], "x0"),
+    (("name",), 5, "name"),
+    (("graph", "node_count"), "2", "graph"),
+    (("graph", "node_count"), 2.7, "graph"),
+    (("graph", "edges"), [[0, True], [1, 0]], "graph"),
+    (("priorities",), {"0": [True]}, "priorities"),
 ]
 
 
@@ -188,6 +207,61 @@ class TestLoading:
         assert again.to_dict() == cfg.to_dict()
         assert np.array_equal(again.weights, cfg.weights)
         assert again.graph.edges == cfg.graph.edges
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_generated_configs_round_trip(self, seed):
+        # dataclass == on the numpy fields is ambiguous, so the documents are compared
+        cfg = small_config(np.random.default_rng(seed))
+        doc = cfg.to_dict()
+        assert scenario_from_dict(json.loads(json.dumps(doc))).to_dict() == doc
+
+
+def small_config(rng) -> ScenarioConfig:
+    """A valid config on 2 or 3 nodes and 1 to 3 states, each optional field set or not."""
+    g = random_strongly_connected(rng, int(rng.integers(2, 4)))
+    sys = random_joint_system(rng, g.node_count, int(rng.integers(1, 4)))
+    optional = {
+        "priorities": {
+            j: rng.permutation(g.out_neighbors(j)).tolist()
+            for j in range(g.node_count) if rng.random() < 0.5
+        },
+        "election_values": rng.normal(size=g.node_count),
+        "stability_margin": rng.uniform(0, 1e-3),
+        "rank_rel_tol": rng.uniform(1e-12, 0.5),
+        "x0": rng.normal(size=sys.n),
+        "xhat0": rng.normal(size=(g.node_count, sys.n)),
+        "horizon": int(rng.integers(0, 100)),
+        "taus": tuple(rng.uniform(0.1, 10, size=rng.integers(1, 4))),
+        "precision": str(rng.choice(list(PRECISIONS))),
+    }
+    return ScenarioConfig(
+        name=f"small-{rng.integers(1000)}",
+        graph=g,
+        weights=out_weight_matrix(g),
+        plant=sys,
+        controller_targets=tuple(targets_for_spectrum(rng, sys.a)),
+        observer_targets=tuple(targets_for_spectrum(rng, sys.a)) if rng.random() < 0.5 else (),
+        **{k: v for k, v in optional.items() if rng.random() < 0.5},
+    )
+
+
+class TestConstruction:
+    """A config built in Python is checked as one loaded from JSON is."""
+
+    @pytest.mark.parametrize(
+        "field_name, value",
+        [
+            ("election_values", ["a", 1, 2, 3]),
+            ("horizon", 2.9),
+            ("horizon", True),
+            ("stability_margin", True),
+            ("name", None),
+        ],
+    )
+    def test_a_bad_value_names_its_field(self, paper_scenario, field_name, value):
+        with pytest.raises(ConfigError, match=f"^{field_name}: "):
+            dataclasses.replace(paper_scenario, **{field_name: value})
 
 
 class TestCli:
