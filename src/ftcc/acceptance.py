@@ -106,7 +106,7 @@ def _placed_spectrum(a, closed, targets) -> tuple[bool, float]:
         lam for lam in eigenvalues(closed) if min(abs(lam - mu) for mu in base_eigs) > 1e-6
     ]
     worst = max((min(abs(lam - complex(t)) for t in targets) for lam in moved), default=0.0)
-    return is_schur_stable(closed, 0.0), worst
+    return is_schur_stable(closed), worst
 
 
 def criterion_1(ctx: AcceptanceContext) -> CriterionResult:

@@ -55,7 +55,7 @@ CONTROLLABILITY_TOL = 1e-7
 PLACEMENT_TOL = 1e-6
 
 
-def conjugate_closed(values, tol: float = 1e-12) -> bool:
+def conjugate_closed(values) -> bool:
     """True iff every complex value has its conjugate in the multiset."""
     counts: dict[complex, int] = {}
     for v in values:
@@ -63,7 +63,7 @@ def conjugate_closed(values, tol: float = 1e-12) -> bool:
         key = complex(round(v.real, 12), round(v.imag, 12))
         counts[key] = counts.get(key, 0) + 1
     for key, cnt in counts.items():
-        if abs(key.imag) > tol and counts.get(key.conjugate(), 0) != cnt:
+        if abs(key.imag) > 1e-12 and counts.get(key.conjugate(), 0) != cnt:
             return False
     return True
 
@@ -274,13 +274,11 @@ def place_for_agent(
 class TokenResult:
     """Outcome of one token pass (control or observer mode)."""
 
-    mode: str
     gains: list[np.ndarray]          # K_i (q_i x n) or L_i (n x p_i)
     f: np.ndarray                    # accumulated feedback of the dual pair
     hop_count: int                   # point-to-point token transmissions
     flood_count: int                 # read-only copies of F the fabric carried
     visit_order: list[int]
-    leader: int
     declared_by: int
     rounds: int
 
@@ -406,7 +404,7 @@ def run_token_protocol(
     gains = [np.zeros((b.shape[1], sys.n)) for b in inputs]
     visit_order: list[int] = []
     holder, hops = leader, 0
-    while not (targets.all_consumed and is_schur_stable(base + f, 0.0)):
+    while not (targets.all_consumed and is_schur_stable(base + f)):
         if len(visit_order) == n_agents:
             left = [v for v in np.linalg.eigvals(base + f)
                     if abs(v) >= 1.0 or not targets.covers(v)]
@@ -448,13 +446,11 @@ def run_token_protocol(
     if mode == "observer":
         gains = [k.T.copy() for k in gains]
     return TokenResult(
-        mode=mode,
         gains=gains,
         f=f,
         hop_count=hops,
         flood_count=fabric.sent_count - hops,
         visit_order=visit_order,
-        leader=leader,
         declared_by=holder,
         rounds=fabric.round_index,
     )

@@ -21,11 +21,6 @@ from .exceptions import (
 _EPS = np.finfo(float).eps
 
 
-def default_rel_tol(rows: int, cols: int) -> float:
-    """Default relative rank tolerance: max(rows, cols) * eps * 64."""
-    return max(rows, cols) * _EPS * 64.0
-
-
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
     """Validate and return a 2-D array with finite entries."""
     a = np.asarray(m)
@@ -60,12 +55,12 @@ class EigenPair:
 
 
 def numerical_rank(m, rel_tol: float | None = None) -> int:
-    """Number of singular values above rel_tol times the largest one."""
+    """Number of singular values above rel_tol (default 64 * eps * max dim) times the largest."""
     a = as_matrix(m)
     if a.size == 0:
         return 0
     if rel_tol is None:
-        rel_tol = default_rel_tol(*a.shape)
+        rel_tol = max(a.shape) * _EPS * 64.0
     if rel_tol <= 0:
         raise InvalidInputError("rel_tol must be positive")
     sv = np.linalg.svd(a, compute_uv=False)
@@ -74,7 +69,7 @@ def numerical_rank(m, rel_tol: float | None = None) -> int:
     return int(np.sum(sv > rel_tol * sv[0]))
 
 
-def common_kernel_vector(stack, rel_tol: float | None = None) -> np.ndarray:
+def common_kernel_vector(stack, rel_tol: float) -> np.ndarray:
     """Kernel vector shared by all row blocks of a (possibly tall) stack.
 
     Returns beta with ``stack @ beta ~ 0`` normalized so beta[-1] == 1.
@@ -83,8 +78,6 @@ def common_kernel_vector(stack, rel_tol: float | None = None) -> np.ndarray:
     """
     a = as_matrix(stack, "stack")
     cols = a.shape[1]
-    if rel_tol is None:
-        rel_tol = default_rel_tol(*a.shape)
     # a thin V holds the null vector only when rows >= cols
     _, sv, vt = np.linalg.svd(a, full_matrices=a.shape[0] < cols)
     if sv[0] == 0:
@@ -140,16 +133,14 @@ def eigenvalues(a) -> np.ndarray:
     return np.array([p.value for p in eigen_left(a)])
 
 
-def is_schur_stable(a, margin: float = 0.0) -> bool:
-    """True iff every eigenvalue modulus is < 1 - margin."""
+def is_schur_stable(a) -> bool:
+    """True iff every eigenvalue modulus is < 1."""
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise InvalidInputError("is_schur_stable expects a square matrix")
-    if margin < 0:
-        raise InvalidInputError("margin must be >= 0")
     if m.size == 0:
         return True
-    return bool(np.max(np.abs(np.linalg.eigvals(m))) < 1.0 - margin)
+    return bool(np.max(np.abs(np.linalg.eigvals(m))) < 1.0)
 
 
 def controllability_matrix(a, b) -> np.ndarray:

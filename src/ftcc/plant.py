@@ -55,11 +55,11 @@ class LtiSystem:
         return np.vstack(self.c_list)
 
 
-def joint_rank_checks(sys: LtiSystem, rel_tol: float | None = None) -> tuple[bool, bool]:
+def joint_rank_checks(sys: LtiSystem) -> tuple[bool, bool]:
     """Kalman-rank tests on the stacked input and output matrices."""
     n = sys.n
-    ctrl = numerical_rank(controllability_matrix(sys.a, sys.b_stacked()), rel_tol) == n
-    obsv = numerical_rank(controllability_matrix(sys.a.T, sys.c_stacked().T), rel_tol) == n
+    ctrl = numerical_rank(controllability_matrix(sys.a, sys.b_stacked())) == n
+    obsv = numerical_rank(controllability_matrix(sys.a.T, sys.c_stacked().T)) == n
     return ctrl, obsv
 
 
@@ -74,13 +74,8 @@ def require_jointly_controllable_observable(sys: LtiSystem) -> None:
         raise JointSystemError(f"system is not jointly {' or '.join(missing)}")
 
 
-def local_indices(sys: LtiSystem, rel_tol: float | None = None):
+def local_indices(sys: LtiSystem):
     """Per-agent controllability and observability ranks (rho_i, chi_i)."""
-    rho = [
-        numerical_rank(controllability_matrix(sys.a, b), rel_tol) for b in sys.b_list
-    ]
-    chi = [
-        numerical_rank(controllability_matrix(sys.a.T, c.T), rel_tol)
-        for c in sys.c_list
-    ]
+    rho = [numerical_rank(controllability_matrix(sys.a, b)) for b in sys.b_list]
+    chi = [numerical_rank(controllability_matrix(sys.a.T, c.T)) for c in sys.c_list]
     return rho, chi

@@ -17,12 +17,14 @@ x' = A x + sum_i B_i K_i xbar_i and xhat'_i = (A + F) xbar_i + L_i C_i (x - xbar
 
 The simulation arithmetic runs at a configurable precision, chosen here
 once: the loop casts its inputs to that arithmetic and the consensus layer
-computes in whatever arithmetic it receives.  The agreed
-average is representable only to one ulp of the state scale, so in plain
-double precision the measured average error ||x - xbar|| floors near
-1e-15 * ||x||; "quad", the standard library's decimal at QUAD_DIGITS digits
-in a local context (the caller's is left as it was), keeps the error curve
-clean over the horizons the diagnostics look at.
+computes in whatever arithmetic it receives.  One pass serves all three:
+the set-up and the loop run inside one local decimal context of QUAD_DIGITS
+digits (the caller's is left as it was), which only "quad"'s Decimals read,
+and the trace is recorded in float64.  The agreed average is
+representable only to one ulp of the state scale, so in plain double
+precision the measured average error ||x - xbar|| floors near
+1e-15 * ||x||; "quad", the standard library's decimal, keeps the error
+curve clean over the horizons the diagnostics look at.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ class InitializationResult:
     f_control: np.ndarray            # network-wide sum B_j K_j
     control_token: TokenResult
     observer_token: TokenResult
-    bootstrap_degrees: list[int]
     kernels: list[np.ndarray]        # each node's Hankel kernel, reused every step
     controller_spectrum: np.ndarray
     observer_spectrum: np.ndarray
@@ -106,7 +107,6 @@ def initialize(cfg: ScenarioConfig) -> InitializationResult:
         f_control=control.f,
         control_token=control,
         observer_token=observer,
-        bootstrap_degrees=bootstrap.degrees,
         kernels=bootstrap.kernels,
         controller_spectrum=eigenvalues(sys.a + control.f),
         observer_spectrum=eigenvalues(obs_matrix),
@@ -215,51 +215,33 @@ def run_closed_loop(
 
     The trace has horizon + 1 rows; row k carries the normalized time
     t = k * (m_bar * tau + 1), charging one unit per estimation-control
-    update and tau per consensus round.
+    update and tau per consensus round.  Each step's five rows (x, xbar,
+    xhat, x - xbar_0, x - xhat) are formed in the loop arithmetic and
+    converted to float64 as they are recorded, so no Decimal or long double
+    iterate outlives its step.
     """
     horizon, tau = loop_settings(cfg, horizon, tau)
     if init is None:
         init = initialize(cfg)
-    if cfg.precision == "quad":
-        with decimal.localcontext(decimal.Context(prec=QUAD_DIGITS)):
-            return _run_loop(cfg, init, horizon, tau)
-    return _run_loop(cfg, init, horizon, tau)
-
-
-def _run_loop(
-    cfg: ScenarioConfig, init: InitializationResult, horizon: int, tau: float
-) -> ClosedLoopTrace:
     g, sys = cfg.graph, cfg.plant
     dtype = PRECISIONS[cfg.precision]
-    n_agents = g.node_count
-
     x0 = cfg.x0 if cfg.x0 is not None else np.ones(sys.n)
-    xhat0 = cfg.xhat0 if cfg.xhat0 is not None else np.zeros((n_agents, sys.n))
-    x = in_arithmetic(x0, dtype)
-    xhat = in_arithmetic(xhat0, dtype)
-    matrices = _step_matrices(sys, init.k_gains, init.l_gains, init.f_control, dtype)
-    agreement = prepare_agreement(
-        g, init.m_bar, init.kernels, dtype, rel_tol=cfg.rank_rel_tol, weights=cfg.weights
-    )
-
-    # each row is converted to float64 as it is recorded; rounds_used is the
-    # round at which the widest stored kernel's square Hankel completes
+    xhat0 = cfg.xhat0 if cfg.xhat0 is not None else np.zeros((g.node_count, sys.n))
+    rows = []
+    # only Decimal arithmetic reads the context, so every precision enters it
+    with decimal.localcontext(decimal.Context(prec=QUAD_DIGITS)):
+        x, xhat = in_arithmetic(x0, dtype), in_arithmetic(xhat0, dtype)
+        matrices = _step_matrices(sys, init.k_gains, init.l_gains, init.f_control, dtype)
+        agreement = prepare_agreement(
+            g, init.m_bar, init.kernels, dtype, rel_tol=cfg.rank_rel_tol, weights=cfg.weights
+        )
+        for k in range(horizon + 1):
+            xbar = exact_average_fixed_rounds(agreement, xhat)
+            rows.append([np.asarray(v, float) for v in (x, xbar, xhat, x - xbar[0], x - xhat)])
+            if k < horizon:
+                x, xhat = _estimate_and_control(*matrices, x, xbar)
+    # rounds_used: the round at which the widest stored kernel's square Hankel completes
     rounds_used = 2 * max(len(beta) for beta in init.kernels)
-    steps, per_node = horizon + 1, (horizon + 1, n_agents, sys.n)
-    trace = ClosedLoopTrace(
-        m_bar=init.m_bar, tau=tau, x=np.empty((steps, sys.n)),
-        xbar_nodes=np.empty(per_node), xhat=np.empty(per_node),
-        ebar=np.empty((steps, sys.n)), errors=np.empty(per_node), rounds_used=[],
+    return ClosedLoopTrace(
+        init.m_bar, tau, *map(np.stack, zip(*rows)), rounds_used=[rounds_used] * (horizon + 1)
     )
-    for k in range(steps):
-        xbar_nodes = exact_average_fixed_rounds(agreement, xhat)
-        trace.x[k] = x
-        trace.xbar_nodes[k] = xbar_nodes
-        trace.xhat[k] = xhat
-        trace.ebar[k] = x - xbar_nodes[0]
-        trace.errors[k] = x - xhat
-        trace.rounds_used.append(rounds_used)
-        if k == horizon:
-            break
-        x, xhat = _estimate_and_control(*matrices, x, xbar_nodes)
-    return trace

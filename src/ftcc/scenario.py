@@ -75,20 +75,29 @@ def _target(v) -> complex:
 
 def _parse_graph(doc) -> tuple[Digraph, np.ndarray]:
     """The digraph and its weights: a weight matrix, or edges with out-degree weights."""
-    edges = tuple(tuple(e) for e in doc.get("edges", ()))
-    if not all(_is_number(v, numbers.Integral) for e in edges for v in e):
-        raise ValueError("edges must be pairs of integer node ids")
+    edges = doc.get("edges", ())
+    for e in edges:
+        if not (isinstance(e, (list, tuple)) and len(e) == 2
+                and all(_is_number(v, numbers.Integral) for v in e)):
+            raise ValueError(f"edge {e!r} is not a pair of integer node ids")
+    edges = tuple(map(tuple, edges))
+    try:
+        n = _number(doc["node_count"], int) if "node_count" in doc else None
+    except ValueError as exc:
+        raise ValueError(f"node_count: {exc}") from None
     if "weight_matrix" in doc:
         weights = _matrix(doc["weight_matrix"])
         g = digraph_from_weight_matrix(weights)
-        n, m = _number(doc.get("node_count", g.node_count), int), g.node_count
-        if n != m:
+        m = g.node_count
+        if n not in (None, m):
             raise ValueError(f"node_count {n} disagrees with the {m}x{m} weight matrix")
-        if "edges" in doc and Digraph(n, edges).edges != g.edges:
+        if "edges" in doc and Digraph(m, edges).edges != g.edges:
             raise ValueError("explicit edges disagree with weight-matrix support")
         return g, weights
     if "edges" in doc:
-        g = Digraph(_number(doc["node_count"], int), edges)
+        if n is None:
+            raise KeyError("node_count")
+        g = Digraph(n, edges)
         return g, out_weight_matrix(g)
     raise ValueError("needs either weight_matrix or edges")
 

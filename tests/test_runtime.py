@@ -79,7 +79,7 @@ class TestInitialize:
         init = initialize(cfg)
         assert init.leader == 0
         assert init.m_bar == 3
-        assert is_schur_stable(sys.a + init.f_control, 0.0)
+        assert is_schur_stable(sys.a + init.f_control)
 
     def test_random_scenarios_both_schur(self):
         for seed in (1, 2, 3):
@@ -87,11 +87,11 @@ class TestInitialize:
             init = initialize(cfg)
             a = cfg.plant.a
             n_agents = cfg.graph.node_count
-            assert is_schur_stable(a + init.f_control, 0.0)
+            assert is_schur_stable(a + init.f_control)
             obs = a - sum(
                 l @ c for l, c in zip(init.l_gains, cfg.plant.c_list)
             ) / n_agents
-            assert is_schur_stable(obs, 0.0)
+            assert is_schur_stable(obs)
 
     def test_token_f_matches_gain_sums(self, paper_scenario, paper_init):
         # the token's accumulated matrix is exactly the sum of contributions
@@ -337,6 +337,14 @@ class TestClosedLoop:
                 1.0, np.linalg.norm(mean_err)
             )
 
+    def test_errors_are_the_recorded_differences(self, paper_scenario, paper_init):
+        # in double the loop arithmetic is float64, so each error row is the
+        # difference of the recorded rows, bit for bit
+        cfg = dataclasses.replace(paper_scenario, precision="double")
+        trace = run_closed_loop(cfg, paper_init, horizon=10, tau=1.0)
+        assert np.array_equal(trace.ebar, trace.x - trace.xbar_nodes[:, 0])
+        assert np.array_equal(trace.errors, trace.x[:, None] - trace.xhat)
+
     def test_separation_state_and_error_decay(self):
         cfg = random_scenario(21)
         trace = run_closed_loop(cfg, horizon=60, tau=1.0)
@@ -370,15 +378,18 @@ class TestQuadArithmetic:
             gap = np.max(np.abs(quad.ebar[k] - wide.ebar[k]))
             assert gap <= 1e-34 * np.max(np.abs(wide.x[k]))
 
+    @pytest.mark.parametrize("precision", ["double", "extended", "quad"])
     @pytest.mark.parametrize("caller_prec", [None, 50])
-    def test_caller_context_is_left_alone(self, paper_scenario, paper_init, caller_prec):
-        # unit kernels fail the agreement's window check inside the quad loop
+    def test_caller_context_is_left_alone(self, paper_scenario, paper_init, caller_prec, precision):
+        # every precision runs in the local context; unit kernels fail the
+        # agreement's window check inside the loop
+        cfg = dataclasses.replace(paper_scenario, precision=precision)
         bad = dataclasses.replace(paper_init, kernels=[np.ones(1)] * 4)
         with decimal.localcontext() as ctx:
             ctx.prec = caller_prec or ctx.prec
             before = decimal.getcontext().prec
-            run_closed_loop(paper_scenario, paper_init, horizon=1)
+            run_closed_loop(cfg, paper_init, horizon=1)
             assert decimal.getcontext().prec == before
             with pytest.raises(DegenerateInitializationError, match="consecutive windows differ"):
-                run_closed_loop(paper_scenario, bad, horizon=1)
+                run_closed_loop(cfg, bad, horizon=1)
             assert decimal.getcontext().prec == before

@@ -172,6 +172,19 @@ class TestLoading:
             scenario_from_dict(doc)
         assert str(info.value) == "graph: node_count 5 disagrees with the 4x4 weight matrix"
 
+    @pytest.mark.parametrize("path, value, message", [
+        (("graph", "node_count"), "2", "graph: node_count: must be a whole number, got '2'"),
+        (("graph", "edges"), [[0, "1"], [1, 0]],
+         "graph: edge [0, '1'] is not a pair of integer node ids"),
+        (("graph", "edges"), [[0, 1], [1]], "graph: edge [1] is not a pair of integer node ids"),
+    ])
+    def test_graph_message_names_the_key_or_the_edge(self, path, value, message):
+        doc = minimal_doc()
+        set_path(doc, path, value)
+        with pytest.raises(ConfigError) as info:
+            scenario_from_dict(doc)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("priorities", [{"99": []}, {"99": [1]}, {"2": [0]}, {"-1": [0]}])
     def test_priorities_key_out_of_range_named(self, priorities):
         doc = minimal_doc()
