@@ -323,13 +323,15 @@ class Agreement:
     earlier: np.ndarray
 
 
-def _agreement(pw: np.ndarray, rounds: int, kernels, rel_tol: float) -> Agreement:
-    """The quotient maps, from one history of the identity under P (already in the arithmetic).
+def agreement_maps(pw: np.ndarray, rounds: int, kernels, rel_tol: float) -> Agreement:
+    """The quotient maps, from one history of the identity under a checked P in the arithmetic.
 
     A node's kernel sums over its latest complete window, which suppresses
     residual-mode contamination, give its numerator coefficients; pi = P^k 1
     is the row sum of P^k, so their sum is its denominator.
     """
+    if len(kernels) != len(pw):
+        raise InvalidInputError(f"need one stored kernel per node, got {len(kernels)}")
     hist = _ratio_history(pw, in_arithmetic(np.eye(len(pw)), pw.dtype), max(rounds, 0))
     widths = np.array([len(beta) for beta in kernels])
     earlier = widths < rounds   # else the check raises, with the history
@@ -434,8 +436,9 @@ def finite_time_average(
     missing = [j for j, beta in enumerate(kernels) if beta is None]
     if missing:
         raise _degenerate(f"nodes {missing}: no rank-deficient Hankel width", hist[..., :-1])
+    agreement = agreement_maps(pw, rounds, kernels, rel_tol)
     return AverageResult(
-        mu=_checked_average(_agreement(pw, rounds, kernels, rel_tol), rows[:, :-1], hist[..., :-1]),
+        mu=_checked_average(agreement, rows[:, :-1], hist[..., :-1]),
         degrees=degrees,
         rounds_used=rounds,
         detection_rounds=c0,
@@ -455,10 +458,8 @@ def prepare_agreement(
 
     ``dtype`` is the arithmetic of the values the agreements will get.
     """
-    if len(kernels) != g.node_count:
-        raise InvalidInputError(f"need one stored kernel per node, got {len(kernels)}")
     p = out_weight_matrix(g) if weights is None else validate_weights(g, weights)
-    return _agreement(in_arithmetic(p, dtype), rounds, kernels, rel_tol)
+    return agreement_maps(in_arithmetic(p, dtype), rounds, kernels, rel_tol)
 
 
 def exact_average_fixed_rounds(agreement: Agreement, initial_values) -> np.ndarray:

@@ -29,8 +29,10 @@ class LtiSystem:
         if a.shape[0] != a.shape[1]:
             raise InvalidInputError(f"A must be square, got {a.shape}")
         n = a.shape[0]
-        b_list = tuple(as_matrix(b, "B_i") for b in self.b_list)
-        c_list = tuple(as_matrix(c, "C_i") for c in self.c_list)
+        b_list, c_list = tuple(map(np.asarray, self.b_list)), tuple(map(np.asarray, self.c_list))
+        for name, m in [*(("B_i", b) for b in b_list), *(("C_i", c) for c in c_list)]:
+            if m.ndim != 2:
+                raise InvalidInputError(f"{name} must be 2-D, got shape {m.shape}")
         if len(b_list) != len(c_list):
             raise InvalidInputError("need one B_i and one C_i per agent")
         for i, b in enumerate(b_list):
@@ -39,6 +41,9 @@ class LtiSystem:
         for i, c in enumerate(c_list):
             if c.shape[1] != n:
                 raise InvalidInputError(f"C_{i} must have {n} columns, got {c.shape}")
+        if b_list:   # finiteness in one pass over each stacked set of blocks
+            as_matrix(np.concatenate(b_list, axis=1), "B_i")
+            as_matrix(np.concatenate(c_list), "C_i")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b_list", b_list)
         object.__setattr__(self, "c_list", c_list)

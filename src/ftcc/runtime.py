@@ -10,10 +10,10 @@ which every node reads the average of the state estimates off the Hankel
 kernel it stored at bootstrap, applies the local control u_i = K_i xbar, and
 updates its estimate with the network-wide feedback sum from initialization.
 What does not change between steps is prepared once per run_closed_loop,
-in the loop arithmetic: the agreement's N x N maps (consensus.prepare_agreement)
-and the matrices B_i K_i, L_i C_i and A + F.  A step is then one agreement
-(two products) and two updates batched over the nodes,
-x' = A x + sum_i B_i K_i xbar_i and xhat'_i = (A + F) xbar_i + L_i C_i (x - xbar_i).
+in the loop arithmetic: the agreement's N x N maps (consensus.agreement_maps)
+and two linear maps over the nonzero entries of the agents' factors.  A step
+is then one agreement (two products) and the two maps, u_i = K_i xbar_i and
+y_i = C_i (x - xbar_i), then x' = A x + sum_i B_i u_i and xhat'_i = (A + F) xbar_i + L_i y_i.
 
 The simulation arithmetic runs at a configurable precision, chosen here
 once: the loop casts its inputs to that arithmetic and the consensus layer
@@ -30,13 +30,12 @@ curve clean over the horizons the diagnostics look at.
 from __future__ import annotations
 
 import decimal
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .consensus import elect_leader, exact_average_fixed_rounds, finite_time_average
-from .consensus import in_arithmetic, prepare_agreement
+from .consensus import agreement_maps, in_arithmetic
 from .exceptions import InvalidInputError
 from .gains import TokenResult, run_token_protocol
 from .linalg import eigenvalues
@@ -113,38 +112,58 @@ def initialize(cfg: ScenarioConfig) -> InitializationResult:
     )
 
 
-def _products(lefts, rights, dtype) -> list[np.ndarray]:
-    """Each l_i @ r_i in ``dtype``, every side converted once as one concatenation."""
-    left, right = in_arithmetic(np.hstack(lefts), dtype), in_arithmetic(np.vstack(rights), dtype)
-    cols = itertools.pairwise([0, *itertools.accumulate(l.shape[1] for l in lefts)])
-    rows = itertools.pairwise([0, *itertools.accumulate(r.shape[0] for r in rights)])
-    return [left[:, a:b] @ right[c:d] for (a, b), (c, d) in zip(cols, rows, strict=True)]
+def _fixed_map(rows: int, *blocks):
+    """A linear map's (columns, values, starts) from blocks of (output, input, value) entries."""
+    out, inp, val = map(np.concatenate, zip(*blocks))
+    # one zero entry per output that none reaches: np.add.reduceat would return z[start] there
+    empty = np.flatnonzero(np.bincount(out, minlength=rows) == 0)
+    out, inp = np.concatenate([out, empty]), np.concatenate([inp, empty * 0])
+    val = np.concatenate([val, in_arithmetic(empty * 0, val.dtype)])
+    order = np.argsort(out, kind="stable")   # block order within an output
+    return inp[order], val[order], np.searchsorted(out[order], np.arange(rows))
 
 
 def _step_matrices(sys, k_gains, l_gains, f_control, dtype):
-    """The update's fixed matrices in ``dtype``, each formed there (never cast from float64).
+    """The update's two maps in ``dtype`` over the nonzero entries of its factors, each exact.
 
-    A, [B_1 K_1 | ... | B_N K_N] (n, N*n), A + F, and the stack L_i C_i (N, n, n).
+    G1 maps [xbar; x - xbar] to [u; y], G2 maps [x; u; y; xbar] to [x'; xhat'],
+    each (N, n) array flattened; A + F is summed in ``dtype``.
     """
-    a = in_arithmetic(sys.a, dtype)
-    hk = np.hstack(_products(sys.b_list, k_gains, dtype))
-    lc = np.stack(_products(l_gains, sys.c_list, dtype))
-    return a, hk, a + in_arithmetic(f_control, dtype), lc
+    kc = np.concatenate([*k_gains, *sys.c_list])       # the rows of G1
+    ab = np.concatenate([sys.a, *sys.b_list], axis=1)  # the rows of x'
+    lc = np.concatenate(l_gains, axis=1)
+    n, agents, nu, ny = sys.n, len(k_gains), ab.shape[1] - sys.n, lc.shape[1]
+    # the agent of each row of K, and N + the agent of each row of C (column of L)
+    owner = np.repeat(np.arange(2 * agents), list(map(len, (*k_gains, *sys.c_list))))
+    r, j = np.nonzero(kc)
+    g1 = _fixed_map(len(kc), (r, owner[r] * n + j, in_arithmetic(kc[r, j], dtype)))
+    r, j = np.nonzero(ab)
+    ra, ja = np.nonzero(sys.a + f_control)   # zero in float64 exactly where zero in dtype
+    af = in_arithmetic(sys.a[ra, ja], dtype) + in_arithmetic(f_control[ra, ja], dtype)
+    rl, jl = np.nonzero(lc)
+    xhat_i = n * np.arange(1, agents + 1)[:, None]   # where xhat'_i starts in the output
+    return g1, _fixed_map(
+        n * (agents + 1),
+        (r, j, in_arithmetic(ab[r, j], dtype)),
+        ((xhat_i + ra).ravel(), (xhat_i + nu + ny + ja).ravel(), np.tile(af, agents)),
+        ((owner[nu:][jl] - agents + 1) * n + rl, n + nu + jl, in_arithmetic(lc[rl, jl], dtype)),
+    )
 
 
-def _estimate_and_control(a, hk, af, lc, x, xbar):
-    """One estimation-control update after agreement, batched over the nodes.
+def _estimate_and_control(g1, g2, x, xbar):
+    """One estimation-control update after agreement, two fixed maps (``_step_matrices``).
 
-    The plant takes u_i = K_i xbar_i: x' = A x + sum_i B_i K_i xbar_i.  Each
+    The plant takes u_i = K_i xbar_i: x' = A x + sum_i B_i u_i.  Each
     estimate refreshes from the agreed average, the network-wide feedback
     sum F (known to every node after initialization) and the local output
     innovation y_i - C_i xbar_i = C_i (x - xbar_i), measured at the
-    pre-update state: xhat'_i = (A + F) xbar_i + L_i C_i (x - xbar_i).
+    pre-update state: xhat'_i = (A + F) xbar_i + L_i y_i.
     ``xbar`` is (N, n); returns x' and the (N, n) estimates.
     """
-    x_next = a @ x + hk @ xbar.ravel()
-    xhat_next = xbar @ af.T + (lc @ (x - xbar)[:, :, None])[:, :, 0]
-    return x_next, xhat_next
+    (c1, v1, s1), (c2, v2, s2) = g1, g2
+    uy = np.add.reduceat(np.concatenate([xbar, x - xbar]).ravel()[c1] * v1, s1)
+    out = np.add.reduceat(np.concatenate([x, uy, xbar.ravel()])[c2] * v2, s2)
+    return out[: len(x)], out[len(x):].reshape(xbar.shape)
 
 
 @dataclass
@@ -170,15 +189,15 @@ class ClosedLoopTrace:
 
     @property
     def norm_x(self) -> list[float]:
-        return [float(np.linalg.norm(v)) for v in self.x]
+        return np.linalg.norm(self.x, axis=-1).tolist()
 
     @property
     def norm_ebar(self) -> list[float]:
-        return [float(np.linalg.norm(v)) for v in self.ebar]
+        return np.linalg.norm(self.ebar, axis=-1).tolist()
 
     @property
     def norm_errors(self) -> list[list[float]]:
-        return [[float(np.linalg.norm(e)) for e in row] for row in self.errors]
+        return np.linalg.norm(self.errors, axis=-1).tolist()
 
     def csv_rows(self):
         """Rows matching the fixed trace schema."""
@@ -232,8 +251,8 @@ def run_closed_loop(
     with decimal.localcontext(decimal.Context(prec=QUAD_DIGITS)):
         x, xhat = in_arithmetic(x0, dtype), in_arithmetic(xhat0, dtype)
         matrices = _step_matrices(sys, init.k_gains, init.l_gains, init.f_control, dtype)
-        agreement = prepare_agreement(
-            g, init.m_bar, init.kernels, dtype, rel_tol=cfg.rank_rel_tol, weights=cfg.weights
+        agreement = agreement_maps(   # the config checked its P on construction
+            in_arithmetic(cfg.weights, dtype), init.m_bar, init.kernels, cfg.rank_rel_tol
         )
         for k in range(horizon + 1):
             xbar = exact_average_fixed_rounds(agreement, xhat)

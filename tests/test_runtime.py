@@ -193,20 +193,36 @@ def update_by_agent(a, b_list, c_list, k_gains, l_gains, f_control, x, xbar_node
     return x_next, np.stack(xhat_next)
 
 
+def update_inputs(case, sys, init):
+    """The update's fixed inputs for ``case``: an empty row in a map, or an agent with no input.
+
+    "paper" has a zero gain row already: K_4 = 0, so u_4 is a row of G1 with
+    no entry (and L_3 = 0, so no output reads y_3).  "unactuated agent"
+    gives agent 2 a B_2 of shape (n, 0) and no u_2.  "zero A row" zeros
+    row 6 of A, an unactuated state, so x'_6 and agent 3's xhat'_3,6
+    (F_6 = 0 and L_3 = 0) are rows of G2 with no entry.
+    """
+    a, b_list, k_gains = sys.a, list(sys.b_list), list(init.k_gains)
+    if case == "unactuated agent":
+        b_list[1], k_gains[1] = b_list[1][:, :0], k_gains[1][:0]
+    if case == "zero A row":
+        a = a.copy()
+        a[6] = 0
+    return LtiSystem(a, b_list, sys.c_list), k_gains, init.l_gains, init.f_control
+
+
 class TestBatchedStep:
     """The batched update against the agent-by-agent one, in every precision.
 
-    The two differ in association only (B_i K_i and L_i C_i formed once,
-    A + F summed once), so each entry agrees to a few units of roundoff of
-    the sum of its terms' magnitudes: measured at most 1.6 units; the
-    stated bound is 8.
+    The two differ in association only (A + F summed once, and x' summing
+    the A terms before the B terms), so each entry agrees to a few units of
+    roundoff of the sum of its terms' magnitudes: measured at most 1.1
+    units; the stated bound is 8.  A row with no terms must come out 0.
     """
 
     @pytest.mark.parametrize("precision", ["double", "extended", "quad"])
     def test_matches_the_agent_loop(self, precision, paper_scenario, paper_init):
-        sys, init = paper_scenario.plant, paper_init
         dtype = PRECISIONS[precision]
-        rng = np.random.default_rng(12)
         mags = np.abs
         with decimal.localcontext(decimal.Context(prec=runtime.QUAD_DIGITS)):
             eps = 10.0 ** (1 - runtime.QUAD_DIGITS) if dtype == object else np.finfo(dtype).eps
@@ -214,35 +230,58 @@ class TestBatchedStep:
             def cast(m):
                 return in_arithmetic(m, dtype)
 
-            matrices = _step_matrices(sys, init.k_gains, init.l_gains, init.f_control, dtype)
-            cast_sys = (
-                cast(sys.a), [cast(b) for b in sys.b_list], [cast(c) for c in sys.c_list],
-                [cast(k) for k in init.k_gains], [cast(l) for l in init.l_gains],
-                cast(init.f_control),
-            )
-            for _ in range(5):
-                x = rng.normal(size=8) * 10.0 ** rng.uniform(-3, 3)
-                xbar = x + rng.normal(size=(4, 8)) * 10.0 ** rng.uniform(-6, 0)
-                new = _estimate_and_control(*matrices, cast(x), cast(xbar))
-                old = update_by_agent(*cast_sys, cast(x), cast(xbar))
-                # |terms|: the roundoff scale of each entry of the two sums
-                x_terms = mags(sys.a) @ mags(x) + sum(
-                    mags(b) @ mags(k) @ mags(xb)
-                    for b, k, xb in zip(sys.b_list, init.k_gains, xbar)
+            for case in ("paper", "unactuated agent", "zero A row"):
+                sys, k_gains, l_gains, f_control = update_inputs(
+                    case, paper_scenario.plant, paper_init
                 )
-                xhat_terms = np.stack([
-                    (mags(sys.a) + mags(init.f_control)) @ mags(xb)
-                    + mags(l) @ mags(c) @ (mags(x) + mags(xb))
-                    for l, c, xb in zip(init.l_gains, sys.c_list, xbar)
-                ])
-                for got, want, terms in zip(new, old, (x_terms, xhat_terms)):
-                    assert got.dtype == want.dtype and got.shape == want.shape
-                    assert np.all(np.abs(got - want).astype(float) <= 8 * eps * terms)
+                matrices = _step_matrices(sys, k_gains, l_gains, f_control, dtype)
+                cast_sys = (
+                    cast(sys.a), [cast(b) for b in sys.b_list], [cast(c) for c in sys.c_list],
+                    [cast(k) for k in k_gains], [cast(l) for l in l_gains], cast(f_control),
+                )
+                rng = np.random.default_rng(12)
+                for _ in range(5):
+                    x = rng.normal(size=8) * 10.0 ** rng.uniform(-3, 3)
+                    xbar = x + rng.normal(size=(4, 8)) * 10.0 ** rng.uniform(-6, 0)
+                    new = _estimate_and_control(*matrices, cast(x), cast(xbar))
+                    old = update_by_agent(*cast_sys, cast(x), cast(xbar))
+                    # |terms|: the roundoff scale of each entry of the two sums
+                    x_terms = mags(sys.a) @ mags(x) + sum(
+                        mags(b) @ mags(k) @ mags(xb) for b, k, xb in zip(sys.b_list, k_gains, xbar)
+                    )
+                    xhat_terms = np.stack([
+                        (mags(sys.a) + mags(f_control)) @ mags(xb)
+                        + mags(l) @ mags(c) @ (mags(x) + mags(xb))
+                        for l, c, xb in zip(l_gains, sys.c_list, xbar)
+                    ])
+                    for got, want, terms in zip(new, old, (x_terms, xhat_terms)):
+                        assert got.dtype == want.dtype and got.shape == want.shape
+                        assert np.all(np.abs(got - want).astype(float) <= 8 * eps * terms)
+
+    def test_the_maps_hold_only_nonzero_factors(self, paper_scenario, paper_init):
+        # G1 holds K_i and C_i; G2 holds A, B_i, L_i and N copies of A + F.  Each
+        # keeps only their nonzero entries, plus one zero filler per row that
+        # nothing else reaches (u_4, as K_4 = 0): 29 and 190 Decimal products
+        # per step, where the dense blocks took 832
+        sys, init = paper_scenario.plant, paper_init
+        with decimal.localcontext(decimal.Context(prec=runtime.QUAD_DIGITS)):
+            maps = _step_matrices(sys, init.k_gains, init.l_gains, init.f_control, object)
+        fillers = 0
+        for _, values, starts in maps:
+            lone = np.diff([*starts, len(values)]) == 1
+            zeros = np.count_nonzero(values == 0)
+            assert zeros == np.count_nonzero(values[starts[lone]] == 0)   # each alone in its row
+            fillers += zeros
+        factors = [*init.k_gains, *sys.c_list, sys.a, *sys.b_list, *init.l_gains]
+        nonzero = sum(map(np.count_nonzero, factors))
+        nonzero += 4 * np.count_nonzero(sys.a + init.f_control)
+        assert [len(values) for _, values, _ in maps] == [29, 190]
+        assert fillers == 1 and 29 + 190 == nonzero + fillers
 
 
 class TestPreparedOnce:
-    """Per-run work (P's validation, every conversion into the loop
-    arithmetic) is done once per run, whatever the horizon."""
+    """Per-run work (every conversion into the loop arithmetic) is done once
+    per run, whatever the horizon; P, checked by the config, is not checked again."""
 
     def test_counts_do_not_grow_with_the_horizon(self, monkeypatch, paper_scenario, paper_init):
         calls = collections.Counter()
@@ -265,7 +304,7 @@ class TestPreparedOnce:
             # one traced consensus.agree span per step
             assert calls.pop(("ftcc.runtime", "exact_average_fixed_rounds")) == horizon + 1
             per_horizon[horizon] = dict(calls)
-        assert per_horizon[5][("ftcc.consensus", "validate_weights")] == 1
+        assert per_horizon[5].get(("ftcc.consensus", "validate_weights"), 0) == 0
         assert per_horizon[5] == per_horizon[1]
 
     def test_the_plant_is_checked_once(self, monkeypatch):
