@@ -28,8 +28,11 @@ far as they read it:
 
 With P and the kernels fixed, a node's quotient is a fixed linear functional
 of the inputs, so an Agreement, prepared once per run from one history of the
-identity, holds them as two N x N maps (latest window, one window earlier);
-the check, in the bootstrap and in every agreement, is two products with them.
+identity, holds them as two N x N maps (latest window, one window earlier).
+Their difference is fixed too, and its l1 norm bounds the gap of every input,
+so the Agreement also lists the nodes that bound cannot clear.  The check, in
+the bootstrap and in every agreement, is one product with the latest map, and
+a second with the earlier one only when some node is listed.
 
 Two indexing conventions matter and are easy to get wrong:
 
@@ -64,9 +67,9 @@ from .graph import Digraph, out_weight_matrix
 from .linalg import as_matrix, common_kernel_vector
 
 DEFAULT_REL_TOL = 1e-8
-# The largest float64, also as a Decimal: a Decimal compared with a float
-# converts the float anew on every comparison
-_FLOAT_MAX = np.finfo(float).max
+# The largest and the smallest normal float64, the largest also as a Decimal:
+# a Decimal compared with a float converts the float anew on every comparison
+_FLOAT_MAX, _FLOAT_TINY = np.finfo(float).max, np.finfo(float).tiny
 _FLOAT_MAX_DECIMAL = decimal.Decimal(_FLOAT_MAX)
 
 
@@ -312,6 +315,19 @@ class Agreement:
     Row j of ``w`` (``w_lag``) maps the inputs to node j's kernel quotient on
     its latest window (one window earlier); both rows are zero where ``rounds``
     leaves node j's width-``widths[j]`` kernel no earlier window (``earlier``).
+
+    Node j's window gap is (W_j - W_lag,j) v in exact arithmetic, and the
+    two products add at most N eps (|W_j|_1 + |W_lag,j|_1) max|v| of
+    roundoff, eps the unit of the arithmetic, so for every input v the
+    computed gap is at most b_j max|v|, up to a few ulps, with
+    b_j = |W_j - W_lag,j|_1 + N eps (|W_j|_1 + |W_lag,j|_1) in float64.  A
+    node with 2 b_j <= rel_tol thus passes the check whatever the input, with
+    a margin of half the tolerance for the ulps; ``checked`` lists, ascending,
+    the others: the nodes with no earlier window or a larger (or NaN) b_j.
+    The bound holds while the agreements run at the precision the maps were
+    prepared in (a Decimal context with fewer digits is outside it) and no
+    product leaves float64's normal range; ``reach``, the largest row l1 norm
+    of the two maps, bounds every partial sum of a product by reach max|v|.
     """
 
     rounds: int
@@ -321,6 +337,8 @@ class Agreement:
     w_lag: np.ndarray
     widths: np.ndarray
     earlier: np.ndarray
+    checked: np.ndarray
+    reach: float
 
 
 def agreement_maps(pw: np.ndarray, rounds: int, kernels, rel_tol: float) -> Agreement:
@@ -328,7 +346,8 @@ def agreement_maps(pw: np.ndarray, rounds: int, kernels, rel_tol: float) -> Agre
 
     A node's kernel sums over its latest complete window, which suppresses
     residual-mode contamination, give its numerator coefficients; pi = P^k 1
-    is the row sum of P^k, so their sum is its denominator.
+    is the row sum of P^k, so their sum is its denominator.  Each node's
+    bound b_j (``Agreement``) is taken once here, from the maps as stored.
     """
     if len(kernels) != len(pw):
         raise InvalidInputError(f"need one stored kernel per node, got {len(kernels)}")
@@ -343,31 +362,49 @@ def agreement_maps(pw: np.ndarray, rounds: int, kernels, rel_tol: float) -> Agre
             s0 = rounds + 1 - w - lag   # >= 1: the window starts past the inputs
             sums = sum(beta[:, t : t + 1] * hist[s0 + t, nodes] for t in range(w))
             m[nodes] = sums / sums.sum(axis=1, keepdims=True)
-    return Agreement(rounds, rel_tol, pw, *maps, widths, earlier)
+    gap, latest, lagged = (
+        np.abs(m).astype(float).sum(axis=1) for m in (maps[0] - maps[1], *maps)
+    )
+    bound = gap + len(pw) * _dtype_eps(pw.dtype) * (latest + lagged)
+    checked = np.flatnonzero(~earlier | ~(2 * bound <= rel_tol))   # a NaN bound is checked
+    reach = float(np.max(np.maximum(latest, lagged)))
+    return Agreement(rounds, rel_tol, pw, *maps, widths, earlier, checked, reach)
 
 
 def _checked_average(agreement: Agreement, vals: np.ndarray, hist=None) -> np.ndarray:
-    """The (N, n) quotients on each node's latest window, two products with the inputs.
+    """The (N, n) quotients on each node's latest window, each checked against the one before.
 
-    Each node checks its quotient against the one a window earlier, equal in
-    exact arithmetic unless beta_j misses a mode: a gap above rel_tol times
-    the largest input, or no earlier window, raises
+    The two are equal in exact arithmetic unless beta_j misses a mode: a gap
+    above rel_tol times the largest input, or no earlier window, raises
     DegenerateInitializationError naming the lowest-indexed failing node and
     carrying the numerator history, ``hist`` or else rebuilt from ``vals``.
+    Only the nodes in ``agreement.checked`` need the earlier quotients, and
+    with none of them this is one product: every other node's bound keeps
+    its gap within half the tolerance.  That takes inputs at the precision
+    the maps were prepared in and a tolerance and products in float64's
+    normal range; outside the range, where underflow or overflow adds more
+    than the bound allows, every node is checked.
     """
-    mu, earlier = agreement.w @ vals, agreement.earlier
-    gaps = np.full(len(mu), np.inf)
-    gaps[earlier] = np.max(np.abs(mu - agreement.w_lag @ vals), axis=1)[earlier]
-    tol = agreement.rel_tol * float(np.max(np.abs(vals)))
+    mu, top = agreement.w @ vals, float(np.max(np.abs(vals)))
+    tol, rows = agreement.rel_tol * top, agreement.checked
+    if not (_FLOAT_TINY <= tol and top * agreement.reach <= _FLOAT_MAX / 2):
+        rows = np.arange(len(mu))
+    if not len(rows):
+        return mu
+    earlier = agreement.earlier[rows]
+    gaps = np.full(len(rows), np.inf)
+    # the whole product: a float64 product of fewer rows may round a row differently
+    lagged = (agreement.w_lag @ vals)[rows]
+    gaps[earlier] = np.max(np.abs(mu[rows] - lagged), axis=1)[earlier]
     bad = np.flatnonzero(~(gaps <= tol))   # a NaN gap fails too
     if len(bad):
-        j, widths = bad[0], agreement.widths
+        i, j = bad[0], rows[bad[0]]
         fault = (
-            f"consecutive windows differ by {gaps[j]:.3e}" if earlier[j]
+            f"consecutive windows differ by {gaps[i]:.3e}" if earlier[i]
             else f"{agreement.rounds} rounds leave no earlier window"
         )
         hist = _ratio_history(agreement.p, vals, max(agreement.rounds, 0)) if hist is None else hist
-        raise _degenerate(f"node {j}, stored width-{widths[j]} kernel: {fault}", hist)
+        raise _degenerate(f"node {j}, stored width-{agreement.widths[j]} kernel: {fault}", hist)
     return mu
 
 

@@ -12,8 +12,10 @@ updates its estimate with the network-wide feedback sum from initialization.
 What does not change between steps is prepared once per run_closed_loop,
 in the loop arithmetic: the agreement's N x N maps (consensus.agreement_maps)
 and two linear maps over the nonzero entries of the agents' factors.  A step
-is then one agreement (two products) and the two maps, u_i = K_i xbar_i and
-y_i = C_i (x - xbar_i), then x' = A x + sum_i B_i u_i and xhat'_i = (A + F) xbar_i + L_i y_i.
+is then one agreement (one product with the latest-window map, while every
+node's window check is cleared by its bound) and the two maps, u_i = K_i xbar_i
+and y_i = C_i (x - xbar_i), then x' = A x + sum_i B_i u_i and
+xhat'_i = (A + F) xbar_i + L_i y_i, and one float64 record.
 
 The simulation arithmetic runs at a configurable precision, chosen here
 once: the loop casts its inputs to that arithmetic and the consensus layer
@@ -234,10 +236,11 @@ def run_closed_loop(
 
     The trace has horizon + 1 rows; row k carries the normalized time
     t = k * (m_bar * tau + 1), charging one unit per estimation-control
-    update and tau per consensus round.  Each step's five rows (x, xbar,
+    update and tau per consensus round.  Each step's five arrays (x, xbar,
     xhat, x - xbar_0, x - xhat) are formed in the loop arithmetic and
-    converted to float64 as they are recorded, so no Decimal or long double
-    iterate outlives its step.
+    recorded as one row, converted to float64 at once, so no Decimal or long
+    double iterate outlives its step; the trace's arrays are split from the
+    stacked rows.
     """
     horizon, tau = loop_settings(cfg, horizon, tau)
     if init is None:
@@ -246,7 +249,7 @@ def run_closed_loop(
     dtype = PRECISIONS[cfg.precision]
     x0 = cfg.x0 if cfg.x0 is not None else np.ones(sys.n)
     xhat0 = cfg.xhat0 if cfg.xhat0 is not None else np.zeros((g.node_count, sys.n))
-    rows = []
+    record = []
     # only Decimal arithmetic reads the context, so every precision enters it
     with decimal.localcontext(decimal.Context(prec=QUAD_DIGITS)):
         x, xhat = in_arithmetic(x0, dtype), in_arithmetic(xhat0, dtype)
@@ -256,11 +259,18 @@ def run_closed_loop(
         )
         for k in range(horizon + 1):
             xbar = exact_average_fixed_rounds(agreement, xhat)
-            rows.append([np.asarray(v, float) for v in (x, xbar, xhat, x - xbar[0], x - xhat)])
+            parts = (x, xbar, xhat, x - xbar[0], x - xhat)
+            record.append(np.concatenate([np.ravel(v) for v in parts]).astype(float))
             if k < horizon:
                 x, xhat = _estimate_and_control(*matrices, x, xbar)
+    n, agents = sys.n, g.node_count
+    x, xbar, xhat, ebar, errors = np.split(
+        np.stack(record), np.cumsum([n, agents * n, agents * n, n]), axis=1
+    )
+    nodes = (-1, agents, n)
     # rounds_used: the round at which the widest stored kernel's square Hankel completes
     rounds_used = 2 * max(len(beta) for beta in init.kernels)
     return ClosedLoopTrace(
-        init.m_bar, tau, *map(np.stack, zip(*rows)), rounds_used=[rounds_used] * (horizon + 1)
+        init.m_bar, tau, x, xbar.reshape(nodes), xhat.reshape(nodes), ebar,
+        errors.reshape(nodes), rounds_used=[rounds_used] * (horizon + 1),
     )

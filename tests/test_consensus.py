@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import re
 from decimal import Decimal
@@ -315,6 +316,170 @@ class TestBatchedAgreement:
         g = digraph_from_weight_matrix(FOURNODE_P)
         with pytest.raises(InvalidInputError, match="one stored kernel per node"):
             prepare_agreement(g, 11, stored_kernels(g, FOURNODE_P)[:3], weights=FOURNODE_P)
+
+
+def precision_eps(dtype) -> float:
+    """The unit of ``dtype``'s arithmetic, quad at QUAD_DIGITS digits."""
+    return 10.0 ** (1 - QUAD_DIGITS) if dtype == object else float(np.finfo(dtype).eps)
+
+
+def window_bounds(agreement, dtype) -> np.ndarray:
+    """b_j = |W_j - W_lag,j|_1 + N eps (|W_j|_1 + |W_lag,j|_1), in float64, for each node."""
+    w, lag = agreement.w, agreement.w_lag
+    gap, latest, lagged = (np.abs(m).astype(float).sum(axis=1) for m in (w - lag, w, lag))
+    return gap + len(w) * precision_eps(dtype) * (latest + lagged)
+
+
+def kernels_with_bounds(g, weights, rounds, kernels, targets):
+    """``kernels`` with beta_j[0] moved so that b_j sits near targets[j] * DEFAULT_REL_TOL.
+
+    b_j grows linearly with a small move of one kernel coefficient, so one
+    trial move of 1e-6 sizes each node's; a node whose target is None keeps
+    its kernel.
+    """
+    def moved(steps):
+        return [beta if t is None else beta + np.eye(len(beta))[0] * s
+                for beta, t, s in zip(kernels, targets, steps)]
+
+    trial = [1e-6] * len(kernels)
+    b = window_bounds(prepare_agreement(g, rounds, moved(trial), weights=weights), float)
+    return moved([s * (t or 0) * DEFAULT_REL_TOL / bj for s, t, bj in zip(trial, targets, b)])
+
+
+def outcome(average):
+    """(mu, None) when ``average()`` returns, (None, error) when the window check raises."""
+    try:
+        return average(), None
+    except DegenerateInitializationError as err:
+        return None, err
+
+
+class TestCheckedNodes:
+    """The window check compares only the nodes whose bound b_j cannot clear it.
+
+    A node with 2 b_j <= rel_tol has a gap of at most half the tolerance for
+    every input, so leaving it uncompared changes no outcome.
+    """
+
+    # b_j / rel_tol for each node; None keeps the bootstrap kernel (b_j ~ 1e-15)
+    TARGETS = {"mixed widths": (0.1, 0.4, 0.6, 1.0, 10.0), "paper-4node": (0.6, 10.0, None, 0.4)}
+
+    def cases(self, paper_scenario, paper_init):
+        boot = finite_time_average(MIXED_WIDTHS, np.arange(5, dtype=float))
+        return {
+            "mixed widths": (MIXED_WIDTHS, None, boot.m_bar, boot.kernels),
+            "paper-4node": (
+                paper_scenario.graph, paper_scenario.weights, paper_init.m_bar, paper_init.kernels
+            ),
+        }
+
+    @pytest.mark.parametrize("precision", ["double", "extended", "quad"])
+    @pytest.mark.parametrize("case", ["mixed widths", "paper-4node"])
+    def test_matches_the_node_loop_that_checks_every_node(
+        self, case, precision, paper_scenario, paper_init
+    ):
+        g, weights, rounds, kernels = self.cases(paper_scenario, paper_init)[case]
+        targets = self.TARGETS[case]
+        kernels = kernels_with_bounds(g, weights, rounds, kernels, targets)
+        dtype, n_nodes = PRECISIONS[precision], g.node_count
+        rng = np.random.default_rng(43)
+        with decimal.localcontext(decimal.Context(prec=QUAD_DIGITS)):
+            agreement = prepare_agreement(g, rounds, kernels, dtype, weights=weights)
+            b = window_bounds(agreement, dtype) / DEFAULT_REL_TOL
+            for bj, t in zip(b, targets):
+                assert bj < 1e-5 if t is None else 0.8 * t < bj < 1.25 * t
+            # cleared and checked nodes share the agreement
+            assert agreement.checked.tolist() == [j for j, t in enumerate(targets) if (t or 0) > 0.5]
+            inputs = [np.zeros((n_nodes, 3)), np.tile(rng.normal(size=3), (n_nodes, 1))]
+            for _ in range(12):
+                xhat = rng.normal(size=(n_nodes, 3))
+                inputs.append(xhat * 10.0 ** rng.uniform(-6, 6, xhat.shape))
+            failed = 0
+            for vals in map(lambda v: in_arithmetic(v, dtype), inputs):
+                mu, err = outcome(lambda: exact_average_fixed_rounds(agreement, vals))
+                _, old = outcome(lambda: agreement_by_node(g, vals, rounds, kernels, weights=weights))
+                if old is None:
+                    assert err is None
+                    assert mu.dtype == vals.dtype and np.array_equal(mu, agreement.w @ vals)
+                else:
+                    failed += 1
+                    assert err is not None
+                    assert str(err).split(" by ")[0] == str(old).split(" by ")[0]
+                    assert np.array_equal(err.history, old.history)
+            assert 0 < failed < len(inputs)   # the node loop both passes and raises
+
+    @pytest.mark.parametrize("precision", ["double", "extended", "quad"])
+    def test_none_on_paper_4node(self, precision, paper_scenario, paper_init):
+        cfg = paper_scenario
+        with decimal.localcontext(decimal.Context(prec=QUAD_DIGITS)):
+            agreement = prepare_agreement(
+                cfg.graph, paper_init.m_bar, paper_init.kernels, PRECISIONS[precision],
+                weights=cfg.weights,
+            )
+        assert agreement.checked.tolist() == []
+
+    def test_none_on_the_complete_48_node_bootstrap(self, monkeypatch):
+        import ftcc.consensus as consensus
+
+        prepared = []
+
+        def kept(*args, _fn=consensus.agreement_maps):
+            prepared.append(_fn(*args))
+            return prepared[-1]
+
+        monkeypatch.setattr(consensus, "agreement_maps", kept)
+        finite_time_average(complete_digraph(48), np.arange(48, dtype=float))
+        assert len(prepared) == 1 and prepared[0].checked.tolist() == []
+
+    def test_every_node_with_unit_kernels(self):
+        g = digraph_from_weight_matrix(FOURNODE_P)
+        agreement = prepare_agreement(g, 11, [np.ones(1)] * 4, weights=FOURNODE_P)
+        assert agreement.checked.tolist() == [0, 1, 2, 3]
+
+    def test_every_node_without_an_earlier_window(self):
+        # widths 4, 4, 5, 5, 4: 5 rounds leave the width-5 nodes no earlier window, 4 leave none any
+        boot = finite_time_average(MIXED_WIDTHS, np.arange(5, dtype=float))
+        for rounds, checked in ((5, [2, 3]), (4, [0, 1, 2, 3, 4])):
+            agreement = prepare_agreement(MIXED_WIDTHS, rounds, boot.kernels)
+            assert agreement.checked.tolist() == checked
+
+    def test_a_cleared_agreement_never_reads_the_earlier_map(self, paper_scenario, paper_init):
+        cfg = paper_scenario
+        agreement = prepare_agreement(
+            cfg.graph, paper_init.m_bar, paper_init.kernels, weights=cfg.weights
+        )
+        vals = np.random.default_rng(8).normal(size=(4, 8))
+        mu = exact_average_fixed_rounds(agreement, vals)
+        unread = dataclasses.replace(agreement, w_lag=None)
+        assert np.array_equal(exact_average_fixed_rounds(unread, vals), mu)
+
+    def test_inputs_outside_the_normal_range_check_every_node(self, paper_scenario, paper_init):
+        # underflow or overflow adds more than the bound allows, so there every
+        # node is checked.  On paper-4node, integer multiples of the smallest
+        # subnormal fail the check, which the bound alone would clear
+        cfg = paper_scenario
+        agreement = prepare_agreement(
+            cfg.graph, paper_init.m_bar, paper_init.kernels, weights=cfg.weights
+        )
+        tiny = np.arange(1.0, 5.0)[:, None] * 5e-324
+        with pytest.raises(DegenerateInitializationError, match="consecutive windows differ"):
+            exact_average_fixed_rounds(agreement, tiny)
+        # and on MIXED_WIDTHS, whose rows sum to 1 + 1 ulp, the largest float64
+        # overflows an earlier quotient
+        boot = finite_time_average(MIXED_WIDTHS, np.arange(5, dtype=float))
+        mixed = prepare_agreement(MIXED_WIDTHS, boot.m_bar, boot.kernels)
+        assert mixed.checked.tolist() == []
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            DegenerateInitializationError, match="node 0, .* differ by inf"
+        ):
+            exact_average_fixed_rounds(mixed, np.full((5, 1), np.finfo(float).max))
+        # with an earlier map that fails every node, the check shows where it runs
+        failing = dataclasses.replace(agreement, w_lag=agreement.w + 0.1)
+        for scale in (1e-299, 1e307):   # tolerance normal, no product near overflow
+            exact_average_fixed_rounds(failing, np.full((4, 1), scale))
+        for scale in (1e-301, 1e308):
+            with pytest.raises(DegenerateInitializationError, match="node 0, .* differ"):
+                exact_average_fixed_rounds(failing, np.full((4, 1), scale))
 
 
 class TestValidateWeights:

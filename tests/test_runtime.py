@@ -405,6 +405,51 @@ class TestClosedLoop:
                 assert dev <= 1e-9 * max(1.0, np.max(np.abs(traces["double"].x[k])))
 
 
+def recorded_by_array(cfg, init, horizon):
+    """The loop's five trace arrays, each step's five arrays converted one by one.
+
+    The reference for the one-row record: the same set-up, agreement and
+    update, then ``np.asarray(v, float)`` on each array and one stack each.
+    """
+    dtype = PRECISIONS[cfg.precision]
+    n_agents, n = cfg.graph.node_count, cfg.plant.n
+    with decimal.localcontext(decimal.Context(prec=runtime.QUAD_DIGITS)):
+        x = in_arithmetic(np.ones(n) if cfg.x0 is None else cfg.x0, dtype)
+        xhat = in_arithmetic(np.zeros((n_agents, n)) if cfg.xhat0 is None else cfg.xhat0, dtype)
+        matrices = _step_matrices(cfg.plant, init.k_gains, init.l_gains, init.f_control, dtype)
+        agreement = consensus.agreement_maps(
+            in_arithmetic(cfg.weights, dtype), init.m_bar, init.kernels, cfg.rank_rel_tol
+        )
+        rows = []
+        for k in range(horizon + 1):
+            xbar = consensus.exact_average_fixed_rounds(agreement, xhat)
+            rows.append([np.asarray(v, float) for v in (x, xbar, xhat, x - xbar[0], x - xhat)])
+            if k < horizon:
+                x, xhat = _estimate_and_control(*matrices, x, xbar)
+    return [np.stack(arrays) for arrays in zip(*rows)]
+
+
+class TestRecordLayout:
+    """Each step is recorded as one row [x, xbar, xhat, x - xbar_0, x - xhat],
+    converted at once and split into the trace's arrays after the loop."""
+
+    @pytest.mark.parametrize("precision", ["double", "extended", "quad"])
+    @pytest.mark.parametrize("case", ["paper-4node", "3 agents, n = 5"])
+    def test_matches_the_per_array_conversion(self, case, precision, paper_scenario, paper_init):
+        # n != N on the random plant, so a split or reshape on the wrong size shows
+        if case == "paper-4node":
+            cfg, init = paper_scenario, paper_init
+        else:
+            cfg = random_scenario(1, n_agents=3, n=5)
+            init = initialize(cfg)
+        cfg = dataclasses.replace(cfg, precision=precision)
+        trace = run_closed_loop(cfg, init, horizon=8)
+        got = (trace.x, trace.xbar_nodes, trace.xhat, trace.ebar, trace.errors)
+        for array, want in zip(got, recorded_by_array(cfg, init, 8), strict=True):
+            assert array.dtype == want.dtype == np.float64 and array.shape == want.shape
+            assert np.array_equal(array, want)
+
+
 class TestQuadArithmetic:
     """Quad is the standard library's decimal at QUAD_DIGITS significant digits."""
 
