@@ -9,7 +9,6 @@ from .consensus import (
     exact_average_fixed_rounds,
     finite_time_average,
     m_bar,
-    prepare_agreement,
 )
 from .gains import (
     PlacementTargets,
@@ -52,7 +51,6 @@ __all__ = [
     "out_weight_matrix",
     "place_for_agent",
     "place_single",
-    "prepare_agreement",
     "run_closed_loop",
     "run_token_protocol",
     "save_scenario",

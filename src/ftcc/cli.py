@@ -1,4 +1,4 @@
-"""Command-line front end: init, simulate, verify, export."""
+"""Command-line front end: init, simulate, verify."""
 
 from __future__ import annotations
 
@@ -92,10 +92,8 @@ def _write(path, write) -> None:
         raise FtccError(f"could not write {path}: {exc.strerror or exc}") from None
 
 
-def _simulate(args, require_out: bool) -> int:
+def cmd_simulate(args) -> int:
     cfg = load_scenario(args.scenario)
-    if require_out and not args.out:
-        raise FtccError("export requires --out")
     horizon, tau = loop_settings(cfg, args.horizon, args.tau)
     _check_out(args.out)
     init = initialize(cfg)
@@ -115,17 +113,7 @@ def _simulate(args, require_out: bool) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    return _simulate(args, require_out=False)
-
-
-def cmd_export(args) -> int:
-    return _simulate(args, require_out=True)
-
-
 def cmd_verify(args) -> int:
-    if args.scenario != "paper-4node":
-        raise FtccError("verify runs the built-in acceptance suite (paper-4node)")
     results = run_all()
     for res in results:
         print(res.line())
@@ -147,19 +135,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_init.add_argument("--out", help="write gains as JSON")
     p_init.set_defaults(fn=cmd_init)
 
-    for name, fn, hlp in (
-        ("simulate", cmd_simulate, "run the full closed loop"),
-        ("export", cmd_export, "run the closed loop and write the trace CSV"),
-    ):
-        p = sub.add_parser(name, help=hlp)
-        p.add_argument("--scenario", default="paper-4node")
-        p.add_argument("--tau", type=float, default=None)
-        p.add_argument("--horizon", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.set_defaults(fn=fn)
+    p_sim = sub.add_parser("simulate", help="run the full closed loop")
+    p_sim.add_argument("--scenario", default="paper-4node")
+    p_sim.add_argument("--tau", type=float, default=None)
+    p_sim.add_argument("--horizon", type=int, default=None)
+    p_sim.add_argument("--out", help="write the trace as CSV")
+    p_sim.set_defaults(fn=cmd_simulate)
 
-    p_verify = sub.add_parser("verify", help="run the acceptance suite")
-    p_verify.add_argument("--scenario", default="paper-4node")
+    p_verify = sub.add_parser("verify", help="run the acceptance suite on paper-4node")
     p_verify.set_defaults(fn=cmd_verify)
     return parser
 

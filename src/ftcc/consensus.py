@@ -194,12 +194,13 @@ class AverageResult:
     m_bar: int
     diameter_bound: int               # max over unshifted-window degrees
     kernels: list[np.ndarray]         # float64 Hankel kernel beta_j per node
-    distance_degrees: list[int] | None = None
-    phi_done: list[int] | None = None  # certified counter maximum per node
+    distance_degrees: list[int]
+    phi_done: list[int]               # certified counter maximum per node
 
 
-def _values(node_count: int, initial_values) -> np.ndarray:
-    """(N, n) initial values, n >= 1, in their own arithmetic (ints become float), within float64."""
+def _values(node_count: int, initial_values) -> tuple[np.ndarray, float]:
+    """(N, n) initial values, n >= 1, in their own arithmetic (ints become float), within
+    float64, and their largest magnitude as a float."""
     vals = np.asarray(initial_values)
     vals = vals.astype(np.result_type(vals.dtype, float), copy=False)
     if vals.ndim == 1:
@@ -212,16 +213,16 @@ def _values(node_count: int, initial_values) -> np.ndarray:
         raise InvalidInputError("initial values need at least one entry per node")
     # NaN first, by ==, the one comparison a Decimal NaN answers without
     # signalling; then the float range, which the rank monitor casts to
-    top = _FLOAT_MAX_DECIMAL if vals.dtype == object else _FLOAT_MAX
-    if not (np.all(vals == vals) and np.all(np.abs(vals) <= top)):
+    limit = _FLOAT_MAX_DECIMAL if vals.dtype == object else _FLOAT_MAX
+    if not (np.all(vals == vals) and (top := np.max(np.abs(vals))) <= limit):
         raise InvalidInputError("initial values must be finite in float64")
-    return vals
+    return vals, float(top)
 
 
-def _rows(g: Digraph, initial_values) -> np.ndarray:
-    """(N, n+1) rows [alpha | 1] in the initial values' arithmetic."""
-    vals = _values(g.node_count, initial_values)
-    return np.hstack([vals, vals[:, :1] * 0 + 1])
+def _rows(g: Digraph, initial_values) -> tuple[np.ndarray, float]:
+    """(N, n+1) rows [alpha | 1] in the initial values' arithmetic, and max |alpha| as a float."""
+    vals, top = _values(g.node_count, initial_values)
+    return np.hstack([vals, vals[:, :1] * 0 + 1]), top
 
 
 def _ratio_history(pw: np.ndarray, rows: np.ndarray, rounds: int) -> np.ndarray:
@@ -371,11 +372,11 @@ def agreement_maps(pw: np.ndarray, rounds: int, kernels, rel_tol: float) -> Agre
     return Agreement(rounds, rel_tol, pw, *maps, widths, earlier, checked, reach)
 
 
-def _checked_average(agreement: Agreement, vals: np.ndarray, hist=None) -> np.ndarray:
+def _checked_average(agreement: Agreement, vals: np.ndarray, top: float, hist=None) -> np.ndarray:
     """The (N, n) quotients on each node's latest window, each checked against the one before.
 
     The two are equal in exact arithmetic unless beta_j misses a mode: a gap
-    above rel_tol times the largest input, or no earlier window, raises
+    above rel_tol times ``top``, the largest input magnitude, or no earlier window, raises
     DegenerateInitializationError naming the lowest-indexed failing node and
     carrying the numerator history, ``hist`` or else rebuilt from ``vals``.
     Only the nodes in ``agreement.checked`` need the earlier quotients, and
@@ -385,8 +386,7 @@ def _checked_average(agreement: Agreement, vals: np.ndarray, hist=None) -> np.nd
     normal range; outside the range, where underflow or overflow adds more
     than the bound allows, every node is checked.
     """
-    mu, top = agreement.w @ vals, float(np.max(np.abs(vals)))
-    tol, rows = agreement.rel_tol * top, agreement.checked
+    mu, tol, rows = agreement.w @ vals, agreement.rel_tol * top, agreement.checked
     if not (_FLOAT_TINY <= tol and top * agreement.reach <= _FLOAT_MAX / 2):
         rows = np.arange(len(mu))
     if not len(rows):
@@ -423,19 +423,7 @@ def finite_time_average(
     the ladder does not end within the round cap (initial values on the
     measure-zero bad set), or if a kernel fails the window check.
     """
-    rows = _rows(g, initial_values)
-    if g.node_count == 1:
-        return AverageResult(
-            mu=rows[:, :-1],
-            degrees=[0],
-            rounds_used=0,
-            detection_rounds=[0],
-            done_rounds=[0],
-            m_bar=m_bar([0]),
-            diameter_bound=0,
-            kernels=[np.ones(1)],
-            distance_degrees=[0],
-        )
+    rows, top = _rows(g, initial_values)
     p = out_weight_matrix(g) if weights is None else validate_weights(g, weights)
     if round_cap is None:
         round_cap = 4 * g.node_count + 2
@@ -475,7 +463,7 @@ def finite_time_average(
         raise _degenerate(f"nodes {missing}: no rank-deficient Hankel width", hist[..., :-1])
     agreement = agreement_maps(pw, rounds, kernels, rel_tol)
     return AverageResult(
-        mu=_checked_average(agreement, rows[:, :-1], hist[..., :-1]),
+        mu=_checked_average(agreement, rows[:, :-1], top, hist[..., :-1]),
         degrees=degrees,
         rounds_used=rounds,
         detection_rounds=c0,
@@ -488,17 +476,6 @@ def finite_time_average(
     )
 
 
-def prepare_agreement(
-    g: Digraph, rounds: int, kernels, dtype=float, rel_tol=DEFAULT_REL_TOL, weights=None
-) -> Agreement:
-    """Validate and convert P and fix each node's quotient as a map of the inputs, once.
-
-    ``dtype`` is the arithmetic of the values the agreements will get.
-    """
-    p = out_weight_matrix(g) if weights is None else validate_weights(g, weights)
-    return agreement_maps(in_arithmetic(p, dtype), rounds, kernels, rel_tol)
-
-
 def exact_average_fixed_rounds(agreement: Agreement, initial_values) -> np.ndarray:
     """Agreement phase: ``rounds`` rounds, then one checked quotient per node.
 
@@ -509,7 +486,7 @@ def exact_average_fixed_rounds(agreement: Agreement, initial_values) -> np.ndarr
     raises DegenerateInitializationError as the bootstrap's check does.
     """
     pw = agreement.p
-    vals = _values(len(pw), initial_values)
+    vals, top = _values(len(pw), initial_values)
     if vals.dtype != pw.dtype:
         raise InvalidInputError(f"values in {vals.dtype}, agreement prepared for {pw.dtype}")
-    return _checked_average(agreement, vals)
+    return _checked_average(agreement, vals, top)

@@ -364,7 +364,8 @@ def run_token_protocol(
     Control mode works on (A, B_i); observer mode runs the identical
     protocol on the dual pairs (A^T, -C_i^T / N) and transposes the
     resulting gains into L_i, so A - (1/N) sum_i L_i C_i inherits the
-    placed spectrum.
+    placed spectrum.  The pass consumes ``targets``, a conjugate-closed
+    sequence, through a PlacementTargets ledger of its own.
 
     Walk: the token starts at the leader.  Its holder first checks the stop
     condition (A + F Schur stable and no unconsumed targets), places what it
@@ -397,8 +398,7 @@ def run_token_protocol(
         raise InvalidInputError(f"leader {leader} is not a node id (0..{n_agents - 1})")
     if priorities is None:
         priorities = {}
-    if not isinstance(targets, PlacementTargets):
-        targets = PlacementTargets(tuple(targets))
+    targets = PlacementTargets(tuple(targets))
     fabric = SyncFabric(g)
     f = np.zeros((sys.n, sys.n))   # rebound, never written in place: the flood sends it as is
     gains = [np.zeros((b.shape[1], sys.n)) for b in inputs]

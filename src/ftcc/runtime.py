@@ -41,7 +41,7 @@ from .consensus import agreement_maps, in_arithmetic
 from .exceptions import InvalidInputError
 from .gains import TokenResult, run_token_protocol
 from .linalg import eigenvalues
-from .scenario import PRECISIONS, ScenarioConfig
+from .scenario import PRECISIONS, ScenarioConfig, _number
 
 QUAD_DIGITS = 37
 
@@ -216,9 +216,16 @@ class ClosedLoopTrace:
 
 
 def loop_settings(cfg: ScenarioConfig, horizon: int | None, tau: float | None):
-    """The run's (horizon, tau): each given value, else the scenario's, checked."""
-    horizon = cfg.horizon if horizon is None else horizon
-    tau = cfg.taus[0] if tau is None else tau
+    """The run's (horizon, tau): each given value, else the scenario's, checked
+    by the scenario's number rules (a whole horizon, a real tau, no bool or string)."""
+    try:
+        horizon = cfg.horizon if horizon is None else _number(horizon, int)
+    except ValueError as exc:
+        raise InvalidInputError(f"horizon {exc}") from None
+    try:
+        tau = cfg.taus[0] if tau is None else _number(tau)
+    except ValueError as exc:
+        raise InvalidInputError(f"tau {exc}") from None
     if horizon < 0:
         raise InvalidInputError("horizon must be nonnegative")
     if not 0 < tau < np.inf:   # a NaN fails too

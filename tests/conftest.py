@@ -9,9 +9,15 @@ import pytest
 # random_strongly_connected is re-exported so that the tests draw the same
 # digraphs as acceptance criterion 6
 from ftcc.acceptance import AcceptanceContext, random_strongly_connected  # noqa: F401
-from ftcc.consensus import exact_average_fixed_rounds, finite_time_average, prepare_agreement
+from ftcc.consensus import (
+    DEFAULT_REL_TOL,
+    agreement_maps,
+    exact_average_fixed_rounds,
+    finite_time_average,
+    in_arithmetic,
+)
 from ftcc.exceptions import InvalidInputError
-from ftcc.graph import Digraph, round_exchange
+from ftcc.graph import Digraph, out_weight_matrix, round_exchange
 from ftcc.plant import LtiSystem, joint_rank_checks
 from ftcc.scenario import load_scenario
 
@@ -88,11 +94,16 @@ def stored_kernels(g, weights=None):
     return finite_time_average(g, ids, weights=weights).kernels
 
 
+def agreement_for(g, rounds, kernels, dtype=float, weights=None):
+    """The Agreement as the closed loop builds it: agreement_maps over P in ``dtype``."""
+    p = out_weight_matrix(g) if weights is None else weights
+    return agreement_maps(in_arithmetic(p, dtype), rounds, kernels, DEFAULT_REL_TOL)
+
+
 def agree(g, values, rounds, kernels, weights=None):
     """One agreement, prepared for the values' arithmetic (ints count as float)."""
     dtype = np.result_type(np.asarray(values).dtype, float)
-    agreement = prepare_agreement(g, rounds, kernels, dtype, weights=weights)
-    return exact_average_fixed_rounds(agreement, values)
+    return exact_average_fixed_rounds(agreement_for(g, rounds, kernels, dtype, weights), values)
 
 
 def random_joint_system(rng, n_agents: int, n: int, unstable: bool = True) -> LtiSystem:

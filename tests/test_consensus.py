@@ -22,7 +22,6 @@ from ftcc.consensus import (
     finite_time_average,
     in_arithmetic,
     m_bar,
-    prepare_agreement,
     validate_weights,
 )
 from ftcc.exceptions import DegenerateInitializationError, InvalidInputError, ProtocolFailureError
@@ -37,6 +36,7 @@ from ftcc.scenario import PRECISIONS
 
 from conftest import (
     agree,
+    agreement_for,
     complete_digraph,
     diameter,
     message_max_round,
@@ -65,7 +65,7 @@ def ratio_rounds(p, alpha, rounds: int = 1):
     Returns the stacked (N, n) numerators and the (N,) denominators.
     """
     g = digraph_from_weight_matrix(p)
-    rows = _ratio_history(p, _rows(g, alpha), rounds)[-1]   # [alpha | pi] per node
+    rows = _ratio_history(p, _rows(g, alpha)[0], rounds)[-1]   # [alpha | pi] per node
     return rows[:, :-1], rows[:, -1]
 
 
@@ -144,7 +144,7 @@ class TestHistoryOracle:
                 g = random_strongly_connected(rng, int(rng.integers(2, 9)))
                 w = (out_weight_matrix(g) > 0) * rng.uniform(0.1, 1.0, (g.node_count,) * 2)
                 p = validate_weights(g, w / w.sum(axis=0))
-                rows = _rows(g, in_arithmetic(rng.normal(size=(g.node_count, 3)), dtype))
+                rows = _rows(g, in_arithmetic(rng.normal(size=(g.node_count, 3)), dtype))[0]
                 rounds = 3 * g.node_count
                 pw = in_arithmetic(p, dtype)
                 new = _ratio_history(pw, rows, rounds)
@@ -171,7 +171,7 @@ def agreement_by_node(g, values, rounds, kernels, rel_tol=DEFAULT_REL_TOL, weigh
     quotients and runs its window check, so the first failure raised is the
     lowest-indexed failing node's.
     """
-    rows = _rows(g, values)
+    rows = _rows(g, values)[0]
     p = out_weight_matrix(g) if weights is None else weights
     hist = _ratio_history(in_arithmetic(p, rows.dtype), rows, max(rounds, 0))
     tol = rel_tol * float(np.max(np.abs(rows[:, :-1])))
@@ -223,7 +223,7 @@ class TestBatchedAgreement:
         with decimal.localcontext(decimal.Context(prec=QUAD_DIGITS)):
             eps = 10.0 ** (1 - QUAD_DIGITS) if dtype == object else np.finfo(dtype).eps
             for g, weights, rounds, kernels in self.cases(paper_scenario, paper_init):
-                agreement = prepare_agreement(g, rounds, kernels, dtype, weights=weights)
+                agreement = agreement_for(g, rounds, kernels, dtype, weights=weights)
                 for _ in range(5):
                     xhat = rng.normal(size=(g.node_count, 3))
                     vals = in_arithmetic(xhat * 10.0 ** rng.uniform(-6, 6, xhat.shape), dtype)
@@ -237,7 +237,7 @@ class TestBatchedAgreement:
         import ftcc.consensus as consensus
 
         cfg = paper_scenario
-        agreement = prepare_agreement(
+        agreement = agreement_for(
             cfg.graph, paper_init.m_bar, paper_init.kernels, weights=cfg.weights
         )
 
@@ -255,7 +255,7 @@ class TestBatchedAgreement:
         with decimal.localcontext(decimal.Context(prec=QUAD_DIGITS)):
             eps = 10.0 ** (1 - QUAD_DIGITS) if dtype == object else np.finfo(dtype).eps
             for g, weights, rounds, kernels in self.cases(paper_scenario, paper_init):
-                agreement = prepare_agreement(g, rounds, kernels, dtype, weights=weights)
+                agreement = agreement_for(g, rounds, kernels, dtype, weights=weights)
                 for m in (agreement.w, agreement.w_lag):
                     assert float(np.max(np.abs(m.sum(axis=1) - 1))) <= 8 * eps
 
@@ -269,7 +269,7 @@ class TestBatchedAgreement:
             boot = finite_time_average(g, np.arange(g.node_count, dtype=float))
             cases.append((g, None, boot.m_bar, boot.kernels))
         for g, weights, rounds, kernels in cases:
-            agreement = prepare_agreement(g, rounds, kernels, weights=weights)
+            agreement = agreement_for(g, rounds, kernels, weights=weights)
             for m in (agreement.w, agreement.w_lag):
                 assert np.max(np.abs(m - 1 / g.node_count)) <= 1e-12
                 assert np.max(np.abs(m.sum(axis=1) - 1)) <= 8 * np.finfo(float).eps
@@ -283,7 +283,7 @@ class TestBatchedAgreement:
         """
         cfg = paper_scenario
         with decimal.localcontext(decimal.Context(prec=QUAD_DIGITS)):
-            agreement = prepare_agreement(
+            agreement = agreement_for(
                 cfg.graph, paper_init.m_bar, paper_init.kernels, object, weights=cfg.weights
             )
             dist = float(np.max(np.abs(agreement.w - Decimal(1) / 4)))
@@ -299,7 +299,7 @@ class TestBatchedAgreement:
         vals = np.random.default_rng(3).normal(size=(5, 2))
         with pytest.raises(DegenerateInitializationError) as old:
             agreement_by_node(MIXED_WIDTHS, vals, boot.m_bar, kernels)
-        agreement = prepare_agreement(MIXED_WIDTHS, boot.m_bar, kernels)
+        agreement = agreement_for(MIXED_WIDTHS, boot.m_bar, kernels)
         with pytest.raises(DegenerateInitializationError, match="node 3, stored width-5") as err:
             exact_average_fixed_rounds(agreement, vals)
         assert str(err.value).split(" by ")[0] == str(old.value).split(" by ")[0]
@@ -308,14 +308,14 @@ class TestBatchedAgreement:
 
     def test_values_in_another_arithmetic_rejected(self):
         g = digraph_from_weight_matrix(FOURNODE_P)
-        agreement = prepare_agreement(g, 11, stored_kernels(g, FOURNODE_P), weights=FOURNODE_P)
+        agreement = agreement_for(g, 11, stored_kernels(g, FOURNODE_P), weights=FOURNODE_P)
         with pytest.raises(InvalidInputError, match="agreement prepared for float64"):
             exact_average_fixed_rounds(agreement, np.ones(4, dtype=np.longdouble))
 
     def test_one_kernel_per_node(self):
         g = digraph_from_weight_matrix(FOURNODE_P)
         with pytest.raises(InvalidInputError, match="one stored kernel per node"):
-            prepare_agreement(g, 11, stored_kernels(g, FOURNODE_P)[:3], weights=FOURNODE_P)
+            agreement_for(g, 11, stored_kernels(g, FOURNODE_P)[:3], weights=FOURNODE_P)
 
 
 def precision_eps(dtype) -> float:
@@ -342,7 +342,7 @@ def kernels_with_bounds(g, weights, rounds, kernels, targets):
                 for beta, t, s in zip(kernels, targets, steps)]
 
     trial = [1e-6] * len(kernels)
-    b = window_bounds(prepare_agreement(g, rounds, moved(trial), weights=weights), float)
+    b = window_bounds(agreement_for(g, rounds, moved(trial), weights=weights), float)
     return moved([s * (t or 0) * DEFAULT_REL_TOL / bj for s, t, bj in zip(trial, targets, b)])
 
 
@@ -384,7 +384,7 @@ class TestCheckedNodes:
         dtype, n_nodes = PRECISIONS[precision], g.node_count
         rng = np.random.default_rng(43)
         with decimal.localcontext(decimal.Context(prec=QUAD_DIGITS)):
-            agreement = prepare_agreement(g, rounds, kernels, dtype, weights=weights)
+            agreement = agreement_for(g, rounds, kernels, dtype, weights=weights)
             b = window_bounds(agreement, dtype) / DEFAULT_REL_TOL
             for bj, t in zip(b, targets):
                 assert bj < 1e-5 if t is None else 0.8 * t < bj < 1.25 * t
@@ -412,7 +412,7 @@ class TestCheckedNodes:
     def test_none_on_paper_4node(self, precision, paper_scenario, paper_init):
         cfg = paper_scenario
         with decimal.localcontext(decimal.Context(prec=QUAD_DIGITS)):
-            agreement = prepare_agreement(
+            agreement = agreement_for(
                 cfg.graph, paper_init.m_bar, paper_init.kernels, PRECISIONS[precision],
                 weights=cfg.weights,
             )
@@ -433,19 +433,19 @@ class TestCheckedNodes:
 
     def test_every_node_with_unit_kernels(self):
         g = digraph_from_weight_matrix(FOURNODE_P)
-        agreement = prepare_agreement(g, 11, [np.ones(1)] * 4, weights=FOURNODE_P)
+        agreement = agreement_for(g, 11, [np.ones(1)] * 4, weights=FOURNODE_P)
         assert agreement.checked.tolist() == [0, 1, 2, 3]
 
     def test_every_node_without_an_earlier_window(self):
         # widths 4, 4, 5, 5, 4: 5 rounds leave the width-5 nodes no earlier window, 4 leave none any
         boot = finite_time_average(MIXED_WIDTHS, np.arange(5, dtype=float))
         for rounds, checked in ((5, [2, 3]), (4, [0, 1, 2, 3, 4])):
-            agreement = prepare_agreement(MIXED_WIDTHS, rounds, boot.kernels)
+            agreement = agreement_for(MIXED_WIDTHS, rounds, boot.kernels)
             assert agreement.checked.tolist() == checked
 
     def test_a_cleared_agreement_never_reads_the_earlier_map(self, paper_scenario, paper_init):
         cfg = paper_scenario
-        agreement = prepare_agreement(
+        agreement = agreement_for(
             cfg.graph, paper_init.m_bar, paper_init.kernels, weights=cfg.weights
         )
         vals = np.random.default_rng(8).normal(size=(4, 8))
@@ -458,7 +458,7 @@ class TestCheckedNodes:
         # node is checked.  On paper-4node, integer multiples of the smallest
         # subnormal fail the check, which the bound alone would clear
         cfg = paper_scenario
-        agreement = prepare_agreement(
+        agreement = agreement_for(
             cfg.graph, paper_init.m_bar, paper_init.kernels, weights=cfg.weights
         )
         tiny = np.arange(1.0, 5.0)[:, None] * 5e-324
@@ -467,7 +467,7 @@ class TestCheckedNodes:
         # and on MIXED_WIDTHS, whose rows sum to 1 + 1 ulp, the largest float64
         # overflows an earlier quotient
         boot = finite_time_average(MIXED_WIDTHS, np.arange(5, dtype=float))
-        mixed = prepare_agreement(MIXED_WIDTHS, boot.m_bar, boot.kernels)
+        mixed = agreement_for(MIXED_WIDTHS, boot.m_bar, boot.kernels)
         assert mixed.checked.tolist() == []
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             DegenerateInitializationError, match="node 0, .* differ by inf"
@@ -540,7 +540,7 @@ def state_machine_bootstrap(g, x0, rel_tol=DEFAULT_REL_TOL):
     round by round.  Returns (rounds_used, done_rounds, phi_done, degrees,
     distance_degrees)."""
     n, cap = g.node_count, 4 * g.node_count + 2
-    hist = _ratio_history(out_weight_matrix(g), _rows(g, x0), cap)
+    hist = _ratio_history(out_weight_matrix(g), _rows(g, x0)[0], cap)
     c, r, phi = [0] * n, [0] * n, [0] * n
     deg, dist, c0, done, phi_done = ([None] * n for _ in range(5))
     for k in range(1, cap + 1):
@@ -660,7 +660,7 @@ class TestTerminationMechanics:
     def test_a_width_counts_from_the_round_it_completes(self):
         g = digraph_from_weight_matrix(FOURNODE_P)
         res = finite_time_average(g, np.arange(4.0), weights=FOURNODE_P)
-        hist = _ratio_history(FOURNODE_P, _rows(g, np.arange(4.0)), 4 * 4 + 2)
+        hist = _ratio_history(FOURNODE_P, _rows(g, np.arange(4.0))[0], 4 * 4 + 2)
 
         def degree(rounds, shift, j):
             # node j's entry of the batched search over the iterates up to ``rounds``
@@ -757,11 +757,14 @@ class TestArrayMaxRound:
 
 class TestFiniteTimeAverage:
     def test_single_node(self):
+        # the general path: the lone node's differences vanish at once (M = 0),
+        # and its ladder runs the 3 rounds its budget m_bar = 3 implies
         g = Digraph(1, ())
         res = finite_time_average(g, [42.0])
         assert res.mu[0, 0] == 42.0
-        assert res.rounds_used == 0
         assert res.m_bar == 3
+        assert res.rounds_used == 3
+        assert res.done_rounds == [3]
 
     def test_three_cycle_mean(self):
         res = finite_time_average(three_cycle(), [0.0, 3.0, 6.0])
@@ -786,6 +789,19 @@ class TestFiniteTimeAverage:
         for j in range(4):
             assert np.allclose(res.mu[j], vals.mean(axis=0), atol=1e-9)
 
+    def check_result_relations(self, res):
+        assert res.detection_rounds == [2 * (m + 1) for m in res.degrees]
+        assert max(res.done_rounds) <= res.m_bar
+        # no node done before its own exact value is computable
+        assert all(
+            d >= det for d, det in zip(res.done_rounds, res.detection_rounds)
+        )
+        # the network maximum counter is certified by every node whose
+        # detected degree genuinely bounds its in-eccentricity; nodes with
+        # degenerate weight rows may under-certify, so only the max view
+        # is asserted here
+        assert max(res.phi_done) == max(res.detection_rounds)
+
     def test_exactness_and_termination_random(self):
         rng = np.random.default_rng(99)
         for _ in range(40):
@@ -794,16 +810,18 @@ class TestFiniteTimeAverage:
             res = finite_time_average(g, x0)
             scale = max(1.0, abs(x0.mean()))
             assert np.max(np.abs(res.mu[:, 0] - x0.mean())) <= 1e-8 * scale
-            assert max(res.done_rounds) <= res.m_bar
-            # no node done before its own exact value is computable
-            assert all(
-                d >= det for d, det in zip(res.done_rounds, res.detection_rounds)
-            )
-            # the network maximum counter is certified by every node whose
-            # detected degree genuinely bounds its in-eccentricity; nodes with
-            # degenerate weight rows may under-certify, so only the max view
-            # is asserted here
-            assert max(res.phi_done) == max(2 * (m + 1) for m in res.degrees)
+            self.check_result_relations(res)
+
+    @pytest.mark.parametrize("precision", ["double", "extended", "quad"])
+    def test_single_node_result_relations(self, precision):
+        # the same relations hold at N = 1: c0 = 2(M + 1) = 2, certified by phi
+        with decimal.localcontext(decimal.Context(prec=QUAD_DIGITS)):
+            x0 = in_arithmetic([[42.0, -3.5]], PRECISIONS[precision])
+            res = finite_time_average(Digraph(1, ()), x0)
+        assert np.array_equal(res.mu, x0) and res.mu.dtype == x0.dtype
+        assert res.degrees == res.distance_degrees == [0] and res.diameter_bound == 0
+        assert res.detection_rounds == [2] and res.phi_done == [2]
+        self.check_result_relations(res)
 
     def test_diameter_bound_dominates_true_diameter(self):
         rng = np.random.default_rng(123)
@@ -833,7 +851,7 @@ class TestFiniteTimeAverage:
             finite_time_average(g, np.arange(24.0))
         # the error carries the bootstrap's own numerator history
         rounds = err.value.history.shape[1] - 1
-        hist = _ratio_history(out_weight_matrix(g), _rows(g, np.arange(24.0)), rounds)
+        hist = _ratio_history(out_weight_matrix(g), _rows(g, np.arange(24.0))[0], rounds)
         assert np.array_equal(err.value.history, hist[..., :-1].swapaxes(0, 1))
 
 
@@ -850,7 +868,7 @@ class TestGrownHistory:
                 res = finite_time_average(g, x0)
             except DegenerateInitializationError:
                 continue   # a missed mode: the window check raises
-            hist = _ratio_history(out_weight_matrix(g), _rows(g, x0), 4 * n + 2)
+            hist = _ratio_history(out_weight_matrix(g), _rows(g, x0)[0], 4 * n + 2)
             for shift, degrees in ((1, res.degrees), (0, res.distance_degrees)):
                 found = _first_defective(lambda r: hist[: r + 1], shift, DEFAULT_REL_TOL)
                 assert degrees == [f[0] - 1 for f in found]
@@ -890,7 +908,7 @@ class TestGrownHistory:
         x0 = [0.0, 1.0, 2.0, 3.0]
         with pytest.raises(DegenerateInitializationError, match=f"within {cap} rounds") as err:
             finite_time_average(g, x0, weights=FOURNODE_P, round_cap=cap)
-        hist = _ratio_history(FOURNODE_P, _rows(g, x0), cap)[..., :-1].swapaxes(0, 1)
+        hist = _ratio_history(FOURNODE_P, _rows(g, x0)[0], cap)[..., :-1].swapaxes(0, 1)
         assert err.value.history.shape == (4, cap + 1, 1)
         assert err.value.history.tobytes() == hist.tobytes()
 

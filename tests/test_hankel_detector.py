@@ -28,7 +28,7 @@ from hankel_reference import _degree, _kernel, _live_difference_stack
 def history(g, x0, dtype=float):
     """The bootstrap's iterates up to its default round cap 4N + 2, in ``dtype``."""
     pw = in_arithmetic(out_weight_matrix(g), dtype)
-    return _ratio_history(pw, _rows(g, in_arithmetic(x0, dtype)), 4 * g.node_count + 2)
+    return _ratio_history(pw, _rows(g, in_arithmetic(x0, dtype))[0], 4 * g.node_count + 2)
 
 
 def square(hist):
@@ -161,7 +161,8 @@ def test_differences_beyond_float_range_raise():
     # (a cast overflow warns, and the per-node search divides inf by inf)
     g = random_strongly_connected(np.random.default_rng(4), 5)
     x0 = np.array([1.7e308, -1.7e308, 3.0, 3.0, 3.0], dtype=np.longdouble)
-    hist = _ratio_history(in_arithmetic(out_weight_matrix(g), np.longdouble), _rows(g, x0), 22)
+    pw = in_arithmetic(out_weight_matrix(g), np.longdouble)
+    hist = _ratio_history(pw, _rows(g, x0)[0], 22)
     for shift in (1, 0):
         outcomes = []
         for search in (

@@ -23,6 +23,24 @@ from conftest import (
 )
 
 
+def lone_node_scenario(precision: str = "double") -> ScenarioConfig:
+    """One agent that actuates and senses both states of an unstable plant."""
+    g = Digraph(1, ())
+    return ScenarioConfig(
+        name="solo",
+        graph=g,
+        weights=out_weight_matrix(g),
+        plant=LtiSystem(
+            a=np.array([[1.5, 1.0], [0.0, 0.5]]), b_list=(np.eye(2),), c_list=(np.eye(2),)
+        ),
+        controller_targets=(0.1, 0.2),
+        observer_targets=(0.3, 0.4),
+        horizon=5,
+        taus=(1.0,),
+        precision=precision,
+    )
+
+
 def random_scenario(seed: int, n_agents: int = 5, n: int = 5) -> ScenarioConfig:
     rng = np.random.default_rng(seed)
     g = random_strongly_connected(rng, n_agents)
@@ -60,26 +78,11 @@ class TestInitialize:
         )
 
     def test_single_node_degenerate_pass(self):
-        sys = LtiSystem(
-            a=np.array([[1.5, 1.0], [0.0, 0.5]]),
-            b_list=(np.eye(2),),
-            c_list=(np.eye(2),),
-        )
-        g = Digraph(1, ())
-        cfg = ScenarioConfig(
-            name="solo",
-            graph=g,
-            weights=out_weight_matrix(g),
-            plant=sys,
-            controller_targets=(0.1, 0.2),
-            observer_targets=(0.3, 0.4),
-            horizon=5,
-            taus=(1.0,),
-        )
+        cfg = lone_node_scenario()
         init = initialize(cfg)
         assert init.leader == 0
         assert init.m_bar == 3
-        assert is_schur_stable(sys.a + init.f_control)
+        assert is_schur_stable(cfg.plant.a + init.f_control)
 
     def test_random_scenarios_both_schur(self):
         for seed in (1, 2, 3):
@@ -340,7 +343,17 @@ class TestClosedLoop:
 
     @pytest.mark.parametrize(
         "setting, message",
-        [({"tau": -1.0}, "tau must be positive"), ({"horizon": -1}, "horizon must be")],
+        [
+            ({"tau": -1.0}, "tau must be positive"),
+            ({"horizon": -1}, "horizon must be"),
+            # the scenario's number rules: no bool, string, complex or fraction
+            ({"horizon": True}, "horizon must be a whole number"),
+            ({"horizon": 2.5}, "horizon must be a whole number"),
+            ({"horizon": "2"}, "horizon must be a whole number"),
+            ({"tau": True}, "tau must be a number"),
+            ({"tau": "1"}, "tau must be a number"),
+            ({"tau": 1 + 0j}, "tau must be a number"),
+        ],
     )
     def test_settings_are_checked_before_set_up(
         self, setting, message, paper_scenario, monkeypatch
@@ -351,6 +364,20 @@ class TestClosedLoop:
         monkeypatch.setattr(runtime, "initialize", no_set_up)
         with pytest.raises(InvalidInputError, match=message):
             run_closed_loop(paper_scenario, None, **setting)
+
+    def test_whole_float_horizon_is_an_int(self, paper_scenario, paper_init):
+        # as in a scenario file, where "horizon": 60.0 is 60
+        trace = run_closed_loop(paper_scenario, paper_init, horizon=2.0, tau=1)
+        assert trace.steps == [0, 1, 2] and trace.times == [0.0, 12.0, 24.0]
+
+    @pytest.mark.parametrize("precision", ["double", "extended", "quad"])
+    def test_single_node_end_to_end(self, precision):
+        cfg = lone_node_scenario(precision)
+        init = initialize(cfg)
+        assert (init.m_bar, init.d_prime) == (3, 0)
+        trace = run_closed_loop(cfg, init)
+        assert len(trace.x) == cfg.horizon + 1
+        assert trace.rounds_used == [2] * (cfg.horizon + 1)   # the lone kernel has width 1
 
     def test_tau_only_rescales_time(self, paper_scenario, paper_init):
         t1 = run_closed_loop(paper_scenario, paper_init, horizon=5, tau=0.1)
