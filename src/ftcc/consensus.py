@@ -27,8 +27,12 @@ far as they read it:
    to the round cap.
 
 With P and the kernels fixed, a node's quotient is a fixed linear functional
-of the inputs, so an Agreement, prepared once per run from one history of the
-identity, holds them as two N x N maps (latest window, one window earlier).
+of the inputs, so an Agreement, prepared from one history of the identity,
+holds the kernels and these functionals as two N x N maps (latest window, one
+window earlier).  The bootstrap prepares one in float64 for its own rounds and
+returns it (``AverageResult.agreement``); the closed loop reuses it when it
+runs in that arithmetic, with that P and tolerance, for that many rounds, and
+otherwise prepares its own (``agreement_maps``).
 Their difference is fixed too, and its l1 norm bounds the gap of every input,
 so the Agreement also lists the nodes that bound cannot clear.  The check, in
 the bootstrap and in every agreement, is one product with the latest map, and
@@ -193,9 +197,14 @@ class AverageResult:
     done_rounds: list[int]
     m_bar: int
     diameter_bound: int               # max over unshifted-window degrees
-    kernels: list[np.ndarray]         # float64 Hankel kernel beta_j per node
+    agreement: Agreement              # float64, rounds_used rounds: the kernels and their maps
     distance_degrees: list[int]
     phi_done: list[int]               # certified counter maximum per node
+
+    @property
+    def kernels(self) -> tuple[np.ndarray, ...]:
+        """Each node's float64 Hankel kernel beta_j, as its Agreement holds it."""
+        return self.agreement.kernels
 
 
 def _values(node_count: int, initial_values) -> tuple[np.ndarray, float]:
@@ -311,11 +320,12 @@ def elect_leader(g: Digraph, d_prime: int, values=None) -> int:
 
 @dataclass(frozen=True)
 class Agreement:
-    """What every agreement of a run reuses, fixed once, in the loop arithmetic.
+    """What every agreement with these kernels reuses, fixed once, in the arithmetic of ``p``.
 
     Row j of ``w`` (``w_lag``) maps the inputs to node j's kernel quotient on
-    its latest window (one window earlier); both rows are zero where ``rounds``
-    leaves node j's width-``widths[j]`` kernel no earlier window (``earlier``).
+    its latest window (one window earlier) of ``kernels[j]``, the float64
+    kernel it was prepared from; both rows are zero where ``rounds`` leaves
+    node j's width-``widths[j]`` kernel no earlier window (``earlier``).
 
     Node j's window gap is (W_j - W_lag,j) v in exact arithmetic, and the
     two products add at most N eps (|W_j|_1 + |W_lag,j|_1) max|v| of
@@ -334,6 +344,7 @@ class Agreement:
     rounds: int
     rel_tol: float
     p: np.ndarray
+    kernels: tuple[np.ndarray, ...]
     w: np.ndarray
     w_lag: np.ndarray
     widths: np.ndarray
@@ -369,7 +380,7 @@ def agreement_maps(pw: np.ndarray, rounds: int, kernels, rel_tol: float) -> Agre
     bound = gap + len(pw) * _dtype_eps(pw.dtype) * (latest + lagged)
     checked = np.flatnonzero(~earlier | ~(2 * bound <= rel_tol))   # a NaN bound is checked
     reach = float(np.max(np.maximum(latest, lagged)))
-    return Agreement(rounds, rel_tol, pw, *maps, widths, earlier, checked, reach)
+    return Agreement(rounds, rel_tol, pw, tuple(kernels), *maps, widths, earlier, checked, reach)
 
 
 def _checked_average(agreement: Agreement, vals: np.ndarray, top: float, hist=None) -> np.ndarray:
@@ -470,7 +481,7 @@ def finite_time_average(
         done_rounds=done,
         m_bar=m_bar(degrees),
         diameter_bound=diameter_upper_bound(distance_degrees),
-        kernels=kernels,
+        agreement=agreement,
         distance_degrees=distance_degrees,
         phi_done=phi_done,
     )
@@ -480,7 +491,7 @@ def exact_average_fixed_rounds(agreement: Agreement, initial_values) -> np.ndarr
     """Agreement phase: ``rounds`` rounds, then one checked quotient per node.
 
     For fixed weights node j's iterates satisfy one recurrence whatever the
-    data, so the bootstrap kernel beta_j (``AverageResult.kernels``) serves
+    data, so the bootstrap kernel beta_j (``Agreement.kernels``) serves
     every agreement and no rank test runs, and the quotients are the
     prepared maps applied to the inputs.  Returns the (N, n) averages, or
     raises DegenerateInitializationError as the bootstrap's check does.

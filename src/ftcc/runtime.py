@@ -9,13 +9,20 @@ Each closed-loop step k then grants exactly m_bar consensus rounds, after
 which every node reads the average of the state estimates off the Hankel
 kernel it stored at bootstrap, applies the local control u_i = K_i xbar, and
 updates its estimate with the network-wide feedback sum from initialization.
-What does not change between steps is prepared once per run_closed_loop,
-in the loop arithmetic: the agreement's N x N maps (consensus.agreement_maps)
-and two linear maps over the nonzero entries of the agents' factors.  A step
-is then one agreement (one product with the latest-window map, while every
-node's window check is cleared by its bound) and the two maps, u_i = K_i xbar_i
-and y_i = C_i (x - xbar_i), then x' = A x + sum_i B_i u_i and
-xhat'_i = (A + F) xbar_i + L_i y_i, and one float64 record.
+What does not change between steps is ready before the loop, in the loop
+arithmetic: the agreement's N x N maps and two linear maps over the nonzero
+entries of the agents' factors, which run_closed_loop prepares.  The
+agreement is the bootstrap's own (InitializationResult.agreement) when the
+loop runs in its float64, P and tolerance for its rounds, which are m_bar
+whenever its ladder stopped there; otherwise, in long double or Decimal or
+for another round count, run_closed_loop prepares one too
+(consensus.agreement_maps).  A step is then one agreement (one product with
+the latest-window map, while every node's window check is cleared by its
+bound) and the two maps, u_i = K_i xbar_i and y_i = C_i (x - xbar_i), then
+x' = A x + sum_i B_i u_i and xhat'_i = (A + F) xbar_i + L_i y_i, and its
+record: the run's float64 trace is allocated once, and each step's five
+arrays are written straight into their slices of it, each value converted
+once.
 
 The simulation arithmetic runs at a configurable precision, chosen here
 once: the loop casts its inputs to that arithmetic and the consensus layer
@@ -37,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .consensus import elect_leader, exact_average_fixed_rounds, finite_time_average
-from .consensus import agreement_maps, in_arithmetic
+from .consensus import Agreement, agreement_maps, in_arithmetic
 from .exceptions import InvalidInputError
 from .gains import TokenResult, run_token_protocol
 from .linalg import eigenvalues
@@ -58,9 +65,14 @@ class InitializationResult:
     f_control: np.ndarray            # network-wide sum B_j K_j
     control_token: TokenResult
     observer_token: TokenResult
-    kernels: list[np.ndarray]        # each node's Hankel kernel, reused every step
+    agreement: Agreement             # the bootstrap's, in float64: the kernels and their maps
     controller_spectrum: np.ndarray
     observer_spectrum: np.ndarray
+
+    @property
+    def kernels(self) -> tuple[np.ndarray, ...]:
+        """Each node's Hankel kernel, reused every step, as the Agreement holds it."""
+        return self.agreement.kernels
 
 
 def initialize(cfg: ScenarioConfig) -> InitializationResult:
@@ -108,7 +120,7 @@ def initialize(cfg: ScenarioConfig) -> InitializationResult:
         f_control=control.f,
         control_token=control,
         observer_token=observer,
-        kernels=bootstrap.kernels,
+        agreement=bootstrap.agreement,
         controller_spectrum=eigenvalues(sys.a + control.f),
         observer_spectrum=eigenvalues(obs_matrix),
     )
@@ -245,9 +257,9 @@ def run_closed_loop(
     t = k * (m_bar * tau + 1), charging one unit per estimation-control
     update and tau per consensus round.  Each step's five arrays (x, xbar,
     xhat, x - xbar_0, x - xhat) are formed in the loop arithmetic and
-    recorded as one row, converted to float64 at once, so no Decimal or long
-    double iterate outlives its step; the trace's arrays are split from the
-    stacked rows.
+    written into row k of one float64 record, each value converted once, so
+    no Decimal or long double iterate outlives its step; the trace's arrays
+    are views of that record.
     """
     horizon, tau = loop_settings(cfg, horizon, tau)
     if init is None:
@@ -256,28 +268,34 @@ def run_closed_loop(
     dtype = PRECISIONS[cfg.precision]
     x0 = cfg.x0 if cfg.x0 is not None else np.ones(sys.n)
     xhat0 = cfg.xhat0 if cfg.xhat0 is not None else np.zeros((g.node_count, sys.n))
-    record = []
+    n, agents = sys.n, g.node_count
+    # each row [x | xbar | xhat | x - xbar_0 | x - xhat], n entries a block
+    record = np.empty((horizon + 1, 3 * agents + 2, n))
+    views = (
+        record[:, 0], record[:, 1 : agents + 1], record[:, agents + 1 : 2 * agents + 1],
+        record[:, 2 * agents + 1], record[:, 2 * agents + 2 :],
+    )
     # only Decimal arithmetic reads the context, so every precision enters it
     with decimal.localcontext(decimal.Context(prec=QUAD_DIGITS)):
         x, xhat = in_arithmetic(x0, dtype), in_arithmetic(xhat0, dtype)
         matrices = _step_matrices(sys, init.k_gains, init.l_gains, init.f_control, dtype)
-        agreement = agreement_maps(   # the config checked its P on construction
-            in_arithmetic(cfg.weights, dtype), init.m_bar, init.kernels, cfg.rank_rel_tol
-        )
+        agreement = init.agreement
+        # the bootstrap's maps serve only the agreement they were prepared for
+        if not (
+            agreement.p.dtype == dtype
+            and agreement.rounds == init.m_bar
+            and agreement.rel_tol == cfg.rank_rel_tol
+            and np.array_equal(agreement.p, cfg.weights)
+        ):   # the config checked its P on construction
+            agreement = agreement_maps(
+                in_arithmetic(cfg.weights, dtype), init.m_bar, init.kernels, cfg.rank_rel_tol
+            )
         for k in range(horizon + 1):
             xbar = exact_average_fixed_rounds(agreement, xhat)
-            parts = (x, xbar, xhat, x - xbar[0], x - xhat)
-            record.append(np.concatenate([np.ravel(v) for v in parts]).astype(float))
+            for view, part in zip(views, (x, xbar, xhat, x - xbar[0], x - xhat)):
+                view[k] = part
             if k < horizon:
                 x, xhat = _estimate_and_control(*matrices, x, xbar)
-    n, agents = sys.n, g.node_count
-    x, xbar, xhat, ebar, errors = np.split(
-        np.stack(record), np.cumsum([n, agents * n, agents * n, n]), axis=1
-    )
-    nodes = (-1, agents, n)
     # rounds_used: the round at which the widest stored kernel's square Hankel completes
     rounds_used = 2 * max(len(beta) for beta in init.kernels)
-    return ClosedLoopTrace(
-        init.m_bar, tau, x, xbar.reshape(nodes), xhat.reshape(nodes), ebar,
-        errors.reshape(nodes), rounds_used=[rounds_used] * (horizon + 1),
-    )
+    return ClosedLoopTrace(init.m_bar, tau, *views, rounds_used=[rounds_used] * (horizon + 1))

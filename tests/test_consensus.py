@@ -957,7 +957,7 @@ class TestFixedRounds:
             )
 
 
-@pytest.mark.parametrize(
+both_averages = pytest.mark.parametrize(
     "average",
     [
         lambda g, vals: finite_time_average(g, vals, weights=FOURNODE_P),
@@ -965,10 +965,20 @@ class TestFixedRounds:
     ],
     ids=["finite_time_average", "exact_average_fixed_rounds"],
 )
+
+
+@both_averages
 def test_zero_width_payload_rejected(average):
     g = digraph_from_weight_matrix(FOURNODE_P)
     with pytest.raises(InvalidInputError, match="at least one entry per node"):
         average(g, np.zeros((4, 0)))
+
+
+@both_averages
+def test_row_count_is_named(average):
+    g = digraph_from_weight_matrix(FOURNODE_P)
+    with pytest.raises(InvalidInputError, match="^need one initial value per node, got 3 for N=4$"):
+        average(g, np.zeros((3, 1)))
 
 
 class TestStoredKernels:

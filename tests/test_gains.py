@@ -512,6 +512,16 @@ class TestTokenProtocol:
         with pytest.raises(InvalidInputError):
             run_token_protocol(g, sys, [0.1, 0.2], leader=0)
 
+    def test_walk_starts_at_the_last_node_without_a_leader(self):
+        rng = np.random.default_rng(77)
+        g = random_strongly_connected(rng, 5)
+        sys = random_joint_system(rng, 5, 3)
+        targets = targets_for_spectrum(rng, sys.a)
+        res = run_token_protocol(g, sys, targets)
+        assert res.visit_order[0] == 4
+        assert res.visit_order == run_token_protocol(g, sys, targets, leader=4).visit_order
+        assert run_token_protocol(g, sys, targets, leader=0).visit_order[0] == 0
+
     @pytest.mark.parametrize("leader", [3, 99, -1])
     def test_leader_out_of_range_rejected(self, leader):
         g = Digraph(3, ((0, 1), (1, 2), (2, 0)))

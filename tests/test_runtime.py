@@ -282,9 +282,34 @@ class TestBatchedStep:
         assert fillers == 1 and 29 + 190 == nonzero + fillers
 
 
+def with_agreement(cfg, init, rounds=None, dtype=float, kernels=None, rel_tol=None, weights=None):
+    """``init`` holding an Agreement prepared for the given changes to its own."""
+    agreement = consensus.agreement_maps(
+        in_arithmetic(cfg.weights if weights is None else weights, dtype),
+        init.m_bar if rounds is None else rounds,
+        init.kernels if kernels is None else kernels,
+        cfg.rank_rel_tol if rel_tol is None else rel_tol,
+    )
+    return dataclasses.replace(init, agreement=agreement)
+
+
+def counting(monkeypatch, module, name) -> list:
+    """Count the calls of ``module.name`` made through ``module``."""
+    calls, fn = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 class TestPreparedOnce:
     """Per-run work (every conversion into the loop arithmetic) is done once
-    per run, whatever the horizon; P, checked by the config, is not checked again."""
+    per run, whatever the horizon; P, checked by the config, is not checked again.
+    The agreement's maps are the bootstrap's unless they are not for the loop's
+    arithmetic, P, tolerance and m_bar rounds."""
 
     def test_counts_do_not_grow_with_the_horizon(self, monkeypatch, paper_scenario, paper_init):
         calls = collections.Counter()
@@ -322,6 +347,41 @@ class TestPreparedOnce:
         cfg = load_scenario("paper-4node")
         run_closed_loop(cfg, initialize(cfg), horizon=2)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("horizon", [1, 5])
+    @pytest.mark.parametrize(
+        "precision, maps_built", [("double", 0), ("extended", 1), ("quad", 1)]
+    )
+    def test_preparation_calls(self, monkeypatch, paper_scenario, paper_init, precision,
+                               maps_built, horizon):
+        cfg = dataclasses.replace(paper_scenario, precision=precision)
+        maps = counting(monkeypatch, runtime, "agreement_maps")
+        steps = counting(monkeypatch, runtime, "_step_matrices")
+        run_closed_loop(cfg, paper_init, horizon=horizon)
+        assert (len(maps), len(steps)) == (maps_built, 1)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda cfg, init: {"rounds": init.m_bar + 2},   # a ladder that stopped off m_bar
+            lambda cfg, init: {"dtype": np.longdouble},
+            lambda cfg, init: {"rel_tol": cfg.rank_rel_tol / 10},
+            lambda cfg, init: {"weights": (cfg.weights + np.eye(len(cfg.weights))) / 2},
+        ],
+        ids=["m_bar + 2 rounds", "long double", "another rel_tol", "another P"],
+    )
+    def test_another_agreement_is_rebuilt(self, monkeypatch, paper_scenario, paper_init, change):
+        # the loop builds its own maps, so the trace is the normal run's, bit for bit
+        cfg = dataclasses.replace(paper_scenario, precision="double")
+        want = run_closed_loop(cfg, paper_init, horizon=5)
+        other = with_agreement(cfg, paper_init, **change(cfg, paper_init))
+        maps = counting(monkeypatch, runtime, "agreement_maps")
+        got = run_closed_loop(cfg, other, horizon=5)
+        assert len(maps) == 1
+        for field in ("x", "xbar_nodes", "xhat", "ebar", "errors"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert got.rounds_used == want.rounds_used
 
 
 class TestClosedLoop:
@@ -435,8 +495,8 @@ class TestClosedLoop:
 def recorded_by_array(cfg, init, horizon):
     """The loop's five trace arrays, each step's five arrays converted one by one.
 
-    The reference for the one-row record: the same set-up, agreement and
-    update, then ``np.asarray(v, float)`` on each array and one stack each.
+    The reference for the record: the same set-up, agreement and update,
+    then ``np.asarray(v, float)`` on each array and one stack each.
     """
     dtype = PRECISIONS[cfg.precision]
     n_agents, n = cfg.graph.node_count, cfg.plant.n
@@ -457,13 +517,13 @@ def recorded_by_array(cfg, init, horizon):
 
 
 class TestRecordLayout:
-    """Each step is recorded as one row [x, xbar, xhat, x - xbar_0, x - xhat],
-    converted at once and split into the trace's arrays after the loop."""
+    """Each step is written into row k of one float64 record whose slices
+    [x | xbar | xhat | x - xbar_0 | x - xhat] are the trace's arrays."""
 
     @pytest.mark.parametrize("precision", ["double", "extended", "quad"])
     @pytest.mark.parametrize("case", ["paper-4node", "3 agents, n = 5"])
     def test_matches_the_per_array_conversion(self, case, precision, paper_scenario, paper_init):
-        # n != N on the random plant, so a split or reshape on the wrong size shows
+        # n != N on the random plant, so a slice of the record on the wrong size shows
         if case == "paper-4node":
             cfg, init = paper_scenario, paper_init
         else:
@@ -495,7 +555,7 @@ class TestQuadArithmetic:
         # every precision runs in the local context; unit kernels fail the
         # agreement's window check inside the loop
         cfg = dataclasses.replace(paper_scenario, precision=precision)
-        bad = dataclasses.replace(paper_init, kernels=[np.ones(1)] * 4)
+        bad = with_agreement(cfg, paper_init, kernels=[np.ones(1)] * 4)
         with decimal.localcontext() as ctx:
             ctx.prec = caller_prec or ctx.prec
             before = decimal.getcontext().prec
