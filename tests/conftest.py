@@ -40,9 +40,23 @@ def acceptance_ctx():
     return AcceptanceContext.build()
 
 
+def three_cycle() -> Digraph:
+    return Digraph(3, ((0, 1), (1, 2), (2, 0)))
+
+
 def complete_digraph(n: int) -> Digraph:
     """Every ordered pair of distinct nodes is an edge."""
     return Digraph(n, tuple((a, b) for a in range(n) for b in range(n) if a != b))
+
+
+def criterion_6_draws(rng) -> list:
+    """Acceptance criterion 6's 100 trials, (digraph, initial values), drawn from ``rng``
+    as the criterion draws them from default_rng(2024)."""
+    draws = []
+    for trial in range(100):
+        g = random_strongly_connected(rng, int(rng.integers(2, 11)))
+        draws.append((g, rng.normal(size=(g.node_count, 3 if trial % 3 == 0 else 1))))
+    return draws
 
 
 def bfs_distances(g: Digraph, source: int) -> list[int]:

@@ -12,6 +12,7 @@ from ftcc.linalg import common_kernel_vector, numerical_rank
 
 
 def _window_rows(seq: np.ndarray, width: int) -> np.ndarray:
+    """Every run of ``width`` consecutive entries of ``seq``, one per row."""
     return np.array([seq[i : i + width] for i in range(len(seq) - width + 1)])
 
 

@@ -12,6 +12,8 @@ from ftcc.exceptions import (
 )
 from ftcc.gains import (
     PlacementTargets,
+    _check_unstable_diagonalizable,
+    _route,
     conjugate_closed,
     place_for_agent,
     place_pair,
@@ -76,6 +78,8 @@ class TestTargets:
         plus, conj = t.take(1.2 + 0.3j)
         assert plus == 0.1 + 0.2j and conj == plus.conjugate()
         assert t.consumed == [False, True, True]
+        # and stored +Im first
+        assert PlacementTargets((0.1 + 0.2j, 0.1 - 0.2j)).take(1.2 + 0.3j) == (0.1 + 0.2j, 0.1 - 0.2j)
 
     def test_pair_takes_two_reals(self):
         t = PlacementTargets((0.5, 0.6, 0.7))
@@ -117,54 +121,13 @@ class TestPlaceSingle:
         with pytest.raises(UncontrollableDirectionError):
             place_single(np.diag([2.0, 0.5]), [0.0, 0.0], 2.0, 0.6, [1.0, 0.0])
 
-    def test_random_spectrum_check(self):
-        rng = np.random.default_rng(31)
-        for _ in range(25):
-            a = rng.normal(size=(4, 4))
-            b = rng.normal(size=4)
-            pairs = [p for p in eigen_left(a) if abs(p.value.imag) < 1e-12]
-            pairs = [p for p in pairs if abs(p.left_vector @ b) > 1e-2]
-            if not pairs:
-                continue
-            p = pairs[0]
-            target = rng.uniform(-0.8, 0.8)
-            row = place_single(a, b, p.value, target, p.left_vector).real
-            closed = a + np.outer(b, row)
-            got = sorted(np.linalg.eigvals(closed), key=lambda z: (z.real, z.imag))
-            want = sorted(
-                [complex(target)]
-                + [q.value for q in eigen_left(a) if abs(q.value - p.value) > 1e-12],
-                key=lambda z: (z.real, z.imag),
-            )
-            assert max(abs(x - y) for x, y in zip(got, want)) < 1e-6
+    @pytest.mark.parametrize("b, w", [([1.0, 0.0, 0.0], [1.0, 0.0]), ([1.0, 0.0], [1.0])])
+    def test_b_and_w_of_another_size_rejected(self, b, w):
+        with pytest.raises(InvalidInputError, match="^b and w must match the state dimension$"):
+            place_single(np.diag([2.0, 0.5]), b, 2.0, 0.6, w)
 
 
 class TestPlacePair:
-    def test_random_spectrum_check(self):
-        rng = np.random.default_rng(41)
-        checked = 0
-        while checked < 25:
-            n = int(rng.integers(2, 7))
-            a = rng.normal(size=(n, n))
-            b = rng.normal(size=n)
-            pairs = [p for p in eigen_left(a) if p.value.imag > 0]
-            pairs = [p for p in pairs if abs(p.left_vector @ b) > 1e-2]
-            if not pairs:
-                continue
-            p = pairs[0]
-            if rng.random() < 0.5:
-                t = complex(rng.uniform(-0.7, 0.7), rng.uniform(0.05, 0.7))
-                pair = (t, t.conjugate())
-            else:
-                pair = tuple(complex(v) for v in rng.uniform(-0.9, 0.9, 2))
-            row = place_pair(a, b, p.value, pair, p.left_vector)
-            assert row.shape == (1, n) and row.dtype.kind == "f"
-            moved = (p.value, p.value.conjugate())
-            kept = [q.value for q in eigen_left(a) if q.value not in moved]
-            assert len(kept) == n - 2
-            assert worst_target_miss(a + np.outer(b, row), list(pair) + kept) < 1e-6
-            checked += 1
-
     def test_uncontrollable_direction(self):
         a = np.zeros((3, 3))
         a[:2, :2] = rotation(1.3, 0.7)
@@ -205,9 +168,22 @@ class TestPlaceForAgent:
         assert np.allclose(sorted(np.linalg.eigvals(closed).real), [0.1, 0.2, 0.3], atol=1e-8)
 
     def test_insufficient_targets(self):
+        # e_1 cannot move 2.5, and its placement of 1.5 uses the last target
         a = np.diag([1.5, 2.5])
-        with pytest.raises(InsufficientTargetsError):
+        with pytest.raises(InsufficientTargetsError, match=r"exhausted with unstable eigenvalues \[\(2\.5"):
             place_for_agent(a, np.eye(2), PlacementTargets((0.1,)))
+        with pytest.raises(InsufficientTargetsError, match="^no real target left for unstable eigenvalue 1.5$"):
+            place_for_agent(a[:1, :1], np.ones((1, 1)), PlacementTargets((0.1 + 0.2j, 0.1 - 0.2j)))
+
+    def test_no_columns_place_nothing(self):
+        assert place_for_agent(np.diag([1.5, 0.5]), np.zeros((2, 0)), PlacementTargets((0.1,))).shape == (0, 2)
+
+    def test_a_column_that_moves_nothing_stops_after_2n_tries(self, monkeypatch):
+        import ftcc.gains as gains_module
+
+        monkeypatch.setattr(gains_module, "place_single", lambda a, b, lam, t, w: np.zeros((1, 1)))
+        with pytest.raises(ProtocolFailureError, match="^placement loop failed to converge$"):
+            place_for_agent(np.array([[2.0]]), np.ones((1, 1)), PlacementTargets((0.1, 0.2, 0.3)))
 
     def test_conjugate_pair_realness(self):
         # rotation scaled outside the unit circle: complex unstable pair
@@ -243,27 +219,13 @@ class TestPlaceForAgent:
 
 
 class TestElection:
-    def test_single_node(self):
-        assert elect_leader(Digraph(1, ()), 1) == 0
-
     def test_fournode_topology_max_id(self):
         g = digraph_from_weight_matrix(FOURNODE_P)
         assert elect_leader(g, 2) == 3
 
-    def test_custom_values_pick_node_zero(self):
-        g = digraph_from_weight_matrix(FOURNODE_P)
-        assert elect_leader(g, 2, values=[4.0, 3.0, 2.0, 1.0]) == 0
-
-    def test_permutation_invariant_winner(self):
-        g = Digraph(3, ((0, 1), (1, 2), (2, 0)))
-        vals = [5.0, 9.0, 1.0]
-        assert elect_leader(g, 3, values=vals) == 1
-        assert elect_leader(g, 3, values=[vals[i] for i in (1, 2, 0)]) == 0
-
-    def test_insufficient_rounds_detected(self):
-        g = Digraph(3, ((0, 1), (1, 2), (2, 0)))
-        with pytest.raises(ProtocolFailureError):
-            elect_leader(g, 0, values=[1.0, 2.0, 3.0])
+    def test_one_value_per_node(self):
+        with pytest.raises(InvalidInputError, match="^need one election value per node$"):
+            elect_leader(Digraph(3, ((0, 1), (1, 2), (2, 0))), 3, [1.0, 2.0])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_values_raise_before_any_round(self, bad, monkeypatch):
@@ -450,6 +412,19 @@ class TestTokenProtocol:
             run_token_protocol(g, sys, [0.3])
         assert "every node in 2 hops" in str(err.value)
         assert "[0.382421+0.322109j, 0.382421-0.322109j]" in str(err.value)
+        # agent 0 moves 1.5 onto 0.3, and no agent reaches 0.5: only 0.5 is listed
+        e = np.eye(2)
+        sys = LtiSystem(np.diag([1.5, 0.5]), (e[:, [0]], e[:, [0]]), (e[[0]], e[[1]]))
+        with pytest.raises(ProtocolFailureError, match=r"targets \[0\.4\]; .* target \[0\.5\]$"):
+            run_token_protocol(g, sys, [0.3, 0.4], leader=0)
+
+    def test_an_unknown_mode_or_agent_count_rejected(self):
+        e = np.eye(2)
+        sys = LtiSystem(np.diag([1.5, 0.5]), (e[:, [0]], e[:, [1]]), (e[[0]], e[[1]]))
+        with pytest.raises(InvalidInputError, match="^unknown mode 'sideways'$"):
+            run_token_protocol(Digraph(2, ((0, 1), (1, 0))), sys, [0.3, 0.4], mode="sideways")
+        with pytest.raises(InvalidInputError, match="^one agent per graph node required$"):
+            run_token_protocol(Digraph(3, ((0, 1), (1, 2), (2, 0))), sys, [0.3, 0.4])
 
     def test_walk_with_no_way_to_an_unvisited_node_raises(self):
         # no edge enters node 2, so once nodes 0 and 1 have placed, node 1
@@ -479,18 +454,6 @@ class TestTokenProtocol:
         assert not np.any(res.gains[0]) and not np.any(res.gains[1])
         assert worst_target_miss(sys.a + res.f, [0.1, 0.3, 0.4]) < 1e-9
 
-    def test_observer_mode_duality(self):
-        rng = np.random.default_rng(13)
-        n_agents, n = 4, 5
-        g = random_strongly_connected(rng, n_agents)
-        sys = random_joint_system(rng, n_agents, n)
-        targets = targets_for_spectrum(rng, sys.a)
-        res = run_token_protocol(g, sys, targets, mode="observer")
-        obs = sys.a - sum(l @ c for l, c in zip(res.gains, sys.c_list)) / n_agents
-        assert is_schur_stable(obs)
-        for l, c in zip(res.gains, sys.c_list):
-            assert l.shape == (n, c.shape[0])
-
     def test_insufficient_targets_raises(self):
         g = Digraph(2, ((0, 1), (1, 0)))
         sys = LtiSystem(
@@ -512,6 +475,21 @@ class TestTokenProtocol:
         with pytest.raises(InvalidInputError):
             run_token_protocol(g, sys, [0.1, 0.2], leader=0)
 
+    def test_the_walk_follows_the_priorities(self):
+        e = np.eye(3)
+        sys = LtiSystem(np.diag([1.5, 1.6, 1.7]), [e[:, [i]] for i in range(3)], [e[[i]] for i in range(3)])
+        g = Digraph(3, ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)))
+        res = run_token_protocol(g, sys, [0.1, 0.2, 0.3], priorities={0: [2, 1]}, leader=0)
+        assert res.visit_order == [0, 2, 1]   # ascending ids would visit 1 first
+
+    def test_a_node_without_out_neighbors_cannot_route(self):
+        with pytest.raises(ProtocolFailureError, match="^node 1 has no out-neighbors$"):
+            _route(Digraph(2, ((0, 1),)), {}, [0], 1)
+
+    def test_only_an_unstable_eigenvalue_must_be_diagonalizable(self):
+        # a stable Jordan block passes; an unstable one is rejected (test_defective_unstable_rejected)
+        assert _check_unstable_diagonalizable(np.array([[0.5, 1.0], [0.0, 0.5]]), 1e-9) is None
+
     def test_walk_starts_at_the_last_node_without_a_leader(self):
         rng = np.random.default_rng(77)
         g = random_strongly_connected(rng, 5)
@@ -530,20 +508,8 @@ class TestTokenProtocol:
             b_list=tuple(np.eye(3)[:, [i]] for i in range(3)),
             c_list=tuple(np.eye(3)[[i], :] for i in range(3)),
         )
-        with pytest.raises(InvalidInputError, match=f"leader {leader} is not a node id"):
+        with pytest.raises(InvalidInputError, match=rf"^leader {leader} is not a node id \(0\.\.2\)$"):
             run_token_protocol(g, sys, [], leader=leader)
-
-    def test_read_only_flood_reaches_everyone(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            n_agents = int(rng.integers(3, 8))
-            g = random_strongly_connected(rng, n_agents)
-            sys = random_joint_system(rng, n_agents, 4)
-            targets = targets_for_spectrum(rng, sys.a)
-            res = run_token_protocol(g, sys, targets, mode="control")
-            # the run only returns once every node got the read-only message
-            assert res.flood_count <= len(g.edges)
-            assert 0 < res.flood_count
 
     def test_flood_that_cannot_reach_every_node_raises(self):
         # the path 0 -> 1 -> 2 is not strongly connected: from node 1 the

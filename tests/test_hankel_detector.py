@@ -21,7 +21,7 @@ from ftcc.exceptions import DegenerateInitializationError, InvalidInputError
 from ftcc.graph import out_weight_matrix
 from ftcc.linalg import common_kernel_vector
 
-from conftest import complete_digraph, random_strongly_connected
+from conftest import complete_digraph, criterion_6_draws, random_strongly_connected
 from hankel_reference import _degree, _kernel, _live_difference_stack
 
 
@@ -105,13 +105,8 @@ def test_near_ring_digraphs(n):
 def test_criterion_6_multi_column_draws():
     # live-column patterns differ between nodes at one width in some draws,
     # so one width's nodes fall into more than one group
-    rng = np.random.default_rng(2024)
     mixed = 0
-    for trial in range(100):
-        g = random_strongly_connected(rng, int(rng.integers(2, 11)))
-        x0 = rng.normal(size=(g.node_count, 3 if trial % 3 == 0 else 1))
-        if trial % 3:
-            continue
+    for g, x0 in criterion_6_draws(np.random.default_rng(2024))[::3]:   # the 3-column ones
         hist = assert_matches_reference(g, x0)
         patterns = {
             tuple(_live_difference_stack(hist[:3, j, [r]], 1) is not None for r in range(4))

@@ -1,4 +1,3 @@
-import collections
 import dataclasses
 import decimal
 
@@ -9,18 +8,11 @@ from ftcc import consensus, plant, runtime
 from ftcc.consensus import in_arithmetic
 from ftcc.exceptions import DegenerateInitializationError, InvalidInputError
 from ftcc.graph import Digraph, out_weight_matrix
-from ftcc.linalg import is_schur_stable
 from ftcc.plant import LtiSystem
 from ftcc.runtime import _estimate_and_control, _step_matrices, initialize, run_closed_loop
 from ftcc.scenario import PRECISIONS, ScenarioConfig, load_scenario
 
-from conftest import (
-    agree,
-    random_joint_system,
-    random_strongly_connected,
-    stored_kernels,
-    targets_for_spectrum,
-)
+from conftest import random_joint_system, random_strongly_connected, targets_for_spectrum
 
 
 def lone_node_scenario(precision: str = "double") -> ScenarioConfig:
@@ -77,25 +69,6 @@ class TestInitialize:
             atol=1e-6,
         )
 
-    def test_single_node_degenerate_pass(self):
-        cfg = lone_node_scenario()
-        init = initialize(cfg)
-        assert init.leader == 0
-        assert init.m_bar == 3
-        assert is_schur_stable(cfg.plant.a + init.f_control)
-
-    def test_random_scenarios_both_schur(self):
-        for seed in (1, 2, 3):
-            cfg = random_scenario(seed)
-            init = initialize(cfg)
-            a = cfg.plant.a
-            n_agents = cfg.graph.node_count
-            assert is_schur_stable(a + init.f_control)
-            obs = a - sum(
-                l @ c for l, c in zip(init.l_gains, cfg.plant.c_list)
-            ) / n_agents
-            assert is_schur_stable(obs)
-
     def test_token_f_matches_gain_sums(self, paper_scenario, paper_init):
         # the token's accumulated matrix is exactly the sum of contributions
         sys = paper_scenario.plant
@@ -106,73 +79,6 @@ class TestInitialize:
         ) / paper_scenario.graph.node_count
         # (1/N) sum_i L_i C_i is recoverable from the dual token's F
         assert np.allclose(-paper_init.observer_token.f.T, summand, atol=1e-14)
-
-
-class TestAgreementPhase:
-    """One agreement of the closed loop: a fixed budget of m_bar rounds."""
-
-    def test_equal_estimates(self, paper_scenario):
-        cfg = paper_scenario
-        xhat = np.tile([2.0, -1.0], (4, 1))
-        kernels = stored_kernels(cfg.graph, cfg.weights)
-        mu = agree(cfg.graph, xhat, 11, kernels, weights=cfg.weights)
-        assert np.allclose(mu, [2.0, -1.0], atol=1e-12)
-
-    def test_three_cycle_scalar(self):
-        g = Digraph(3, ((0, 1), (1, 2), (2, 0)))
-        p = out_weight_matrix(g)
-        mu = agree(
-            g, np.array([[0.0], [3.0], [6.0]]), 11, stored_kernels(g, p), weights=p
-        )
-        assert np.allclose(mu, 3.0, atol=1e-10)
-
-    def test_agreement_spread_invariant(self, paper_scenario):
-        rng = np.random.default_rng(2)
-        cfg = paper_scenario
-        xhat = rng.normal(size=(4, 8))
-        kernels = stored_kernels(cfg.graph, cfg.weights)
-        mu = agree(cfg.graph, xhat, 11, kernels, weights=cfg.weights)
-        mean = xhat.mean(axis=0)
-        scale = max(1.0, float(np.linalg.norm(mean)))
-        for j in range(4):
-            assert np.linalg.norm(mu[j] - mean) <= 1e-8 * scale
-
-
-class TestStep:
-    """The loop's estimation-control update, with the designed gains."""
-
-    def test_error_recursion_identities(self, paper_scenario, paper_init):
-        cfg, init = paper_scenario, paper_init
-        sys = cfg.plant
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=8)
-        xbar = rng.normal(size=8)           # common agreed average
-        matrices = _step_matrices(sys, init.k_gains, init.l_gains, init.f_control, float)
-        x2, xhat2 = _estimate_and_control(*matrices, x, np.tile(xbar, (4, 1)))
-        ebar = x - xbar
-        n_agents = 4
-        m_avg = sys.a - sum(
-            l @ c for l, c in zip(init.l_gains, sys.c_list)
-        ) / n_agents
-        ebar_next = x2 - np.mean(xhat2, axis=0)
-        assert np.linalg.norm(ebar_next - m_avg @ ebar) <= 1e-10 * max(
-            1.0, np.linalg.norm(ebar)
-        )
-        for i in range(n_agents):
-            m_i = sys.a - init.l_gains[i] @ sys.c_list[i]
-            assert np.linalg.norm((x2 - xhat2[i]) - m_i @ ebar) <= 1e-10 * max(
-                1.0, np.linalg.norm(ebar)
-            )
-
-    def test_perfect_agreement_zero_error(self, paper_scenario, paper_init):
-        cfg, init = paper_scenario, paper_init
-        sys = cfg.plant
-        rng = np.random.default_rng(4)
-        x = rng.normal(size=8)
-        matrices = _step_matrices(sys, init.k_gains, init.l_gains, init.f_control, float)
-        x2, xhat2 = _estimate_and_control(*matrices, x, np.tile(x, (4, 1)))   # agreement = truth
-        for xh in xhat2:
-            assert np.linalg.norm(x2 - xh) < 1e-12 * max(1.0, np.linalg.norm(x2))
 
 
 def update_by_agent(a, b_list, c_list, k_gains, l_gains, f_control, x, xbar_nodes):
@@ -311,30 +217,6 @@ class TestPreparedOnce:
     The agreement's maps are the bootstrap's unless they are not for the loop's
     arithmetic, P, tolerance and m_bar rounds."""
 
-    def test_counts_do_not_grow_with_the_horizon(self, monkeypatch, paper_scenario, paper_init):
-        calls = collections.Counter()
-        targets = (
-            (consensus, "validate_weights"),
-            (consensus, "in_arithmetic"),
-            (runtime, "in_arithmetic"),
-            (runtime, "exact_average_fixed_rounds"),
-        )
-        for module, name in targets:
-            def counted(*args, _fn=getattr(module, name), _key=(module.__name__, name), **kw):
-                calls[_key] += 1
-                return _fn(*args, **kw)
-
-            monkeypatch.setattr(module, name, counted)
-        per_horizon = {}
-        for horizon in (5, 1):
-            calls.clear()
-            run_closed_loop(paper_scenario, paper_init, horizon=horizon)
-            # one traced consensus.agree span per step
-            assert calls.pop(("ftcc.runtime", "exact_average_fixed_rounds")) == horizon + 1
-            per_horizon[horizon] = dict(calls)
-        assert per_horizon[5].get(("ftcc.consensus", "validate_weights"), 0) == 0
-        assert per_horizon[5] == per_horizon[1]
-
     def test_the_plant_is_checked_once(self, monkeypatch):
         # at construction: initialize and the loop take a ScenarioConfig as valid
         calls = []
@@ -396,15 +278,13 @@ class TestClosedLoop:
         # the widest stored kernel has width 3: its square Hankel completes at 6
         assert trace.rounds_used == [6] * 4
 
-    @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf")])
-    def test_tau_must_be_positive_and_finite(self, tau, paper_scenario, paper_init):
-        with pytest.raises(InvalidInputError, match="tau must be positive and finite"):
-            run_closed_loop(paper_scenario, paper_init, horizon=3, tau=tau)
-
     @pytest.mark.parametrize(
         "setting, message",
         [
-            ({"tau": -1.0}, "tau must be positive"),
+            ({"tau": 0.0}, "tau must be positive and finite"),
+            ({"tau": -1.0}, "tau must be positive and finite"),
+            ({"tau": float("nan")}, "tau must be positive and finite"),
+            ({"tau": float("inf")}, "tau must be positive and finite"),
             ({"horizon": -1}, "horizon must be"),
             # the scenario's number rules: no bool, string, complex or fraction
             ({"horizon": True}, "horizon must be a whole number"),
@@ -439,30 +319,6 @@ class TestClosedLoop:
         assert len(trace.x) == cfg.horizon + 1
         assert trace.rounds_used == [2] * (cfg.horizon + 1)   # the lone kernel has width 1
 
-    def test_tau_only_rescales_time(self, paper_scenario, paper_init):
-        t1 = run_closed_loop(paper_scenario, paper_init, horizon=5, tau=0.1)
-        t2 = run_closed_loop(paper_scenario, paper_init, horizon=5, tau=10.0)
-        for k in range(6):
-            assert np.array_equal(t1.x[k], t2.x[k])
-            assert np.array_equal(t1.ebar[k], t2.ebar[k])
-        assert t1.times != t2.times
-
-    def test_determinism(self):
-        cfg = random_scenario(11)
-        a = run_closed_loop(cfg, horizon=8, tau=1.0)
-        b = run_closed_loop(cfg, horizon=8, tau=1.0)
-        for k in range(9):
-            assert np.array_equal(a.x[k], b.x[k])
-            assert np.array_equal(a.xhat[k], b.xhat[k])
-
-    def test_ebar_equals_mean_error(self, paper_scenario, paper_init):
-        trace = run_closed_loop(paper_scenario, paper_init, horizon=10, tau=1.0)
-        for k in range(11):
-            mean_err = trace.errors[k].mean(axis=0)
-            assert np.linalg.norm(trace.ebar[k] - mean_err) <= 1e-12 * max(
-                1.0, np.linalg.norm(mean_err)
-            )
-
     def test_errors_are_the_recorded_differences(self, paper_scenario, paper_init):
         # in double the loop arithmetic is float64, so each error row is the
         # difference of the recorded rows, bit for bit
@@ -470,26 +326,9 @@ class TestClosedLoop:
         trace = run_closed_loop(cfg, paper_init, horizon=10, tau=1.0)
         assert np.array_equal(trace.ebar, trace.x - trace.xbar_nodes[:, 0])
         assert np.array_equal(trace.errors, trace.x[:, None] - trace.xhat)
-
-    def test_separation_state_and_error_decay(self):
-        cfg = random_scenario(21)
-        trace = run_closed_loop(cfg, horizon=60, tau=1.0)
-        assert trace.norm_x[-1] < 1e-4 * max(1.0, trace.norm_x[0])
-        assert trace.norm_ebar[-1] < 1e-6 * max(1.0, trace.norm_ebar[0])
-
-    def test_precision_backends_agree(self, paper_scenario, paper_init):
-        import dataclasses
-
-        traces = {}
-        for precision in ("double", "extended", "quad"):
-            cfg = dataclasses.replace(paper_scenario, precision=precision)
-            traces[precision] = run_closed_loop(cfg, paper_init, horizon=6, tau=1.0)
-        for k in range(7):
-            for precision in ("extended", "quad"):
-                dev = np.max(
-                    np.abs(traces[precision].x[k] - traces["double"].x[k])
-                )
-                assert dev <= 1e-9 * max(1.0, np.max(np.abs(traces["double"].x[k])))
+        # and the CSV's norm_e_i is agent i's error norm at each step
+        norms = [[np.linalg.norm(e) for e in step] for step in trace.errors]
+        assert np.shape(trace.norm_errors) == (11, 4) and np.allclose(trace.norm_errors, norms)
 
 
 def recorded_by_array(cfg, init, horizon):

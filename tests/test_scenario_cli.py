@@ -2,15 +2,16 @@ import csv
 import dataclasses
 import json
 import re
+import runpy
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftcc.acceptance import AcceptanceContext
-from ftcc.cli import main
-from ftcc.exceptions import ConfigError, DisconnectedGraphError, JointSystemError
+from ftcc.acceptance import AcceptanceContext, CriterionResult
+from ftcc.cli import _write, main
+from ftcc.exceptions import ConfigError, DisconnectedGraphError, FtccError, JointSystemError
 from ftcc.graph import out_weight_matrix
 from ftcc.scenario import (
     PRECISIONS,
@@ -57,6 +58,22 @@ MALFORMED = [
     (("graph", "node_count"), 2.7, "graph"),
     (("graph", "edges"), [[0, True], [1, 0]], "graph"),
     (("priorities",), {"0": [True]}, "priorities"),
+    (("controller_targets",), [[0.1, 0.2], 0.3], "controller_targets"),   # not conjugate-closed
+    (("controller_targets",), [0.1, 0.2, 0.3], "controller_targets"),   # more than n
+    (("plant", "b"), [[[1.0], [0.0], [0.0]], [[0.0], [1.0]]], "plant"),   # 3 rows for n = 2
+    (("graph",), {"weight_matrix": [[0.7, 0.5], [0.5, 0.5]]}, "weights"),   # a column off one
+    # values out of range
+    (("rank_rel_tol",), 1.0, "rank_rel_tol"),
+    (("rank_rel_tol",), 2.0, "rank_rel_tol"),
+    (("rank_rel_tol",), 0.0, "rank_rel_tol"),
+    (("rank_rel_tol",), -1.0, "rank_rel_tol"),
+    (("rank_rel_tol",), float("nan"), "rank_rel_tol"),
+    (("stability_margin",), -0.5, "stability_margin"),
+    (("stability_margin",), float("nan"), "stability_margin"),
+    (("taus",), [float("nan")], "taus"),
+    (("x0",), [float("nan"), 1.0], "x0"),
+    (("xhat0",), [[float("nan"), 0.0], [0.0, 0.0]], "xhat0"),
+    (("election_values",), [float("nan"), 1.0], "election_values"),
 ]
 
 
@@ -97,65 +114,10 @@ class TestLoading:
         with pytest.raises(DisconnectedGraphError):
             scenario_from_dict(doc)
 
-    def test_non_conjugate_targets_rejected(self):
-        doc = minimal_doc()
-        doc["controller_targets"] = [[0.1, 0.2], 0.3]
-        with pytest.raises(ConfigError):
-            scenario_from_dict(doc)
-
     def test_joint_requirement_violation_named(self):
         doc = minimal_doc()
         doc["plant"]["c"] = [[[1.0, 0.0]], [[1.0, 0.0]]]   # second state invisible
         with pytest.raises(JointSystemError):
-            scenario_from_dict(doc)
-
-    def test_dimension_mismatch_rejected(self):
-        doc = minimal_doc()
-        doc["plant"]["b"] = [[[1.0], [0.0], [0.0]], [[0.0], [1.0]]]
-        with pytest.raises(ConfigError):
-            scenario_from_dict(doc)
-
-    def test_non_stochastic_weights_rejected(self):
-        doc = minimal_doc()
-        doc["graph"] = {"weight_matrix": [[0.7, 0.5], [0.5, 0.5]]}
-        with pytest.raises(ConfigError):
-            scenario_from_dict(doc)
-
-    def test_edges_must_match_weight_support(self):
-        doc = minimal_doc()
-        doc["graph"] = {
-            "weight_matrix": [[0.5, 0.5], [0.5, 0.5]],
-            "edges": [[0, 1]],
-        }
-        with pytest.raises(ConfigError):
-            scenario_from_dict(doc)
-
-    def test_too_many_targets_rejected(self):
-        doc = minimal_doc()
-        doc["controller_targets"] = [0.1, 0.2, 0.3]
-        with pytest.raises(ConfigError):
-            scenario_from_dict(doc)
-
-    @pytest.mark.parametrize(
-        "field_name, value",
-        [
-            ("rank_rel_tol", 1.0),
-            ("rank_rel_tol", 2.0),
-            ("rank_rel_tol", 0.0),
-            ("rank_rel_tol", -1.0),
-            ("rank_rel_tol", float("nan")),
-            ("stability_margin", -0.5),
-            ("stability_margin", float("nan")),
-            ("taus", [float("nan")]),
-            ("x0", [float("nan"), 1.0]),
-            ("xhat0", [[float("nan"), 0.0], [0.0, 0.0]]),
-            ("election_values", [float("nan"), 1.0]),
-        ],
-    )
-    def test_numeric_field_out_of_range_named(self, field_name, value):
-        doc = minimal_doc()
-        doc[field_name] = value
-        with pytest.raises(ConfigError, match=field_name):
             scenario_from_dict(doc)
 
     @pytest.mark.parametrize("path, value, section", MALFORMED)
@@ -177,8 +139,16 @@ class TestLoading:
         (("graph", "edges"), [[0, "1"], [1, 0]],
          "graph: edge [0, '1'] is not a pair of integer node ids"),
         (("graph", "edges"), [[0, 1], [1]], "graph: edge [1] is not a pair of integer node ids"),
+        (("controller_targets",), [[0.1], 0.2],
+         "controller_targets: targets must be numbers or [re, im] pairs"),
+        (("controller_targets",), [1.5, 0.2], "controller_targets: must lie strictly inside the unit disk"),
+        (("graph",), {"edges": [[0, 1], [1, 0]]}, "graph: missing 'node_count'"),
+        (("plant",), {"a": [[1.5, 0.0], [0.0, 0.5]], "b": [[[1.0], [0.0]]] * 3, "c": [[[1.0, 0.0]]] * 3},
+         "plant: 3 agents but 2 graph nodes"),
+        (("x0",), [1.0, 2.0, 3.0], "x0: must have shape (2,)"),
+        (("priorities",), {"99": []}, "priorities: 99 is not a node id (0..1)"),
     ])
-    def test_graph_message_names_the_key_or_the_edge(self, path, value, message):
+    def test_message_names_the_key_or_the_value(self, path, value, message):
         doc = minimal_doc()
         set_path(doc, path, value)
         with pytest.raises(ConfigError) as info:
@@ -190,7 +160,7 @@ class TestLoading:
         doc = minimal_doc()
         doc["priorities"] = priorities
         key = next(iter(priorities))
-        with pytest.raises(ConfigError, match=f"^priorities: {key} is not a node id"):
+        with pytest.raises(ConfigError, match=rf"^priorities: {key} is not a node id \(0\.\.1\)$"):
             scenario_from_dict(doc)
 
     @pytest.mark.parametrize("order", [[0], [1, 0], [1, 2]])
@@ -203,7 +173,7 @@ class TestLoading:
         assert scenario_from_dict(doc).priorities == {0: [1]}
 
     def test_unknown_scenario_name(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^no such scenario file no-such-scenario \(built-ins: \['paper-4node'\]\)$"):
             load_scenario("no-such-scenario")
 
     def test_a_file_not_in_utf8_is_a_config_error(self, tmp_path):
@@ -211,13 +181,22 @@ class TestLoading:
         path.write_bytes(json.dumps(minimal_doc()).replace("tiny", "t\u00efny").encode("latin-1"))
         with pytest.raises(ConfigError, match=f"^could not read {re.escape(str(path))}: .*utf-8"):
             load_scenario(path)
+        path.write_text("{not json")
+        with pytest.raises(ConfigError, match=f"^could not parse {re.escape(str(path))}: "):
+            load_scenario(path)
 
     def test_round_trip(self, tmp_path):
         cfg = paper_4node()
         path = tmp_path / "scenario.json"
         save_scenario(cfg, path)
+        assert path.read_text().startswith('{\n  "name": "paper-4node",\n')
         again = load_scenario(path)
         assert again.to_dict() == cfg.to_dict()
+        # a real target is a number, a complex one an [re, im] pair
+        doc = minimal_doc()
+        doc["controller_targets"] = [[0.1, 0.2], [0.1, -0.2]]
+        assert scenario_from_dict(doc).to_dict()["controller_targets"] == [[0.1, 0.2], [0.1, -0.2]]
+        assert cfg.to_dict()["controller_targets"][:2] == [0.6, 0.61]
         assert np.array_equal(again.weights, cfg.weights)
         assert again.graph.edges == cfg.graph.edges
 
@@ -263,17 +242,19 @@ class TestConstruction:
     """A config built in Python is checked as one loaded from JSON is."""
 
     @pytest.mark.parametrize(
-        "field_name, value",
+        "field_name, value, message",
         [
-            ("election_values", ["a", 1, 2, 3]),
-            ("horizon", 2.9),
-            ("horizon", True),
-            ("stability_margin", True),
-            ("name", None),
+            ("election_values", ["a", 1, 2, 3], ""),
+            ("horizon", 2.9, ""),
+            ("horizon", True, ""),
+            ("stability_margin", True, ""),
+            ("name", None, ""),
+            # a file's parser rejects this before the check does
+            ("controller_targets", ("x",), r"must be numbers, got \('x',\)$"),
         ],
     )
-    def test_a_bad_value_names_its_field(self, paper_scenario, field_name, value):
-        with pytest.raises(ConfigError, match=f"^{field_name}: "):
+    def test_a_bad_value_names_its_field(self, paper_scenario, field_name, value, message):
+        with pytest.raises(ConfigError, match=f"^{field_name}: {message}"):
             dataclasses.replace(paper_scenario, **{field_name: value})
 
 
@@ -285,6 +266,10 @@ class TestCli:
         assert code == 0
         assert "m_bar         : 11" in captured
         assert "leader        : node 0" in captured
+        # each agent's gains by its number from 1, four decimals
+        assert "\nK_1 =\n" in captured and "\nL_4 =\n" in captured
+        assert "\nL_1 =\n[[12.56  ]\n [-8.1221]\n" in captured
+        assert out.read_text().startswith('{\n  "scenario": "paper-4node",\n  "m_bar": 11,\n')
         doc = json.loads(out.read_text())
         assert doc["m_bar"] == 11
         assert np.allclose(doc["k_gains"][3], 0.0)
@@ -323,7 +308,9 @@ class TestCli:
         assert len(data) == 13
         times = [float(r[1]) for r in data]
         assert times == sorted(times) and times[1] == 12.0
-        capsys.readouterr()
+        assert capsys.readouterr().out.splitlines()[1] == (
+            "final step 12: |x| = 6.222e+02, |ebar| = 1.325e-01, t = 144.0"
+        )
 
     def test_verify_reports_every_criterion(self, capsys, monkeypatch, acceptance_ctx):
         # every criterion still runs through `ftcc verify`, on the shared context
@@ -331,13 +318,42 @@ class TestCli:
             AcceptanceContext, "build", classmethod(lambda cls: acceptance_ctx)
         )
         code = main(["verify"])
-        captured = capsys.readouterr().out
-        for i in range(1, 12):
-            assert f"criterion {i:2d}" in captured
+        lines = capsys.readouterr().out.splitlines()
+        assert [line[:21] for line in lines[:11]] == [
+            f"[{'FAIL' if i == 5 else 'PASS'}] criterion {i:2d}: " for i in range(1, 12)
+        ]
+        # the lines that carry no roundoff, whole or up to it
+        for line in (
+            "round budget from bootstrap consensus -- m_bar = 11 (expected 11), D' = 3",
+            "per-agent structural indices -- rho = [4, 2, 6, 2], chi = [4, 2, 2, 6]",
+            "local-design counterexample eigenvalues (known benchmark inconsistency) -- max "
+            "eigenvalue deviation from recorded values = 5.9689; summed closed loop unstable "
+            "as claimed: True",
+            "token hop and flood complexity on rings -- hops/bound N=3:3/4, N=4:4/9, N=5:5/16, "
+            "N=6:6/25, N=7:7/36, N=8:8/49",
+            "normalized-time invariance across tau -- taus [0.1, 1.0, 10.0]: traces "
+            "identical=True, time column exact=True",
+        ):
+            assert any(got[21:] == line for got in lines), line
+        assert lines[5][21:].startswith("finite-time exactness on random digraphs -- 100 trials")
+        assert lines[8][21:].startswith("single-eigenvalue placement invariance -- 100 random")
         # the counterexample benchmark is inconsistent with its recorded
         # eigenvalues, so verify honestly reports one failure
-        assert "10/11 criteria passed" in captured
+        assert lines[11:] == ["10/11 criteria passed"]
         assert code == 1
+
+    def test_verify_exits_0_when_every_criterion_passes(self, capsys, monkeypatch):
+        monkeypatch.setattr("ftcc.cli.run_all", lambda: [CriterionResult(1, "one", True)])
+        assert main(["verify"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "1/1 criteria passed"
+
+    @pytest.mark.filterwarnings("ignore:'ftcc.cli' found in sys.modules")
+    def test_run_as_a_module_exits_with_mains_code(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.argv", ["ftcc", "simulate", "--tau", "-1"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("ftcc.cli", run_name="__main__")
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.startswith("error: tau must be positive")
 
     def test_unknown_subcommand_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -357,17 +373,6 @@ class TestCli:
         assert exc.value.code == 2
         capsys.readouterr()
 
-    def test_nan_initial_state_is_a_config_error(self, tmp_path, capsys):
-        doc = minimal_doc()
-        doc["x0"] = [float("nan"), 1.0]
-        path = tmp_path / "nan.json"
-        path.write_text(json.dumps(doc))
-        code = main(["simulate", "--scenario", str(path)])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "error:" in err and "x0" in err
-        assert "Traceback" not in err
-
     @pytest.mark.parametrize("path, value, section", MALFORMED)
     def test_malformed_value_is_an_error_line(self, tmp_path, capsys, path, value, section):
         doc = minimal_doc()
@@ -380,18 +385,11 @@ class TestCli:
         assert err.startswith(f"error: {section}: ")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("tau", ["-1", "nan"])
-    def test_a_bad_tau_is_an_error_line(self, capsys, tau):
-        code = main(["simulate", "--tau", tau, "--horizon", "3"])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith("error: tau must be positive and finite")
-        assert "Traceback" not in err
-
     @pytest.mark.parametrize(
         "flag, value, message",
         [
             ("--tau", "-1", "error: tau must be positive and finite, got -1.0"),
+            ("--tau", "nan", "error: tau must be positive and finite, got nan"),
             ("--horizon", "-1", "error: horizon must be nonnegative"),
         ],
     )
@@ -411,42 +409,14 @@ class TestCli:
         [["init"], ["simulate", "--horizon", "2"]],
         ids=["init", "simulate"],
     )
-    def test_an_unwritable_out_is_an_error_line(self, tmp_path, capsys, argv):
-        out = tmp_path / "missing" / "out.txt"
-        code = main([*argv, "--out", str(out)])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith(f"error: could not write {out}: ")
-        assert "No such file or directory" in err
-
-    @pytest.mark.parametrize(
-        "argv",
-        [["init"], ["simulate", "--horizon", "2"]],
-        ids=["init", "simulate"],
-    )
-    def test_a_missing_out_directory_fails_before_any_set_up(
-        self, tmp_path, capsys, monkeypatch, argv
-    ):
-        def no_set_up(cfg):
-            raise AssertionError("initialize ran")
-
-        monkeypatch.setattr("ftcc.cli.initialize", no_set_up)
-        out = tmp_path / "missing" / "out.txt"
-        code = main([*argv, "--out", str(out)])
-        assert code == 1
-        assert capsys.readouterr().err == (
-            f"error: could not write {out}: No such file or directory\n"
-        )
-
-    @pytest.mark.parametrize(
-        "argv",
-        [["init"], ["simulate", "--horizon", "2"]],
-        ids=["init", "simulate"],
-    )
     @pytest.mark.parametrize(
         "out, reason",
-        [(".", "Is a directory"), ("file/out.txt", "Not a directory")],
-        ids=["a-directory", "under-a-file"],
+        [
+            ("missing/out.txt", "No such file or directory"),
+            (".", "Is a directory"),
+            ("file/out.txt", "Not a directory"),
+        ],
+        ids=["a-missing-directory", "a-directory", "under-a-file"],
     )
     def test_an_out_that_cannot_be_opened_fails_before_any_set_up(
         self, tmp_path, capsys, monkeypatch, argv, out, reason
@@ -473,3 +443,16 @@ class TestCli:
         code = main(["simulate", "--scenario", str(path), "--horizon", "4"])
         assert code == 0
         assert "tiny" in capsys.readouterr().out
+        # the spectra print to six decimals
+        doc = minimal_doc()
+        doc["controller_targets"] = [0.1234567, 0.2]
+        path.write_text(json.dumps(doc))
+        assert main(["init", "--scenario", str(path)]) == 0
+        assert "(control) : [0.123457+0.j 0.2     +0.j]" in capsys.readouterr().out
+
+    def test_a_failed_write_names_the_path_and_the_reason(self, tmp_path):
+        # the error of an open that fails after the up-front check passed
+        path = tmp_path / "missing" / "out.txt"
+        with pytest.raises(FtccError) as err:
+            _write(path, lambda fh: None)
+        assert str(err.value) == f"could not write {path}: No such file or directory"
