@@ -74,6 +74,26 @@ MALFORMED = [
     (("x0",), [float("nan"), 1.0], "x0"),
     (("xhat0",), [[float("nan"), 0.0], [0.0, 0.0]], "xhat0"),
     (("election_values",), [float("nan"), 1.0], "election_values"),
+    (("x0",), [float("inf"), 1.0], "x0"),
+    (("horizon",), -1, "horizon"),
+    (("taus",), [0.0], "taus"),
+    (("taus",), [1.0, float("inf")], "taus"),
+    (("stability_margin",), float("inf"), "stability_margin"),
+    (("precision",), "octuple", "precision"),
+    (("precision",), 5, "precision"),
+    # wrong shapes and failed section checks
+    (("xhat0",), [[0.0, 0.0]], "xhat0"),
+    (("election_values",), [1.0], "election_values"),
+    (("observer_targets",), [1.0, 0.2], "observer_targets"),   # on the unit circle
+    (("observer_targets",), [[0.1, 0.2]], "observer_targets"),
+    (("plant",), {"a": [[1.5, 0.0], [0.0, 0.5]], "b": [[[1.0], [0.0]], [[0.0], [1.0]]]}, "plant"),
+    (("plant", "a"), [[1.5, 0.0, 0.0], [0.0, 0.5, 0.0]], "plant"),
+    (("plant", "b"), [[[0.0], [0.0]], [[1.0], [0.0]]], "plant"),   # mode 0.5 is not reached
+    (("plant", "c"), [[[1.0, 0.0]], [[1.0, 0.0]]], "plant"),   # mode 0.5 is not seen
+    (("graph",), {}, "graph"),
+    (("graph", "edges"), [[0, 1], [1, 0], [0, 1]], "graph"),
+    (("graph", "edges"), [[0, 1], [1, 2]], "graph"),
+    (("priorities",), {"x": [1]}, "priorities"),
 ]
 
 
@@ -147,6 +167,11 @@ class TestLoading:
          "plant: 3 agents but 2 graph nodes"),
         (("x0",), [1.0, 2.0, 3.0], "x0: must have shape (2,)"),
         (("priorities",), {"99": []}, "priorities: 99 is not a node id (0..1)"),
+        (("precision",), "octuple", "precision: must be one of ('double', 'extended', 'quad')"),
+        (("taus",), [0.0], "taus: need at least one, each positive and finite"),
+        (("plant", "b"), [[[0.0], [0.0]], [[1.0], [0.0]]], "plant: system is not jointly controllable"),
+        (("plant", "c"), [[[1.0, 0.0]], [[1.0, 0.0]]], "plant: system is not jointly observable"),
+        (("graph",), {}, "graph: needs either weight_matrix or edges"),
     ])
     def test_message_names_the_key_or_the_value(self, path, value, message):
         doc = minimal_doc()
