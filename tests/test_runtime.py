@@ -236,11 +236,21 @@ class TestPreparedOnce:
     )
     def test_preparation_calls(self, monkeypatch, paper_scenario, paper_init, precision,
                                maps_built, horizon):
+        # a run of `horizon` steps makes the calls of a run of none, plus one agreement a step
         cfg = dataclasses.replace(paper_scenario, precision=precision)
-        maps = counting(monkeypatch, runtime, "agreement_maps")
-        steps = counting(monkeypatch, runtime, "_step_matrices")
-        run_closed_loop(cfg, paper_init, horizon=horizon)
-        assert (len(maps), len(steps)) == (maps_built, 1)
+        targets = [(runtime, "agreement_maps"), (runtime, "_step_matrices"),
+                   (consensus, "validate_weights"), (runtime, "exact_average_fixed_rounds"),
+                   (consensus, "in_arithmetic"), (runtime, "in_arithmetic")]
+        calls = [counting(monkeypatch, module, name) for module, name in targets]
+        per_run = []
+        for steps in (0, horizon):
+            run_closed_loop(cfg, paper_init, horizon=steps)
+            per_run.append([len(c) for c in calls])
+            for c in calls:
+                c.clear()
+        idle, ran = per_run
+        assert idle[:4] == [maps_built, 1, 0, 1]   # maps, step matrices, P checks, agreements
+        assert ran == idle[:3] + [horizon + 1] + idle[4:]   # and the same conversions
 
     @pytest.mark.parametrize(
         "change",
@@ -330,6 +340,11 @@ class TestClosedLoop:
         norms = [[np.linalg.norm(e) for e in step] for step in trace.errors]
         assert np.shape(trace.norm_errors) == (11, 4) and np.allclose(trace.norm_errors, norms)
 
+    def test_separation_state_and_error_decay(self):
+        trace = run_closed_loop(random_scenario(21), horizon=60, tau=1.0)
+        assert trace.norm_x[-1] < 1e-4 * max(1.0, trace.norm_x[0])
+        assert trace.norm_ebar[-1] < 1e-6 * max(1.0, trace.norm_ebar[0])
+
 
 def recorded_by_array(cfg, init, horizon):
     """The loop's five trace arrays, each step's five arrays converted one by one.
@@ -374,6 +389,13 @@ class TestRecordLayout:
         for array, want in zip(got, recorded_by_array(cfg, init, 8), strict=True):
             assert array.dtype == want.dtype == np.float64 and array.shape == want.shape
             assert np.array_equal(array, want)
+        if precision != "double":
+            # and the wider arithmetics' trace is the double one's to 1e-9 of |x_k|
+            double = run_closed_loop(dataclasses.replace(cfg, precision="double"), init, horizon=8)
+            scale = 1e-9 * np.maximum(1.0, np.abs(double.x).max(axis=1))
+            for array, want in zip(got, (double.x, double.xbar_nodes, double.xhat,
+                                         double.ebar, double.errors)):
+                assert np.all(np.abs(array - want).reshape(9, -1).max(axis=1) <= scale)
 
 
 class TestQuadArithmetic:

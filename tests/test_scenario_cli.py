@@ -74,11 +74,7 @@ MALFORMED = [
     (("x0",), [float("nan"), 1.0], "x0"),
     (("xhat0",), [[float("nan"), 0.0], [0.0, 0.0]], "xhat0"),
     (("election_values",), [float("nan"), 1.0], "election_values"),
-    (("x0",), [float("inf"), 1.0], "x0"),
     (("horizon",), -1, "horizon"),
-    (("taus",), [0.0], "taus"),
-    (("taus",), [1.0, float("inf")], "taus"),
-    (("stability_margin",), float("inf"), "stability_margin"),
     (("precision",), "octuple", "precision"),
     (("precision",), 5, "precision"),
     # wrong shapes and failed section checks
@@ -91,7 +87,6 @@ MALFORMED = [
     (("plant", "b"), [[[0.0], [0.0]], [[1.0], [0.0]]], "plant"),   # mode 0.5 is not reached
     (("plant", "c"), [[[1.0, 0.0]], [[1.0, 0.0]]], "plant"),   # mode 0.5 is not seen
     (("graph",), {}, "graph"),
-    (("graph", "edges"), [[0, 1], [1, 0], [0, 1]], "graph"),
     (("graph", "edges"), [[0, 1], [1, 2]], "graph"),
     (("priorities",), {"x": [1]}, "priorities"),
 ]
