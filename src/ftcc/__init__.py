@@ -4,7 +4,6 @@ consensus between estimation steps and token-passing gain design."""
 
 from .consensus import (
     AverageResult,
-    diameter_upper_bound,
     elect_leader,
     exact_average_fixed_rounds,
     finite_time_average,
@@ -35,7 +34,6 @@ __all__ = [
     "PlacementTargets",
     "ScenarioConfig",
     "TokenResult",
-    "diameter_upper_bound",
     "eigen_left",
     "elect_leader",
     "exact_average_fixed_rounds",

@@ -85,14 +85,6 @@ def m_bar(m_values) -> int:
     return 2 * max(2 * (m + 1) for m in ms) - 1
 
 
-def diameter_upper_bound(m_values) -> int:
-    """Diameter bound obtained from termination: D' = max_j M_j."""
-    ms = list(m_values)
-    if not ms or any(m < 0 for m in ms):
-        raise InvalidInputError("diameter bound needs nonnegative degrees")
-    return max(ms)
-
-
 def validate_weights(g: Digraph, p) -> np.ndarray:
     """Check that P is column-stochastic and supported exactly on g."""
     pm = as_matrix(p, "P")
@@ -193,18 +185,12 @@ class AverageResult:
     mu: np.ndarray                    # (N, n) per-node exact averages
     degrees: list[int]                # budget degrees M_j (shifted window)
     rounds_used: int
-    detection_rounds: list[int]
     done_rounds: list[int]
     m_bar: int
     diameter_bound: int               # max over unshifted-window degrees
     agreement: Agreement              # float64, rounds_used rounds: the kernels and their maps
     distance_degrees: list[int]
     phi_done: list[int]               # certified counter maximum per node
-
-    @property
-    def kernels(self) -> tuple[np.ndarray, ...]:
-        """Each node's float64 Hankel kernel beta_j, as its Agreement holds it."""
-        return self.agreement.kernels
 
 
 def _values(node_count: int, initial_values) -> tuple[np.ndarray, float]:
@@ -477,10 +463,9 @@ def finite_time_average(
         mu=_checked_average(agreement, rows[:, :-1], top, hist[..., :-1]),
         degrees=degrees,
         rounds_used=rounds,
-        detection_rounds=c0,
         done_rounds=done,
         m_bar=m_bar(degrees),
-        diameter_bound=diameter_upper_bound(distance_degrees),
+        diameter_bound=max(distance_degrees),
         agreement=agreement,
         distance_degrees=distance_degrees,
         phi_done=phi_done,

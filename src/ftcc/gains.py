@@ -4,13 +4,13 @@ Placement is rank-one per eigenvalue: premultiplying the dynamics by a left
 eigenvector isolates one modal direction, so the gain row
 ((target - lam) / (w^T b)) w^T moves that eigenvalue and provably nothing
 else.  Iterating the construction (always against the already-updated
-matrix) places several eigenvalues.  A token pass runs in two phases over
-one synchronous fabric.  In the walk, a token carrying the accumulated
-feedback F = sum_j B_j K_j moves one hop per round, so each agent
-contributes the placements only it can make on its first visit.  Once
-A + F is Schur stable and every target has been consumed, the holder
-declares F read-only and the flood sends it, round by round, until every
-node holds the network-wide F.
+matrix) places several eigenvalues.  A token pass runs in two phases.  In
+the walk, a token carrying the accumulated feedback F = sum_j B_j K_j moves
+one hop per round, so each agent contributes the placements only it can make
+on its first visit; a hop is one point-to-point transmission, counted, not
+sent.  Once A + F is Schur stable and every target has been consumed, the
+holder declares F read-only and the flood sends it over the synchronous
+fabric, round by round, until every node holds the network-wide F.
 
 Three bookkeeping details:
 
@@ -129,6 +129,8 @@ class PlacementTargets:
 def _checked_wb(a_eff, bv: np.ndarray, wv: np.ndarray, lam: complex) -> complex:
     """w^T b, after checking shapes and that b can move lam at all."""
     a_eff = as_matrix(a_eff, "A_eff")
+    if a_eff.shape[0] != a_eff.shape[1]:
+        raise InvalidInputError(f"A_eff must be square, got {a_eff.shape}")
     if len(bv) != a_eff.shape[0] or len(wv) != a_eff.shape[0]:
         raise InvalidInputError("b and w must match the state dimension")
     wb = wv @ bv
@@ -257,6 +259,8 @@ def place_for_agent(
     already consumed are never touched again.
     """
     a = as_matrix(a_eff, "A_eff")
+    if a.shape[0] != a.shape[1]:
+        raise InvalidInputError(f"A_eff must be square, got {a.shape}")
     b = as_matrix(b_i, "B_i")
     n = a.shape[0]
     if b.shape[1] == 0:
@@ -280,7 +284,7 @@ class TokenResult:
     flood_count: int                 # read-only copies of F the fabric carried
     visit_order: list[int]
     declared_by: int
-    rounds: int
+    rounds: int                      # one per hop, then one per flood round
 
 
 def _check_unstable_diagonalizable(a: np.ndarray, margin: float) -> None:
@@ -354,12 +358,12 @@ def run_token_protocol(
     g: Digraph,
     sys: LtiSystem,
     targets,
+    leader: int,
     mode: str = "control",
     priorities: dict[int, list[int]] | None = None,
     stability_margin: float = DEFAULT_STABILITY_MARGIN,
-    leader: int | None = None,
 ) -> TokenResult:
-    """Run one full token pass over the synchronous fabric: a walk, then a flood.
+    """Run one full token pass: a walk, then a flood over the synchronous fabric.
 
     Control mode works on (A, B_i); observer mode runs the identical
     protocol on the dual pairs (A^T, -C_i^T / N) and transposes the
@@ -369,7 +373,7 @@ def run_token_protocol(
 
     Walk: the token starts at the leader.  Its holder first checks the stop
     condition (A + F Schur stable and no unconsumed targets), places what it
-    can on its first visit, and forwards the token one fabric round to an
+    can on its first visit, and forwards the token in one hop (one round) to an
     unvisited out-neighbor in priority order, else to the out-neighbor
     closest to the remaining unvisited set.  A holder that fails the stop
     condition after every node's visit raises ProtocolFailureError naming
@@ -392,8 +396,6 @@ def run_token_protocol(
     if sys.agent_count != n_agents:
         raise InvalidInputError("one agent per graph node required")
     _check_unstable_diagonalizable(base, stability_margin)
-    if leader is None:
-        leader = n_agents - 1
     if not 0 <= leader < n_agents:
         raise InvalidInputError(f"leader {leader} is not a node id (0..{n_agents - 1})")
     if priorities is None:
@@ -420,11 +422,8 @@ def run_token_protocol(
             f = f + inputs[holder] @ gains[holder]
         if n_agents == 1:
             continue   # a lone node re-checks its own token
-        sender, holder = holder, _route(g, priorities, visit_order, holder)
+        holder = _route(g, priorities, visit_order, holder)
         hops += 1
-        round_exchange(
-            fabric, lambda j: [(holder, "token")] if j == sender else (), lambda j, inbox: None
-        )
 
     reached, senders = {holder}, {holder}   # the holder declares F read-only
     while len(reached) < n_agents:
@@ -449,8 +448,8 @@ def run_token_protocol(
         gains=gains,
         f=f,
         hop_count=hops,
-        flood_count=fabric.sent_count - hops,
+        flood_count=fabric.sent_count,
         visit_order=visit_order,
         declared_by=holder,
-        rounds=fabric.round_index,
+        rounds=hops + fabric.round_index,
     )

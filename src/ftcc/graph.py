@@ -4,8 +4,9 @@ The fabric simulates a lockstep network: a message sent in round m is
 delivered in round m+1, deliveries within a round are ordered by sender id,
 and sends along non-edges are rejected.  Each send is checked in O(1) against
 its sender's out-neighbour set, built once per digraph, so a round costs O(1)
-per node and per message: O(E) for a broadcast.  Only the token passes
-(``ftcc.gains``) use it.  In ``ftcc.consensus`` the ratio iterate advances one
+per node and per message: O(E) for a broadcast.  Only the token passes'
+flood of the finished F (``ftcc.gains``) uses it; their walk counts its hops
+without sending them.  In ``ftcc.consensus`` the ratio iterate advances one
 product per round, and a max-consensus round is one masked max over
 ``closed_in`` that stands for E messages.  Every run is bit-for-bit
 reproducible.

@@ -53,18 +53,12 @@ class LtiSystem:
     def agent_count(self) -> int:
         return len(self.b_list)
 
-    def b_stacked(self) -> np.ndarray:
-        return np.hstack(self.b_list)
-
-    def c_stacked(self) -> np.ndarray:
-        return np.vstack(self.c_list)
-
 
 def joint_rank_checks(sys: LtiSystem) -> tuple[bool, bool]:
     """Kalman-rank tests on the stacked input and output matrices."""
     n = sys.n
-    ctrl = numerical_rank(controllability_matrix(sys.a, sys.b_stacked())) == n
-    obsv = numerical_rank(controllability_matrix(sys.a.T, sys.c_stacked().T)) == n
+    ctrl = numerical_rank(controllability_matrix(sys.a, np.hstack(sys.b_list))) == n
+    obsv = numerical_rank(controllability_matrix(sys.a.T, np.vstack(sys.c_list).T)) == n
     return ctrl, obsv
 
 

@@ -3,7 +3,8 @@
 Initialization runs three consecutive stages: a bootstrap run of
 finite-time averaging (yielding the diameter bound D' and the round budget
 m_bar), a max-consensus leader election over D' rounds, and two token passes
-on the synchronous fabric choosing the control gains K_i, then the observer gains L_i.
+choosing the control gains K_i, then the observer gains L_i, each a walk
+whose read-only F is then flooded over the synchronous fabric.
 
 Each closed-loop step k then grants exactly m_bar consensus rounds, after
 which every node reads the average of the state estimates off the Hankel
@@ -68,11 +69,6 @@ class InitializationResult:
     agreement: Agreement             # the bootstrap's, in float64: the kernels and their maps
     controller_spectrum: np.ndarray
     observer_spectrum: np.ndarray
-
-    @property
-    def kernels(self) -> tuple[np.ndarray, ...]:
-        """Each node's Hankel kernel, reused every step, as the Agreement holds it."""
-        return self.agreement.kernels
 
 
 def initialize(cfg: ScenarioConfig) -> InitializationResult:
@@ -247,7 +243,7 @@ def loop_settings(cfg: ScenarioConfig, horizon: int | None, tau: float | None):
 
 def run_closed_loop(
     cfg: ScenarioConfig,
-    init: InitializationResult | None = None,
+    init: InitializationResult,
     horizon: int | None = None,
     tau: float | None = None,
 ) -> ClosedLoopTrace:
@@ -262,8 +258,6 @@ def run_closed_loop(
     are views of that record.
     """
     horizon, tau = loop_settings(cfg, horizon, tau)
-    if init is None:
-        init = initialize(cfg)
     g, sys = cfg.graph, cfg.plant
     dtype = PRECISIONS[cfg.precision]
     x0 = cfg.x0 if cfg.x0 is not None else np.ones(sys.n)
@@ -288,7 +282,7 @@ def run_closed_loop(
             and np.array_equal(agreement.p, cfg.weights)
         ):   # the config checked its P on construction
             agreement = agreement_maps(
-                in_arithmetic(cfg.weights, dtype), init.m_bar, init.kernels, cfg.rank_rel_tol
+                in_arithmetic(cfg.weights, dtype), init.m_bar, agreement.kernels, cfg.rank_rel_tol
             )
         for k in range(horizon + 1):
             xbar = exact_average_fixed_rounds(agreement, xhat)
@@ -297,5 +291,5 @@ def run_closed_loop(
             if k < horizon:
                 x, xhat = _estimate_and_control(*matrices, x, xbar)
     # rounds_used: the round at which the widest stored kernel's square Hankel completes
-    rounds_used = 2 * max(len(beta) for beta in init.kernels)
+    rounds_used = 2 * max(len(beta) for beta in agreement.kernels)
     return ClosedLoopTrace(init.m_bar, tau, *views, rounds_used=[rounds_used] * (horizon + 1))

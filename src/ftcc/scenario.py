@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .consensus import validate_weights
+from .consensus import DEFAULT_REL_TOL, validate_weights
 from .exceptions import ConfigError, DisconnectedGraphError
 from .gains import DEFAULT_STABILITY_MARGIN, conjugate_closed
 from .graph import Digraph, digraph_from_weight_matrix, is_strongly_connected, out_weight_matrix
@@ -189,7 +189,7 @@ class ScenarioConfig:
     priorities: dict[int, list[int]] = field(default_factory=dict)
     election_values: np.ndarray | None = None
     stability_margin: float = DEFAULT_STABILITY_MARGIN
-    rank_rel_tol: float = 1e-8
+    rank_rel_tol: float = DEFAULT_REL_TOL
     x0: np.ndarray | None = None
     xhat0: np.ndarray | None = None       # (N, n); zeros when omitted
     horizon: int = 60

@@ -105,7 +105,7 @@ def message_max_round(fabric, values: list) -> list:
 def stored_kernels(g, weights=None):
     """Each node's Hankel kernel from a bootstrap run on the node ids."""
     ids = np.arange(g.node_count, dtype=float)
-    return finite_time_average(g, ids, weights=weights).kernels
+    return finite_time_average(g, ids, weights=weights).agreement.kernels
 
 
 def agreement_for(g, rounds, kernels, dtype=float, weights=None):

@@ -15,7 +15,6 @@ from ftcc.consensus import (
     _max_round,
     _ratio_history,
     _rows,
-    diameter_upper_bound,
     elect_leader,
     exact_average_fixed_rounds,
     finite_time_average,
@@ -161,10 +160,11 @@ class TestBatchedAgreement:
 
     def cases(self, paper_scenario, paper_init):
         boot = finite_time_average(MIXED_WIDTHS, np.arange(5, dtype=float))
-        assert [len(beta) for beta in boot.kernels] == [4, 4, 5, 5, 4]
+        assert [len(beta) for beta in boot.agreement.kernels] == [4, 4, 5, 5, 4]
         return [
-            (paper_scenario.graph, paper_scenario.weights, paper_init.m_bar, paper_init.kernels),
-            (MIXED_WIDTHS, None, boot.m_bar, boot.kernels),
+            (paper_scenario.graph, paper_scenario.weights, paper_init.m_bar,
+             paper_init.agreement.kernels),
+            (MIXED_WIDTHS, None, boot.m_bar, boot.agreement.kernels),
         ]
 
     @pytest.mark.parametrize("precision", ["double", "extended", "quad"])
@@ -196,7 +196,9 @@ class TestBatchedAgreement:
             monkeypatch.setattr(consensus, name, forbidden)
         monkeypatch.setattr(np.linalg, "svd", forbidden)   # every rank test is an SVD
         cfg = paper_scenario
-        agreement = agreement_for(cfg.graph, paper_init.m_bar, paper_init.kernels, weights=cfg.weights)
+        agreement = agreement_for(
+            cfg.graph, paper_init.m_bar, paper_init.agreement.kernels, weights=cfg.weights
+        )
         monkeypatch.setattr(consensus, "_ratio_history", forbidden)
         mu = exact_average_fixed_rounds(agreement, np.arange(8.0).reshape(4, 2))
         assert np.allclose(mu, [3.0, 4.0], atol=1e-12)
@@ -216,11 +218,11 @@ class TestBatchedAgreement:
         # measured at most 8.2e-15 from J/N, and row sums within 1 ulp
         rng = np.random.default_rng(7)
         cfg = paper_scenario
-        cases = [(cfg.graph, cfg.weights, paper_init.m_bar, paper_init.kernels)]
+        cases = [(cfg.graph, cfg.weights, paper_init.m_bar, paper_init.agreement.kernels)]
         for _ in range(30):
             g = random_strongly_connected(rng, int(rng.integers(2, 11)))
             boot = finite_time_average(g, np.arange(g.node_count, dtype=float))
-            cases.append((g, None, boot.m_bar, boot.kernels))
+            cases.append((g, None, boot.m_bar, boot.agreement.kernels))
         for g, weights, rounds, kernels in cases:
             agreement = agreement_for(g, rounds, kernels, weights=weights)
             for m in (agreement.w, agreement.w_lag):
@@ -237,7 +239,8 @@ class TestBatchedAgreement:
         cfg = paper_scenario
         with decimal.localcontext(decimal.Context(prec=QUAD_DIGITS)):
             agreement = agreement_for(
-                cfg.graph, paper_init.m_bar, paper_init.kernels, object, weights=cfg.weights
+                cfg.graph, paper_init.m_bar, paper_init.agreement.kernels, object,
+                weights=cfg.weights,
             )
             dist = float(np.max(np.abs(agreement.w - Decimal(1) / 4)))
         assert 1e-18 < dist <= 3e-17
@@ -246,7 +249,7 @@ class TestBatchedAgreement:
         # width groups run 4 then 5; node 4 (width 4) and node 3 (width 5,
         # second in its group) fail, so the message must name node 3
         boot = finite_time_average(MIXED_WIDTHS, np.arange(5, dtype=float))
-        kernels = [beta.copy() for beta in boot.kernels]
+        kernels = [beta.copy() for beta in boot.agreement.kernels]
         for j in (3, 4):
             kernels[j][0] += 0.5
         vals = np.random.default_rng(3).normal(size=(5, 2))
@@ -320,9 +323,10 @@ class TestCheckedNodes:
     def cases(self, paper_scenario, paper_init):
         boot = finite_time_average(MIXED_WIDTHS, np.arange(5, dtype=float))
         return {
-            "mixed widths": (MIXED_WIDTHS, None, boot.m_bar, boot.kernels),
+            "mixed widths": (MIXED_WIDTHS, None, boot.m_bar, boot.agreement.kernels),
             "paper-4node": (
-                paper_scenario.graph, paper_scenario.weights, paper_init.m_bar, paper_init.kernels
+                paper_scenario.graph, paper_scenario.weights, paper_init.m_bar,
+                paper_init.agreement.kernels,
             ),
         }
 
@@ -379,7 +383,7 @@ class TestCheckedNodes:
         # 4 or 0 leave none any; such a node's rows of both maps are zero
         boot = finite_time_average(MIXED_WIDTHS, np.arange(5, dtype=float))
         for rounds, checked in ((5, [2, 3]), (4, [0, 1, 2, 3, 4]), (0, [0, 1, 2, 3, 4])):
-            agreement = agreement_for(MIXED_WIDTHS, rounds, boot.kernels)
+            agreement = agreement_for(MIXED_WIDTHS, rounds, boot.agreement.kernels)
             assert agreement.checked.tolist() == checked
             assert not agreement.w[checked].any() and not agreement.w_lag[checked].any()
         with pytest.raises(DegenerateInitializationError, match="0 rounds leave no earlier") as err:
@@ -389,7 +393,7 @@ class TestCheckedNodes:
     def test_a_cleared_agreement_never_reads_the_earlier_map(self, paper_scenario, paper_init):
         cfg = paper_scenario
         agreement = agreement_for(
-            cfg.graph, paper_init.m_bar, paper_init.kernels, weights=cfg.weights
+            cfg.graph, paper_init.m_bar, paper_init.agreement.kernels, weights=cfg.weights
         )
         vals = np.random.default_rng(8).normal(size=(4, 8))
         mu = exact_average_fixed_rounds(agreement, vals)
@@ -402,7 +406,7 @@ class TestCheckedNodes:
         # subnormal fail the check, which the bound alone would clear
         cfg = paper_scenario
         agreement = agreement_for(
-            cfg.graph, paper_init.m_bar, paper_init.kernels, weights=cfg.weights
+            cfg.graph, paper_init.m_bar, paper_init.agreement.kernels, weights=cfg.weights
         )
         tiny = np.arange(1.0, 5.0)[:, None] * 5e-324
         with pytest.raises(DegenerateInitializationError, match="consecutive windows differ"):
@@ -410,7 +414,7 @@ class TestCheckedNodes:
         # and on MIXED_WIDTHS, whose rows sum to 1 + 1 ulp, the largest float64
         # overflows an earlier quotient
         boot = finite_time_average(MIXED_WIDTHS, np.arange(5, dtype=float))
-        mixed = agreement_for(MIXED_WIDTHS, boot.m_bar, boot.kernels)
+        mixed = agreement_for(MIXED_WIDTHS, boot.m_bar, boot.agreement.kernels)
         assert mixed.checked.tolist() == []
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             DegenerateInitializationError, match="node 0, .* differ by inf"
@@ -472,13 +476,7 @@ class TestFormulas:
     def test_m_bar(self, degrees, expected):
         assert m_bar(degrees) == expected
 
-    @pytest.mark.parametrize(
-        "degrees,expected", [((0,), 0), ((2, 2, 1, 2), 2), ((3, 1), 3)]
-    )
-    def test_diameter_bound(self, degrees, expected):
-        assert diameter_upper_bound(degrees) == expected
-
-    @pytest.mark.parametrize("formula", [m_bar, diameter_upper_bound])
+    @pytest.mark.parametrize("formula", [m_bar])
     @pytest.mark.parametrize("degrees", [(), (2, -1)])
     def test_rejects_no_or_a_negative_degree(self, formula, degrees):
         with pytest.raises(InvalidInputError, match="nonnegative"):
@@ -582,7 +580,7 @@ class TestTerminationMechanics:
             _, _, phi_done = _ladder(Digraph(2, ((0, 1), (1, 0))), c0, 0, 30)
         else:
             res = finite_time_average(*criterion_6_draws(np.random.default_rng(2024))[94])
-            c0, phi_done = res.detection_rounds, res.phi_done
+            c0, phi_done = [2 * (m + 1) for m in res.degrees], res.phi_done
         assert phi_done == [max(c0)] * len(c0)
 
     def test_a_width_counts_from_the_round_it_completes(self):
@@ -616,7 +614,6 @@ class TestTerminationMechanics:
                 res.rounds_used, res.done_rounds, res.phi_done, res.degrees,
                 res.distance_degrees,
             )
-            assert res.detection_rounds == [2 * (m + 1) for m in res.degrees]
 
 
 class TestArrayMaxRound:
@@ -670,17 +667,16 @@ class TestArrayMaxRound:
 
 class TestFiniteTimeAverage:
     def check_result_relations(self, res):
-        assert res.detection_rounds == [2 * (m + 1) for m in res.degrees]
+        c0 = [2 * (m + 1) for m in res.degrees]   # each node's frozen counter
         assert max(res.done_rounds) <= res.m_bar
+        assert res.diameter_bound == max(res.distance_degrees)
         # no node done before its own exact value is computable
-        assert all(
-            d >= det for d, det in zip(res.done_rounds, res.detection_rounds)
-        )
+        assert all(d >= det for d, det in zip(res.done_rounds, c0))
         # the network maximum counter is certified by every node whose
         # detected degree genuinely bounds its in-eccentricity; nodes with
         # degenerate weight rows may under-certify, so only the max view
         # is asserted here
-        assert max(res.phi_done) == max(res.detection_rounds)
+        assert max(res.phi_done) == max(c0)
 
     def test_exactness_and_termination_random(self):
         rng = np.random.default_rng(99)
@@ -702,7 +698,7 @@ class TestFiniteTimeAverage:
             res = finite_time_average(Digraph(1, ()), x0)
         assert np.array_equal(res.mu, x0) and res.mu.dtype == x0.dtype
         assert res.degrees == res.distance_degrees == [0] and res.diameter_bound == 0
-        assert res.detection_rounds == [2] and res.phi_done == [2]
+        assert res.phi_done == [2]
         assert (res.m_bar, res.rounds_used, res.done_rounds) == (3, 3, [3])
         self.check_result_relations(res)
 
@@ -822,7 +818,7 @@ class TestStoredKernels:
         xhat = rng.normal(size=(4, 8)) * 10.0 ** rng.uniform(-6, 6, size=(4, 8))
         vals = in_arithmetic(xhat, PRECISIONS[precision])
         mu = agree(
-            cfg.graph, vals, paper_init.m_bar, paper_init.kernels, weights=cfg.weights
+            cfg.graph, vals, paper_init.m_bar, paper_init.agreement.kernels, weights=cfg.weights
         )
         assert all(
             isinstance(v, TestPrecision.ELEMENT_TYPE[precision]) for v in mu.ravel()
@@ -835,10 +831,10 @@ class TestStoredKernels:
         # 0.75 +- 0.43i eigenvector pair, so the bootstrap kernels miss it
         g = Digraph(6, ((0, 4), (4, 2), (2, 3), (3, 1), (1, 5), (5, 0)))
         boot = finite_time_average(g, np.arange(6, dtype=float))
-        assert [len(beta) for beta in boot.kernels] == [3] * 6
+        assert [len(beta) for beta in boot.agreement.kernels] == [3] * 6
         xhat = np.random.default_rng(0).normal(size=6)
         with pytest.raises(DegenerateInitializationError, match="consecutive windows"):
-            agree(g, xhat, boot.m_bar, boot.kernels)
+            agree(g, xhat, boot.m_bar, boot.agreement.kernels)
 
     def test_width_one_kernel_raises_with_every_numerator_history(self):
         g = digraph_from_weight_matrix(FOURNODE_P)

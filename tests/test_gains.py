@@ -175,6 +175,19 @@ class TestPlaceForAgent:
         with pytest.raises(InsufficientTargetsError, match="^no real target left for unstable eigenvalue 1.5$"):
             place_for_agent(a[:1, :1], np.ones((1, 1)), PlacementTargets((0.1 + 0.2j, 0.1 - 0.2j)))
 
+    @pytest.mark.parametrize(
+        "place",
+        [
+            lambda a: place_single(a, [1.0, 0.0], 2.0, 0.6, [1.0, 0.0]),
+            lambda a: place_pair(a, [1.0, 0.0], 1 + 1j, (0.1, 0.2), [1.0, 1j]),
+            lambda a: place_for_agent(a, np.ones((2, 1)), PlacementTargets((0.1,))),
+        ],
+        ids=["place_single", "place_pair", "place_for_agent"],
+    )
+    def test_a_non_square_a_eff_rejected(self, place):
+        with pytest.raises(InvalidInputError, match=r"^A_eff must be square, got \(2, 3\)$"):
+            place(np.zeros((2, 3)))
+
     def test_no_columns_place_nothing(self):
         assert place_for_agent(np.diag([1.5, 0.5]), np.zeros((2, 0)), PlacementTargets((0.1,))).shape == (0, 2)
 
@@ -274,37 +287,35 @@ class TestTokenProtocol:
         assert paper_init.control_token.visit_order == [0, 1, 2]
         assert paper_init.observer_token.visit_order == [0, 1, 2, 3]
 
-    def test_hops_and_floods_are_the_fabric_messages(self, paper_scenario, paper_init, monkeypatch):
-        import ftcc.gains as gains_module
-
-        exchange, sent = gains_module.round_exchange, []
-
-        def counting(fabric, send, receive):
-            def counted(j):
-                batch = list(send(j) or ())
-                sent[-1] += len(batch)
-                return batch
-
-            exchange(fabric, counted, receive)
-
-        monkeypatch.setattr(gains_module, "round_exchange", counting)
-        cfg = paper_scenario
-        for mode, targets in (
-            ("control", cfg.controller_targets),
-            ("observer", cfg.observer_targets),
-        ):
-            sent.append(0)
-            res = run_token_protocol(
-                cfg.graph,
-                cfg.plant,
-                list(targets),
-                mode=mode,
-                priorities=cfg.priorities,
-                stability_margin=cfg.stability_margin,
-                leader=paper_init.leader,
+    def test_rounds_and_floods_follow_from_the_hops_and_the_declaring_node(
+        self, paper_scenario, paper_init
+    ):
+        # one round per hop, then one per flood round: the flood reaches the
+        # nodes at distance r from the declaring node in round r, and every
+        # node nearer than the farthest sends F to all its out-neighbors once
+        passes = [(paper_scenario.graph, paper_init.control_token),
+                  (paper_scenario.graph, paper_init.observer_token)]
+        rng = np.random.default_rng(29)
+        for n_agents in range(1, 11):
+            e = np.eye(n_agents)
+            g = random_strongly_connected(rng, n_agents) if n_agents > 1 else Digraph(1, ())
+            sys = LtiSystem(
+                a=np.diag(rng.uniform(0.5, 1.6, n_agents)),
+                b_list=tuple(e[:, [i]] for i in range(n_agents)),
+                c_list=tuple(e[[i], :] for i in range(n_agents)),
             )
-            assert res.hop_count + res.flood_count == sent[-1]
-            assert res.flood_count <= len(cfg.graph.edges)
+            targets = rng.uniform(-0.9, 0.9, n_agents).tolist()
+            leader = int(rng.integers(n_agents))
+            passes += [(g, run_token_protocol(g, sys, targets, leader=leader, mode=mode))
+                       for mode in ("control", "observer")]
+        for g, res in passes:
+            d = bfs_distances(g, res.declared_by)
+            ecc = max(d)
+            assert res.rounds == res.hop_count + ecc
+            assert res.flood_count == sum(
+                len(g.out_neighbors(v)) for v in range(g.node_count) if d[v] < ecc
+            )
+            assert res.flood_count <= len(g.edges)
 
     def test_random_protocol_correctness(self):
         rng = np.random.default_rng(77)
@@ -314,7 +325,7 @@ class TestTokenProtocol:
             g = random_strongly_connected(rng, n_agents)
             sys = random_joint_system(rng, n_agents, n)
             targets = targets_for_spectrum(rng, sys.a)
-            res = run_token_protocol(g, sys, targets, mode="control")
+            res = run_token_protocol(g, sys, targets, leader=n_agents - 1)
             closed = sys.a + res.f
             assert is_schur_stable(closed), f"trial {trial} not Schur"
             base = np.linalg.eigvals(sys.a)
@@ -371,7 +382,7 @@ class TestTokenProtocol:
             for mode, base in (("control", sys.a), ("observer", sys.a.T)):
                 targets = targets_for_spectrum(rng, sys.a)
                 try:
-                    res = run_token_protocol(g, sys, targets, mode=mode)
+                    res = run_token_protocol(g, sys, targets, leader=3, mode=mode)
                 except (
                     ProtocolFailureError,
                     InsufficientTargetsError,
@@ -409,7 +420,7 @@ class TestTokenProtocol:
             c_list=tuple(np.eye(2)[[i], :] for i in range(2)),
         )
         with pytest.raises(ProtocolFailureError, match=r"targets \[0\.3\]") as err:
-            run_token_protocol(g, sys, [0.3])
+            run_token_protocol(g, sys, [0.3], leader=1)
         assert "every node in 2 hops" in str(err.value)
         assert "[0.382421+0.322109j, 0.382421-0.322109j]" in str(err.value)
         # agent 0 moves 1.5 onto 0.3, and no agent reaches 0.5: only 0.5 is listed
@@ -422,9 +433,11 @@ class TestTokenProtocol:
         e = np.eye(2)
         sys = LtiSystem(np.diag([1.5, 0.5]), (e[:, [0]], e[:, [1]]), (e[[0]], e[[1]]))
         with pytest.raises(InvalidInputError, match="^unknown mode 'sideways'$"):
-            run_token_protocol(Digraph(2, ((0, 1), (1, 0))), sys, [0.3, 0.4], mode="sideways")
+            run_token_protocol(
+                Digraph(2, ((0, 1), (1, 0))), sys, [0.3, 0.4], leader=0, mode="sideways"
+            )
         with pytest.raises(InvalidInputError, match="^one agent per graph node required$"):
-            run_token_protocol(Digraph(3, ((0, 1), (1, 2), (2, 0))), sys, [0.3, 0.4])
+            run_token_protocol(Digraph(3, ((0, 1), (1, 2), (2, 0))), sys, [0.3, 0.4], leader=0)
 
     def test_walk_with_no_way_to_an_unvisited_node_raises(self):
         # no edge enters node 2, so once nodes 0 and 1 have placed, node 1
@@ -490,15 +503,20 @@ class TestTokenProtocol:
         # a stable Jordan block passes; an unstable one is rejected (test_defective_unstable_rejected)
         assert _check_unstable_diagonalizable(np.array([[0.5, 1.0], [0.0, 0.5]]), 1e-9) is None
 
-    def test_walk_starts_at_the_last_node_without_a_leader(self):
-        rng = np.random.default_rng(77)
-        g = random_strongly_connected(rng, 5)
-        sys = random_joint_system(rng, 5, 3)
-        targets = targets_for_spectrum(rng, sys.a)
-        res = run_token_protocol(g, sys, targets)
-        assert res.visit_order[0] == 4
-        assert res.visit_order == run_token_protocol(g, sys, targets, leader=4).visit_order
-        assert run_token_protocol(g, sys, targets, leader=0).visit_order[0] == 0
+    @pytest.mark.parametrize("leader", range(4))
+    def test_walk_starts_at_the_leader(self, leader):
+        # every agent owns one unstable mode, so the token goes round the
+        # whole cycle from whichever node holds it first
+        e = np.eye(4)
+        sys = LtiSystem(
+            np.diag([1.5, 1.4, 1.3, 1.2]),
+            tuple(e[:, [i]] for i in range(4)),
+            tuple(e[[i], :] for i in range(4)),
+        )
+        g = Digraph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
+        for mode in ("control", "observer"):
+            res = run_token_protocol(g, sys, [0.1, 0.2, 0.3, 0.4], leader=leader, mode=mode)
+            assert res.visit_order == [(leader + k) % 4 for k in range(4)]
 
     @pytest.mark.parametrize("leader", [3, 99, -1])
     def test_leader_out_of_range_rejected(self, leader):

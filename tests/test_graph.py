@@ -138,10 +138,10 @@ class TestConnectivity:
         # quad is the standard library's decimal: not even a quad run imports mpmath
         code = (
             "import sys, ftcc"
-            "; from ftcc.runtime import run_closed_loop"
+            "; from ftcc.runtime import initialize, run_closed_loop"
             "; from ftcc.scenario import load_scenario"
             "; cfg = load_scenario('paper-4node'); assert cfg.precision == 'quad'"
-            "; assert len(run_closed_loop(cfg, horizon=1).x) == 2"
+            "; assert len(run_closed_loop(cfg, initialize(cfg), horizon=1).x) == 2"
             "; print(sorted({'scipy', 'mpmath'} & set(sys.modules)))"
         )
         src = str(Path(ftcc.__file__).resolve().parents[1])

@@ -81,7 +81,7 @@ def assert_matches_reference(g, x0, dtype=float, rel_tol=DEFAULT_REL_TOL):
     try:
         res = finite_time_average(g, in_arithmetic(x0, dtype), rel_tol=rel_tol)
         assert [res.degrees, res.distance_degrees] == expected
-        rounds, found = res.rounds_used, res.kernels
+        rounds, found = res.rounds_used, res.agreement.kernels
     except DegenerateInitializationError:
         rounds = cap // 2
         found = kernels(hist[: rounds + 1], rel_tol)
@@ -120,7 +120,8 @@ def test_complete_48_converges_in_every_column():
     g = complete_digraph(48)
     hist = assert_matches_reference(g, np.arange(48.0))
     assert all(f == (1, None) for f in _first_defective(lambda r: hist, 1, DEFAULT_REL_TOL))
-    assert as_bytes(finite_time_average(g, np.arange(48.0)).kernels) == as_bytes([np.ones(1)] * 48)
+    kernels = finite_time_average(g, np.arange(48.0)).agreement.kernels
+    assert as_bytes(kernels) == as_bytes([np.ones(1)] * 48)
 
 
 def test_extended_and_decimal_histories():

@@ -193,7 +193,7 @@ def with_agreement(cfg, init, rounds=None, dtype=float, kernels=None, rel_tol=No
     agreement = consensus.agreement_maps(
         in_arithmetic(cfg.weights if weights is None else weights, dtype),
         init.m_bar if rounds is None else rounds,
-        init.kernels if kernels is None else kernels,
+        init.agreement.kernels if kernels is None else kernels,
         cfg.rank_rel_tol if rel_tol is None else rel_tol,
     )
     return dataclasses.replace(init, agreement=agreement)
@@ -306,14 +306,14 @@ class TestClosedLoop:
         ],
     )
     def test_settings_are_checked_before_set_up(
-        self, setting, message, paper_scenario, monkeypatch
+        self, setting, message, paper_scenario, paper_init, monkeypatch
     ):
-        def no_set_up(cfg):
-            raise AssertionError("initialize ran")
+        def no_set_up(*args):
+            raise AssertionError("the loop's maps were prepared")
 
-        monkeypatch.setattr(runtime, "initialize", no_set_up)
+        monkeypatch.setattr(runtime, "_step_matrices", no_set_up)
         with pytest.raises(InvalidInputError, match=message):
-            run_closed_loop(paper_scenario, None, **setting)
+            run_closed_loop(paper_scenario, paper_init, **setting)
 
     def test_whole_float_horizon_is_an_int(self, paper_scenario, paper_init):
         # as in a scenario file, where "horizon": 60.0 is 60
@@ -341,7 +341,8 @@ class TestClosedLoop:
         assert np.shape(trace.norm_errors) == (11, 4) and np.allclose(trace.norm_errors, norms)
 
     def test_separation_state_and_error_decay(self):
-        trace = run_closed_loop(random_scenario(21), horizon=60, tau=1.0)
+        cfg = random_scenario(21)
+        trace = run_closed_loop(cfg, initialize(cfg), horizon=60, tau=1.0)
         assert trace.norm_x[-1] < 1e-4 * max(1.0, trace.norm_x[0])
         assert trace.norm_ebar[-1] < 1e-6 * max(1.0, trace.norm_ebar[0])
 
@@ -359,7 +360,7 @@ def recorded_by_array(cfg, init, horizon):
         xhat = in_arithmetic(np.zeros((n_agents, n)) if cfg.xhat0 is None else cfg.xhat0, dtype)
         matrices = _step_matrices(cfg.plant, init.k_gains, init.l_gains, init.f_control, dtype)
         agreement = consensus.agreement_maps(
-            in_arithmetic(cfg.weights, dtype), init.m_bar, init.kernels, cfg.rank_rel_tol
+            in_arithmetic(cfg.weights, dtype), init.m_bar, init.agreement.kernels, cfg.rank_rel_tol
         )
         rows = []
         for k in range(horizon + 1):
