@@ -10,7 +10,7 @@ claim itself holds and is reported in the detail).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -91,9 +91,7 @@ class AcceptanceContext:
         ctx.cfg = load_scenario("paper-4node")
         ctx.init = initialize(ctx.cfg)
         for tau in ctx.cfg.taus:
-            ctx.traces_by_tau[tau] = run_closed_loop(
-                ctx.cfg, ctx.init, horizon=60, tau=tau
-            )
+            ctx.traces_by_tau[tau] = run_closed_loop(replace(ctx.cfg, taus=(tau,)), ctx.init)
         ctx.trace = ctx.traces_by_tau[1.0]
         return ctx
 

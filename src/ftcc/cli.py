@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import errno
 import json
 import os
@@ -13,7 +14,7 @@ import numpy as np
 
 from .acceptance import run_all
 from .exceptions import FtccError
-from .runtime import initialize, loop_settings, run_closed_loop
+from .runtime import initialize, run_closed_loop
 from .scenario import load_scenario
 
 
@@ -94,12 +95,14 @@ def _write(path, write) -> None:
 
 def cmd_simulate(args) -> int:
     cfg = load_scenario(args.scenario)
-    horizon, tau = loop_settings(cfg, args.horizon, args.tau)
+    flags = {"horizon": args.horizon, "taus": None if args.tau is None else (args.tau,)}
+    if given := {name: v for name, v in flags.items() if v is not None}:
+        cfg = dataclasses.replace(cfg, **given)   # checked as a scenario file's values are
     _check_out(args.out)
     init = initialize(cfg)
-    trace = run_closed_loop(cfg, init, horizon=horizon, tau=tau)
+    trace = run_closed_loop(cfg, init)
     print(
-        f"{cfg.name}: horizon {horizon}, tau {tau}, m_bar {init.m_bar}, "
+        f"{cfg.name}: horizon {cfg.horizon}, tau {trace.tau}, m_bar {init.m_bar}, "
         f"leader {init.leader}"
     )
     last = trace.steps[-1]

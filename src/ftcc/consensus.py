@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -195,8 +196,11 @@ class AverageResult:
 
 def _values(node_count: int, initial_values) -> tuple[np.ndarray, float]:
     """(N, n) initial values, n >= 1, in their own arithmetic (ints become float), within
-    float64, and their largest magnitude as a float."""
+    float64, and their largest magnitude as a float.  The values are real: one check of
+    the dtype's kind rejects a complex, bool or string array; an object array holds Decimals."""
     vals = np.asarray(initial_values)
+    if vals.dtype.kind not in "iufO":
+        raise InvalidInputError(f"initial values must be real numbers, got dtype {vals.dtype}")
     vals = vals.astype(np.result_type(vals.dtype, float), copy=False)
     if vals.ndim == 1:
         vals = vals[:, None]
@@ -279,7 +283,8 @@ def elect_leader(g: Digraph, d_prime: int, values=None) -> int:
 
     Every node ends up knowing the winning (value, id) pair; ties in value
     resolve to the larger id.  With the default values (node ids) the
-    maximum id wins.  A value that is not finite raises InvalidInputError.
+    maximum id wins.  A value that is not a finite real number (a bool, a
+    string or a complex is none) raises InvalidInputError.
     The pairs are ranked once; the D' rounds, D' x E messages, carry the ranks.
     """
     n = g.node_count
@@ -287,9 +292,12 @@ def elect_leader(g: Digraph, d_prime: int, values=None) -> int:
         values = list(range(n))
     if len(values) != n:
         raise InvalidInputError("need one election value per node")
+    if not all(
+        isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+        for v in values
+    ):
+        raise InvalidInputError("election values must be finite real numbers")
     pairs = [(float(v), j) for j, v in enumerate(values)]
-    if not all(math.isfinite(v) for v, _ in pairs):
-        raise InvalidInputError("election values must be finite")
     order = sorted(range(n), key=pairs.__getitem__)   # the node of each rank
     ranks = np.empty(n, dtype=np.intp)
     ranks[order] = range(n)

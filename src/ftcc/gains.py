@@ -33,6 +33,7 @@ Three bookkeeping details:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 
@@ -396,8 +397,10 @@ def run_token_protocol(
     if sys.agent_count != n_agents:
         raise InvalidInputError("one agent per graph node required")
     _check_unstable_diagonalizable(base, stability_margin)
-    if not 0 <= leader < n_agents:
-        raise InvalidInputError(f"leader {leader} is not a node id (0..{n_agents - 1})")
+    if isinstance(leader, bool) or not (
+        isinstance(leader, numbers.Integral) and 0 <= leader < n_agents
+    ):
+        raise InvalidInputError(f"leader {leader!r} is not a node id (0..{n_agents - 1})")
     if priorities is None:
         priorities = {}
     targets = PlacementTargets(tuple(targets))

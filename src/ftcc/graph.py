@@ -15,6 +15,7 @@ reproducible.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable
@@ -39,6 +40,8 @@ class Digraph:
 
     def __post_init__(self):
         n = self.node_count
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise InvalidInputError(f"node count must be an integer, got {n!r}")
         if n < 1:
             raise InvalidInputError("digraph needs at least one node")
         try:

@@ -25,6 +25,11 @@ record: the run's float64 trace is allocated once, and each step's five
 arrays are written straight into their slices of it, each value converted
 once.
 
+The loop's settings are the scenario's own: it runs ``cfg.horizon`` steps
+and times them with the first of ``cfg.taus``.  Other settings are another
+config, ``dataclasses.replace(cfg, horizon=..., taus=(tau,))``, checked by
+the scenario's field table as the values of a file are.
+
 The simulation arithmetic runs at a configurable precision, chosen here
 once: the loop casts its inputs to that arithmetic and the consensus layer
 computes in whatever arithmetic it receives.  One pass serves all three:
@@ -46,10 +51,9 @@ import numpy as np
 
 from .consensus import elect_leader, exact_average_fixed_rounds, finite_time_average
 from .consensus import Agreement, agreement_maps, in_arithmetic
-from .exceptions import InvalidInputError
 from .gains import TokenResult, run_token_protocol
 from .linalg import eigenvalues
-from .scenario import PRECISIONS, ScenarioConfig, _number
+from .scenario import PRECISIONS, ScenarioConfig
 
 QUAD_DIGITS = 37
 
@@ -223,42 +227,18 @@ class ClosedLoopTrace:
             yield [k, t, nx, ne, *errs, rounds]
 
 
-def loop_settings(cfg: ScenarioConfig, horizon: int | None, tau: float | None):
-    """The run's (horizon, tau): each given value, else the scenario's, checked
-    by the scenario's number rules (a whole horizon, a real tau, no bool or string)."""
-    try:
-        horizon = cfg.horizon if horizon is None else _number(horizon, int)
-    except ValueError as exc:
-        raise InvalidInputError(f"horizon {exc}") from None
-    try:
-        tau = cfg.taus[0] if tau is None else _number(tau)
-    except ValueError as exc:
-        raise InvalidInputError(f"tau {exc}") from None
-    if horizon < 0:
-        raise InvalidInputError("horizon must be nonnegative")
-    if not 0 < tau < np.inf:   # a NaN fails too
-        raise InvalidInputError(f"tau must be positive and finite, got {tau}")
-    return horizon, tau
-
-
-def run_closed_loop(
-    cfg: ScenarioConfig,
-    init: InitializationResult,
-    horizon: int | None = None,
-    tau: float | None = None,
-) -> ClosedLoopTrace:
-    """Alternate agreement and estimation-control for ``horizon`` steps.
+def run_closed_loop(cfg: ScenarioConfig, init: InitializationResult) -> ClosedLoopTrace:
+    """Alternate agreement and estimation-control for the scenario's horizon of steps.
 
     The trace has horizon + 1 rows; row k carries the normalized time
-    t = k * (m_bar * tau + 1), charging one unit per estimation-control
-    update and tau per consensus round.  Each step's five arrays (x, xbar,
-    xhat, x - xbar_0, x - xhat) are formed in the loop arithmetic and
-    written into row k of one float64 record, each value converted once, so
-    no Decimal or long double iterate outlives its step; the trace's arrays
-    are views of that record.
+    t = k * (m_bar * tau + 1) for the scenario's first tau, charging one
+    unit per estimation-control update and tau per consensus round.  Each
+    step's five arrays (x, xbar, xhat, x - xbar_0, x - xhat) are formed in
+    the loop arithmetic and written into row k of one float64 record, each
+    value converted once, so no Decimal or long double iterate outlives its
+    step; the trace's arrays are views of that record.
     """
-    horizon, tau = loop_settings(cfg, horizon, tau)
-    g, sys = cfg.graph, cfg.plant
+    g, sys, horizon = cfg.graph, cfg.plant, cfg.horizon
     dtype = PRECISIONS[cfg.precision]
     x0 = cfg.x0 if cfg.x0 is not None else np.ones(sys.n)
     xhat0 = cfg.xhat0 if cfg.xhat0 is not None else np.zeros((g.node_count, sys.n))
@@ -291,5 +271,5 @@ def run_closed_loop(
             if k < horizon:
                 x, xhat = _estimate_and_control(*matrices, x, xbar)
     # rounds_used: the round at which the widest stored kernel's square Hankel completes
-    rounds_used = 2 * max(len(beta) for beta in agreement.kernels)
-    return ClosedLoopTrace(init.m_bar, tau, *views, rounds_used=[rounds_used] * (horizon + 1))
+    rounds_used = [2 * max(len(beta) for beta in agreement.kernels)] * (horizon + 1)
+    return ClosedLoopTrace(init.m_bar, cfg.taus[0], *views, rounds_used=rounds_used)

@@ -115,8 +115,9 @@ def agreement_for(g, rounds, kernels, dtype=float, weights=None):
 
 
 def agree(g, values, rounds, kernels, weights=None):
-    """One agreement, prepared for the values' arithmetic (ints count as float)."""
-    dtype = np.result_type(np.asarray(values).dtype, float)
+    """One agreement, prepared for the values' arithmetic: long double, Decimal, else float."""
+    dtype = np.asarray(values).dtype
+    dtype = dtype if dtype in (np.longdouble, object) else float
     return exact_average_fixed_rounds(agreement_for(g, rounds, kernels, dtype, weights), values)
 
 

@@ -4,6 +4,7 @@ A patch target that no longer exists is skipped silently there, so a
 refactor that renames or drops one is caught here instead.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import sys
@@ -58,6 +59,6 @@ def test_every_patch_target_is_called(monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(module, attr, counted)
-    cfg = load_scenario("paper-4node")
-    run_closed_loop(cfg, initialize(cfg), horizon=1)
+    cfg = dataclasses.replace(load_scenario("paper-4node"), horizon=1)
+    run_closed_loop(cfg, initialize(cfg))
     assert [key for key, count in calls.items() if count == 0] == []

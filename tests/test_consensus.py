@@ -802,6 +802,24 @@ def test_zero_width_payload_rejected(average):
 
 
 @both_averages
+@pytest.mark.parametrize(
+    "vals, dtype",
+    [
+        ([1, 1 + 1j, 1 + 2j, 1 + 3j], "complex128"),
+        (["1", "2", "3", "4"], "<U1"),
+        ([True, False, True, True], "bool"),   # as in a scenario, a bool is not a number
+    ],
+    ids=["complex", "numeric strings", "bools"],
+)
+def test_values_that_are_not_real_rejected(average, vals, dtype):
+    # a complex array would be cast to float in the rank monitor, a string one fail in numpy
+    g = digraph_from_weight_matrix(FOURNODE_P)
+    message = f"^initial values must be real numbers, got dtype {dtype}$"
+    with pytest.raises(InvalidInputError, match=message):
+        average(g, vals)
+
+
+@both_averages
 def test_row_count_is_named(average):
     g = digraph_from_weight_matrix(FOURNODE_P)
     with pytest.raises(InvalidInputError, match="^need one initial value per node, got 3 for N=4$"):

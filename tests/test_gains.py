@@ -240,7 +240,7 @@ class TestElection:
         with pytest.raises(InvalidInputError, match="^need one election value per node$"):
             elect_leader(Digraph(3, ((0, 1), (1, 2), (2, 0))), 3, [1.0, 2.0])
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), "1", 1j, True])
     def test_non_finite_values_raise_before_any_round(self, bad, monkeypatch):
         def no_round(g, values):
             raise AssertionError("a max round ran")
@@ -518,7 +518,7 @@ class TestTokenProtocol:
             res = run_token_protocol(g, sys, [0.1, 0.2, 0.3, 0.4], leader=leader, mode=mode)
             assert res.visit_order == [(leader + k) % 4 for k in range(4)]
 
-    @pytest.mark.parametrize("leader", [3, 99, -1])
+    @pytest.mark.parametrize("leader", [3, 99, -1, 1.5, True])
     def test_leader_out_of_range_rejected(self, leader):
         g = Digraph(3, ((0, 1), (1, 2), (2, 0)))
         sys = LtiSystem(

@@ -49,6 +49,10 @@ class TestDigraph:
             Digraph(0, ())
         with pytest.raises(InvalidInputError, match="^edges must be pairs of integer node ids, got float64$"):
             Digraph(3, ((0.0, 1.0),))
+        for count in (2.5, "3", True):
+            message = f"^node count must be an integer, got {count!r}$"
+            with pytest.raises(InvalidInputError, match=message):
+                Digraph(count, ((0, 1),))
 
     def test_edges_are_python_ints(self):
         g = Digraph(3, tuple(map(tuple, np.array([[2, 0], [0, 1], [1, 2]]))))
@@ -137,11 +141,12 @@ class TestConnectivity:
     def test_a_quad_run_leaves_scipy_and_mpmath_out(self):
         # quad is the standard library's decimal: not even a quad run imports mpmath
         code = (
-            "import sys, ftcc"
+            "import dataclasses, sys, ftcc"
             "; from ftcc.runtime import initialize, run_closed_loop"
             "; from ftcc.scenario import load_scenario"
-            "; cfg = load_scenario('paper-4node'); assert cfg.precision == 'quad'"
-            "; assert len(run_closed_loop(cfg, initialize(cfg), horizon=1).x) == 2"
+            "; cfg = dataclasses.replace(load_scenario('paper-4node'), horizon=1)"
+            "; assert cfg.precision == 'quad'"
+            "; assert len(run_closed_loop(cfg, initialize(cfg)).x) == 2"
             "; print(sorted({'scipy', 'mpmath'} & set(sys.modules)))"
         )
         src = str(Path(ftcc.__file__).resolve().parents[1])

@@ -227,7 +227,7 @@ class TestPreparedOnce:
 
         monkeypatch.setattr(plant, "joint_rank_checks", counted)
         cfg = load_scenario("paper-4node")
-        run_closed_loop(cfg, initialize(cfg), horizon=2)
+        run_closed_loop(cfg, initialize(cfg))
         assert len(calls) == 1
 
     @pytest.mark.parametrize("horizon", [1, 5])
@@ -237,14 +237,15 @@ class TestPreparedOnce:
     def test_preparation_calls(self, monkeypatch, paper_scenario, paper_init, precision,
                                maps_built, horizon):
         # a run of `horizon` steps makes the calls of a run of none, plus one agreement a step
-        cfg = dataclasses.replace(paper_scenario, precision=precision)
+        cfgs = [dataclasses.replace(paper_scenario, precision=precision, horizon=steps)
+                for steps in (0, horizon)]
         targets = [(runtime, "agreement_maps"), (runtime, "_step_matrices"),
                    (consensus, "validate_weights"), (runtime, "exact_average_fixed_rounds"),
                    (consensus, "in_arithmetic"), (runtime, "in_arithmetic")]
         calls = [counting(monkeypatch, module, name) for module, name in targets]
         per_run = []
-        for steps in (0, horizon):
-            run_closed_loop(cfg, paper_init, horizon=steps)
+        for cfg in cfgs:
+            run_closed_loop(cfg, paper_init)
             per_run.append([len(c) for c in calls])
             for c in calls:
                 c.clear()
@@ -264,11 +265,11 @@ class TestPreparedOnce:
     )
     def test_another_agreement_is_rebuilt(self, monkeypatch, paper_scenario, paper_init, change):
         # the loop builds its own maps, so the trace is the normal run's, bit for bit
-        cfg = dataclasses.replace(paper_scenario, precision="double")
-        want = run_closed_loop(cfg, paper_init, horizon=5)
+        cfg = dataclasses.replace(paper_scenario, precision="double", horizon=5)
+        want = run_closed_loop(cfg, paper_init)
         other = with_agreement(cfg, paper_init, **change(cfg, paper_init))
         maps = counting(monkeypatch, runtime, "agreement_maps")
-        got = run_closed_loop(cfg, other, horizon=5)
+        got = run_closed_loop(cfg, other)
         assert len(maps) == 1
         for field in ("x", "xbar_nodes", "xhat", "ebar", "errors"):
             a, b = getattr(got, field), getattr(want, field)
@@ -278,46 +279,22 @@ class TestPreparedOnce:
 
 class TestClosedLoop:
     def test_horizon_zero_single_row(self, paper_scenario, paper_init):
-        trace = run_closed_loop(paper_scenario, paper_init, horizon=0, tau=1.0)
+        cfg = dataclasses.replace(paper_scenario, horizon=0, taus=(1.0,))
+        trace = run_closed_loop(cfg, paper_init)
         assert trace.steps == [0]
         assert trace.times == [0.0]
 
     def test_normalized_time_and_rounds(self, paper_scenario, paper_init):
-        trace = run_closed_loop(paper_scenario, paper_init, horizon=3, tau=0.5)
+        cfg = dataclasses.replace(paper_scenario, horizon=3, taus=(0.5,))
+        trace = run_closed_loop(cfg, paper_init)
         assert trace.times == [k * (11 * 0.5 + 1.0) for k in range(4)]
         # the widest stored kernel has width 3: its square Hankel completes at 6
         assert trace.rounds_used == [6] * 4
 
-    @pytest.mark.parametrize(
-        "setting, message",
-        [
-            ({"tau": 0.0}, "tau must be positive and finite"),
-            ({"tau": -1.0}, "tau must be positive and finite"),
-            ({"tau": float("nan")}, "tau must be positive and finite"),
-            ({"tau": float("inf")}, "tau must be positive and finite"),
-            ({"horizon": -1}, "horizon must be"),
-            # the scenario's number rules: no bool, string, complex or fraction
-            ({"horizon": True}, "horizon must be a whole number"),
-            ({"horizon": 2.5}, "horizon must be a whole number"),
-            ({"horizon": "2"}, "horizon must be a whole number"),
-            ({"tau": True}, "tau must be a number"),
-            ({"tau": "1"}, "tau must be a number"),
-            ({"tau": 1 + 0j}, "tau must be a number"),
-        ],
-    )
-    def test_settings_are_checked_before_set_up(
-        self, setting, message, paper_scenario, paper_init, monkeypatch
-    ):
-        def no_set_up(*args):
-            raise AssertionError("the loop's maps were prepared")
-
-        monkeypatch.setattr(runtime, "_step_matrices", no_set_up)
-        with pytest.raises(InvalidInputError, match=message):
-            run_closed_loop(paper_scenario, paper_init, **setting)
-
     def test_whole_float_horizon_is_an_int(self, paper_scenario, paper_init):
-        # as in a scenario file, where "horizon": 60.0 is 60
-        trace = run_closed_loop(paper_scenario, paper_init, horizon=2.0, tau=1)
+        # the scenario's rule, as in a file, where "horizon": 60.0 is 60
+        cfg = dataclasses.replace(paper_scenario, horizon=2.0, taus=(1,))
+        trace = run_closed_loop(cfg, paper_init)
         assert trace.steps == [0, 1, 2] and trace.times == [0.0, 12.0, 24.0]
 
     @pytest.mark.parametrize("precision", ["double", "extended", "quad"])
@@ -332,8 +309,8 @@ class TestClosedLoop:
     def test_errors_are_the_recorded_differences(self, paper_scenario, paper_init):
         # in double the loop arithmetic is float64, so each error row is the
         # difference of the recorded rows, bit for bit
-        cfg = dataclasses.replace(paper_scenario, precision="double")
-        trace = run_closed_loop(cfg, paper_init, horizon=10, tau=1.0)
+        cfg = dataclasses.replace(paper_scenario, precision="double", horizon=10)
+        trace = run_closed_loop(cfg, paper_init)
         assert np.array_equal(trace.ebar, trace.x - trace.xbar_nodes[:, 0])
         assert np.array_equal(trace.errors, trace.x[:, None] - trace.xhat)
         # and the CSV's norm_e_i is agent i's error norm at each step
@@ -341,8 +318,8 @@ class TestClosedLoop:
         assert np.shape(trace.norm_errors) == (11, 4) and np.allclose(trace.norm_errors, norms)
 
     def test_separation_state_and_error_decay(self):
-        cfg = random_scenario(21)
-        trace = run_closed_loop(cfg, initialize(cfg), horizon=60, tau=1.0)
+        cfg = dataclasses.replace(random_scenario(21), horizon=60)
+        trace = run_closed_loop(cfg, initialize(cfg))
         assert trace.norm_x[-1] < 1e-4 * max(1.0, trace.norm_x[0])
         assert trace.norm_ebar[-1] < 1e-6 * max(1.0, trace.norm_ebar[0])
 
@@ -384,15 +361,15 @@ class TestRecordLayout:
         else:
             cfg = random_scenario(1, n_agents=3, n=5)
             init = initialize(cfg)
-        cfg = dataclasses.replace(cfg, precision=precision)
-        trace = run_closed_loop(cfg, init, horizon=8)
+        cfg = dataclasses.replace(cfg, precision=precision, horizon=8)
+        trace = run_closed_loop(cfg, init)
         got = (trace.x, trace.xbar_nodes, trace.xhat, trace.ebar, trace.errors)
         for array, want in zip(got, recorded_by_array(cfg, init, 8), strict=True):
             assert array.dtype == want.dtype == np.float64 and array.shape == want.shape
             assert np.array_equal(array, want)
         if precision != "double":
             # and the wider arithmetics' trace is the double one's to 1e-9 of |x_k|
-            double = run_closed_loop(dataclasses.replace(cfg, precision="double"), init, horizon=8)
+            double = run_closed_loop(dataclasses.replace(cfg, precision="double"), init)
             scale = 1e-9 * np.maximum(1.0, np.abs(double.x).max(axis=1))
             for array, want in zip(got, (double.x, double.xbar_nodes, double.xhat,
                                          double.ebar, double.errors)):
@@ -416,13 +393,13 @@ class TestQuadArithmetic:
     def test_caller_context_is_left_alone(self, paper_scenario, paper_init, caller_prec, precision):
         # every precision runs in the local context; unit kernels fail the
         # agreement's window check inside the loop
-        cfg = dataclasses.replace(paper_scenario, precision=precision)
+        cfg = dataclasses.replace(paper_scenario, precision=precision, horizon=1)
         bad = with_agreement(cfg, paper_init, kernels=[np.ones(1)] * 4)
         with decimal.localcontext() as ctx:
             ctx.prec = caller_prec or ctx.prec
             before = decimal.getcontext().prec
-            run_closed_loop(cfg, paper_init, horizon=1)
+            run_closed_loop(cfg, paper_init)
             assert decimal.getcontext().prec == before
             with pytest.raises(DegenerateInitializationError, match="consecutive windows differ"):
-                run_closed_loop(cfg, bad, horizon=1)
+                run_closed_loop(cfg, bad)
             assert decimal.getcontext().prec == before

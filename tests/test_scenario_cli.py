@@ -267,6 +267,13 @@ class TestConstruction:
             ("election_values", ["a", 1, 2, 3], ""),
             ("horizon", 2.9, ""),
             ("horizon", True, ""),
+            ("horizon", "2", "must be a whole number, got '2'$"),
+            # the loop's settings: `simulate --tau` sets taus as (tau,)
+            ("taus", (-1.0,), "need at least one, each positive and finite$"),
+            ("taus", (float("inf"),), "need at least one, each positive and finite$"),
+            ("taus", (True,), r"must be an array of numbers, got \(True,\)$"),
+            ("taus", ("1",), r"must be an array of numbers, got \('1',\)$"),
+            ("taus", (1 + 0j,), r"must be an array of numbers, got \(\(1\+0j\),\)$"),
             ("stability_margin", True, ""),
             ("name", None, ""),
             # a file's parser rejects this before the check does
@@ -373,7 +380,7 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             runpy.run_module("ftcc.cli", run_name="__main__")
         assert exc.value.code == 1
-        assert capsys.readouterr().err.startswith("error: tau must be positive")
+        assert capsys.readouterr().err.startswith("error: taus: ")
 
     def test_unknown_subcommand_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -408,9 +415,9 @@ class TestCli:
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("--tau", "-1", "error: tau must be positive and finite, got -1.0"),
-            ("--tau", "nan", "error: tau must be positive and finite, got nan"),
-            ("--horizon", "-1", "error: horizon must be nonnegative"),
+            ("--tau", "-1", "error: taus: need at least one, each positive and finite"),
+            ("--tau", "nan", "error: taus: need at least one, each positive and finite"),
+            ("--horizon", "-1", "error: horizon: must be nonnegative"),
         ],
     )
     def test_a_bad_loop_setting_fails_before_any_set_up(
