@@ -192,14 +192,19 @@ def random_strongly_connected(rng, n_nodes: int) -> Digraph:
     return Digraph(n_nodes, tuple(sorted(edges)))
 
 
-def criterion_6(ctx: AcceptanceContext, trials: int = 100) -> CriterionResult:
-    rng = np.random.default_rng(2024)
-    worst_err, late = 0.0, 0
+def criterion_6_draws(rng, trials: int = 100) -> list[tuple[Digraph, np.ndarray]]:
+    """Criterion 6's trials, (digraph on 2..10 nodes, initial values), drawn from ``rng``."""
+    draws = []
     for trial in range(trials):
-        n_nodes = int(rng.integers(2, 11))
-        g = random_strongly_connected(rng, n_nodes)
+        g = random_strongly_connected(rng, int(rng.integers(2, 11)))
         width = 3 if trial % 3 == 0 else 1     # mix scalar and vector payloads
-        x0 = rng.normal(size=(n_nodes, width))
+        draws.append((g, rng.normal(size=(g.node_count, width))))
+    return draws
+
+
+def criterion_6(ctx: AcceptanceContext, trials: int = 100) -> CriterionResult:
+    worst_err, late = 0.0, 0
+    for g, x0 in criterion_6_draws(np.random.default_rng(2024), trials):
         res = finite_time_average(g, x0)
         mean = x0.mean(axis=0)
         scale = max(1.0, float(np.max(np.abs(mean))))

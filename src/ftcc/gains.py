@@ -11,6 +11,8 @@ on its first visit; a hop is one point-to-point transmission, counted, not
 sent.  Once A + F is Schur stable and every target has been consumed, the
 holder declares F read-only and the flood sends it over the synchronous
 fabric, round by round, until every node holds the network-wide F.
+An eigenvalue with |lam| >= 1 - STABILITY_MARGIN, a constant, is unstable:
+it must not be defective, and it must find a target.
 
 Three bookkeeping details:
 
@@ -49,7 +51,7 @@ from .graph import Digraph, SyncFabric, round_exchange
 from .linalg import as_matrix, eigen_left, is_schur_stable
 from .plant import LtiSystem
 
-DEFAULT_STABILITY_MARGIN = 1e-9
+STABILITY_MARGIN = 1e-9
 CONTROLLABILITY_TOL = 1e-7
 # Relative distance within which an eigenvalue counts as sitting on a target:
 # the walk skips it, and a finished pass must meet it for every consumed one.
@@ -199,7 +201,6 @@ def _place_through_column(
     a_base: np.ndarray,
     column: np.ndarray,
     targets: PlacementTargets,
-    stability_margin: float,
 ) -> np.ndarray:
     """Place everything this column can; returns its (1, n) gain row."""
     n = a_base.shape[0]
@@ -218,7 +219,7 @@ def _place_through_column(
         real = abs(lam.imag) <= 1e-12
         taken = targets.take(lam)
         if taken is None:
-            if abs(lam) >= 1.0 - stability_margin:
+            if abs(lam) >= 1.0 - STABILITY_MARGIN:
                 raise InsufficientTargetsError(
                     f"no real target left for unstable eigenvalue {lam.real:.6g}"
                     if real
@@ -235,7 +236,7 @@ def _place_through_column(
             leftovers = [
                 p.value
                 for p in eigen_left(a_base + column[:, None] @ k_accum)
-                if abs(p.value) >= 1.0 - stability_margin and not targets.covers(p.value)
+                if abs(p.value) >= 1.0 - STABILITY_MARGIN and not targets.covers(p.value)
             ]
             if leftovers:
                 raise InsufficientTargetsError(
@@ -249,7 +250,6 @@ def place_for_agent(
     a_eff,
     b_i,
     targets: PlacementTargets,
-    stability_margin: float = DEFAULT_STABILITY_MARGIN,
 ) -> np.ndarray:
     """Gain K_i placing what agent i can reach through the columns of B_i.
 
@@ -269,7 +269,7 @@ def place_for_agent(
     rows = []
     a_running = a.astype(float)
     for col in range(b.shape[1]):
-        k_col = _place_through_column(a_running, b[:, col].astype(float), targets, stability_margin)
+        k_col = _place_through_column(a_running, b[:, col].astype(float), targets)
         rows.append(k_col)
         a_running = a_running + b[:, col : col + 1] @ k_col
     return np.vstack(rows)
@@ -288,14 +288,14 @@ class TokenResult:
     rounds: int                      # one per hop, then one per flood round
 
 
-def _check_unstable_diagonalizable(a: np.ndarray, margin: float) -> None:
+def _check_unstable_diagonalizable(a: np.ndarray) -> None:
     """Correctness of the walk requires non-defective unstable eigenvalues."""
     pairs = eigen_left(a)
     values = [p.value for p in pairs]
     used = [False] * len(values)
     n = a.shape[0]
     for i, lam in enumerate(values):
-        if used[i] or abs(lam) < 1.0 - margin:
+        if used[i] or abs(lam) < 1.0 - STABILITY_MARGIN:
             continue
         group = [j for j, v in enumerate(values) if abs(v - lam) < 1e-7]
         for j in group:
@@ -325,10 +325,10 @@ def _check_placed(closed: np.ndarray, consumed, mode: str) -> None:
         free.pop(k)
 
 
-def _route(g: Digraph, priorities: dict, visited: list[int], j: int) -> int:
+def _route(g: Digraph, priorities: dict | None, visited: list[int], j: int) -> int:
     """Next hop from j: unvisited out-neighbor first, else one step toward one."""
     outs = g.out_neighbors(j)   # ascending
-    ranked = [v for v in priorities.get(j) or () if v in outs]
+    ranked = [v for v in (priorities or {}).get(j, ()) if v in outs]
     outs = ranked + [v for v in outs if v not in ranked]
     if not outs:
         raise ProtocolFailureError(f"node {j} has no out-neighbors")
@@ -362,7 +362,6 @@ def run_token_protocol(
     leader: int,
     mode: str = "control",
     priorities: dict[int, list[int]] | None = None,
-    stability_margin: float = DEFAULT_STABILITY_MARGIN,
 ) -> TokenResult:
     """Run one full token pass: a walk, then a flood over the synchronous fabric.
 
@@ -396,13 +395,11 @@ def run_token_protocol(
         raise InvalidInputError(f"unknown mode {mode!r}")
     if sys.agent_count != n_agents:
         raise InvalidInputError("one agent per graph node required")
-    _check_unstable_diagonalizable(base, stability_margin)
+    _check_unstable_diagonalizable(base)
     if isinstance(leader, bool) or not (
         isinstance(leader, numbers.Integral) and 0 <= leader < n_agents
     ):
         raise InvalidInputError(f"leader {leader!r} is not a node id (0..{n_agents - 1})")
-    if priorities is None:
-        priorities = {}
     targets = PlacementTargets(tuple(targets))
     fabric = SyncFabric(g)
     f = np.zeros((sys.n, sys.n))   # rebound, never written in place: the flood sends it as is
@@ -421,7 +418,7 @@ def run_token_protocol(
             )
         if holder not in visit_order:
             visit_order.append(holder)
-            gains[holder] = place_for_agent(base + f, inputs[holder], targets, stability_margin)
+            gains[holder] = place_for_agent(base + f, inputs[holder], targets)
             f = f + inputs[holder] @ gains[holder]
         if n_agents == 1:
             continue   # a lone node re-checks its own token

@@ -30,8 +30,8 @@ from .linalg import as_matrix
 class Digraph:
     """A directed graph on nodes 0..N-1 with no self-loops, equal by its edges.
 
-    ``edges`` may be given as (tail, head) pairs or as an (E, 2) array; it is
-    stored as sorted pairs of Python ints.
+    ``edges`` may be given as (tail, head) pairs or as an (E, 2) array of
+    integers, never bools; it is stored as sorted pairs of Python ints.
     """
 
     node_count: int
@@ -67,8 +67,11 @@ class Digraph:
             if loop[k]:
                 raise InvalidInputError(f"self-loop ({a}, {b}) not allowed")
             raise InvalidInputError(f"duplicate edge ({a}, {b})")
-        if ends.size and ends.dtype.kind not in "biu":
+        if ends.size and ends.dtype.kind not in "iu":
             raise InvalidInputError(f"edges must be pairs of integer node ids, got {ends.dtype}")
+        if not isinstance(self.edges, np.ndarray) and any(   # numpy reads True beside 2 as 1
+                isinstance(v, (bool, np.bool_)) for v in itertools.chain.from_iterable(self.edges)):
+            raise InvalidInputError("edges must be pairs of integer node ids, got a bool")
         tails, heads = tails.astype(np.intp), heads.astype(np.intp).tolist()
         starts = np.searchsorted(tails, range(n + 1)).tolist()   # the out-lists' row splits
         object.__setattr__(self, "edges", tuple(zip(tails.tolist(), heads)))

@@ -98,8 +98,6 @@ def initialize(cfg: ScenarioConfig) -> InitializationResult:
             sys,
             list(targets),
             mode=mode,
-            priorities=cfg.priorities,
-            stability_margin=cfg.stability_margin,
             leader=leader,
         )
         for mode, targets in (

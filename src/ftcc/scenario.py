@@ -7,25 +7,30 @@ parser of its JSON value and the check of its type, shape and bounds.  A
 ScenarioConfig is checked against that table on construction, and again by
 ``dataclasses.replace``, so a config that exists is valid: a bad value fails
 at load time, as a ConfigError whose message starts with the field's name.
+The document's keys are the fields but ``weights``, which come in ``graph``:
+``{weight_matrix}`` or ``{edges, node_count}``; ``plant`` is ``{a, b, c}``.
+Any other key, at any level, is a ConfigError that names it.
 """
 
 from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .consensus import DEFAULT_REL_TOL, validate_weights
 from .exceptions import ConfigError, DisconnectedGraphError
-from .gains import DEFAULT_STABILITY_MARGIN, conjugate_closed
+from .gains import conjugate_closed
 from .graph import Digraph, digraph_from_weight_matrix, is_strongly_connected, out_weight_matrix
 from .plant import LtiSystem, require_jointly_controllable_observable
 
 # each precision's array dtype; "quad" holds Decimals in an object array
 PRECISIONS = {"double": float, "extended": np.longdouble, "quad": object}
+_GRAPH_KEYS = ("weight_matrix", "edges", "node_count")
+_PLANT_KEYS = ("a", "b", "c")
 
 
 def _is_number(v, kind=numbers.Real) -> bool:
@@ -73,33 +78,38 @@ def _target(v) -> complex:
     raise ValueError("targets must be numbers or [re, im] pairs")
 
 
+def _closed(doc: dict, keys, section: str) -> None:
+    """Raise on the first key of ``doc`` that is not one of ``keys``."""
+    for key in doc.keys():   # a value that is no JSON object has no keys, and fails here
+        if key not in keys:
+            raise ValueError(f"{key}: not a {section} field")
+
+
 def _parse_graph(doc) -> tuple[Digraph, np.ndarray]:
     """The digraph and its weights: a weight matrix, or edges with out-degree weights."""
-    edges = doc.get("edges", ())
-    for e in edges:
+    _closed(doc, _GRAPH_KEYS, "graph")
+    if "weight_matrix" in doc:
+        if len(doc) > 1:
+            raise ValueError("either weight_matrix or edges with node_count, not both")
+        weights = _matrix(doc["weight_matrix"])
+        return digraph_from_weight_matrix(weights), weights
+    if "edges" not in doc:
+        raise ValueError("needs either weight_matrix or edges")
+    for e in doc["edges"]:
         if not (isinstance(e, (list, tuple)) and len(e) == 2
                 and all(_is_number(v, numbers.Integral) for v in e)):
             raise ValueError(f"edge {e!r} is not a pair of integer node ids")
-    edges = tuple(map(tuple, edges))
     try:
-        n = _number(doc["node_count"], int) if "node_count" in doc else None
+        n = _number(doc["node_count"], int)
     except ValueError as exc:
         raise ValueError(f"node_count: {exc}") from None
-    if "weight_matrix" in doc:
-        weights = _matrix(doc["weight_matrix"])
-        g = digraph_from_weight_matrix(weights)
-        m = g.node_count
-        if n not in (None, m):
-            raise ValueError(f"node_count {n} disagrees with the {m}x{m} weight matrix")
-        if "edges" in doc and Digraph(m, edges).edges != g.edges:
-            raise ValueError("explicit edges disagree with weight-matrix support")
-        return g, weights
-    if "edges" in doc:
-        if n is None:
-            raise KeyError("node_count")
-        g = Digraph(n, edges)
-        return g, out_weight_matrix(g)
-    raise ValueError("needs either weight_matrix or edges")
+    g = Digraph(n, tuple(map(tuple, doc["edges"])))
+    return g, out_weight_matrix(g)
+
+
+def _parse_plant(doc) -> LtiSystem:
+    _closed(doc, _PLANT_KEYS, "plant")
+    return LtiSystem(_matrix(doc["a"]), *(map(_matrix, doc[k]) for k in "bc"))
 
 
 def _joint(plant, cfg) -> LtiSystem:
@@ -120,18 +130,6 @@ def _targets(v, cfg) -> tuple:
     if not all(abs(t) < 1.0 for t in v):
         raise ValueError("must lie strictly inside the unit disk")
     return v
-
-
-def _priorities(v, cfg) -> dict[int, list[int]]:
-    out, n = {}, cfg.graph.node_count
-    for key, order in v.items():
-        j = _number(key, int)
-        if not 0 <= j < n:
-            raise ValueError(f"{j} is not a node id (0..{n - 1})")
-        out[j] = [_number(i, int) for i in order]
-        if not set(out[j]) <= cfg.graph.out_sets[j]:
-            raise ValueError(f"priorities[{j}] lists non-out-neighbors")
-    return out
 
 
 def _array(v, shape: tuple) -> np.ndarray | None:
@@ -156,12 +154,10 @@ _FIELDS = {
         is_strongly_connected, "graph is not strongly connected", error=DisconnectedGraphError
     )),
     "weights": (None, lambda v, cfg: validate_weights(cfg.graph, _matrix(v))),
-    "plant": (lambda v: LtiSystem(_matrix(v["a"]), *(map(_matrix, v[k]) for k in "bc")), _joint),
+    "plant": (_parse_plant, _joint),
     "controller_targets": (lambda v: tuple(map(_target, v)), _targets),
     "observer_targets": (lambda v: tuple(map(_target, v)), _targets),
-    "priorities": (lambda v: {int(k): order for k, order in v.items()}, _priorities),
     "election_values": (None, lambda v, cfg: _array(v, (cfg.graph.node_count,))),
-    "stability_margin": (None, _rule(lambda m: 0 <= m < np.inf, "must be finite, >= 0", _number)),
     "rank_rel_tol": (None, _rule(lambda t: 0 < t < 1, "must lie in (0, 1)", _number)),
     "x0": (None, lambda v, cfg: _array(v, (cfg.plant.n,))),
     "xhat0": (None, lambda v, cfg: _array(v, (cfg.graph.node_count, cfg.plant.n))),
@@ -186,9 +182,7 @@ class ScenarioConfig:
     plant: LtiSystem
     controller_targets: tuple[complex, ...]
     observer_targets: tuple[complex, ...]
-    priorities: dict[int, list[int]] = field(default_factory=dict)
     election_values: np.ndarray | None = None
-    stability_margin: float = DEFAULT_STABILITY_MARGIN
     rank_rel_tol: float = DEFAULT_REL_TOL
     x0: np.ndarray | None = None
     xhat0: np.ndarray | None = None       # (N, n); zeros when omitted
@@ -216,7 +210,6 @@ class ScenarioConfig:
         d["plant"] = {"a": a.tolist(), "b": [m.tolist() for m in b], "c": [m.tolist() for m in c]}
         for name in ("controller_targets", "observer_targets"):
             d[name] = [t.real if t.imag == 0 else [t.real, t.imag] for t in map(complex, d[name])]
-        d["priorities"] = {str(j): order for j, order in self.priorities.items()}
         d["taus"] = list(self.taus)
         d.update({k: d[k].tolist() for k in ("election_values", "x0", "xhat0") if k in d})
         return d
@@ -225,12 +218,15 @@ class ScenarioConfig:
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
     """Parse a scenario document through _FIELDS; the config then checks itself.
 
-    A malformed value raises a ConfigError that names the section it was found in.
+    A malformed value or an unknown key raises a ConfigError naming its section.
     """
     fields = {"name": "scenario", "controller_targets": (), "observer_targets": ()}
     section = "scenario"
     try:
         doc["graph"], doc["plant"]   # the two required sections
+        for section in doc:   # every field but the weights, which come in the graph
+            if section not in _FIELDS or section == "weights":
+                raise ValueError("not a scenario field")
         for section, (parse, _) in _FIELDS.items():
             if section in doc:
                 fields[section] = doc[section] if parse is None else parse(doc[section])
@@ -270,7 +266,7 @@ def paper_4node() -> ScenarioConfig:
     Eight states, one actuated and one sensed state per agent; no agent is
     controllable or observable alone, jointly the system is both.  Token
     order v1 -> v2 -> v3 -> v4 is realized by electing node 0 leader
-    (descending election values) and the default ascending-id priorities.
+    (descending election values) and walking to out-neighbours in ascending id.
     """
     weights = np.array(
         [

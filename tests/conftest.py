@@ -6,9 +6,13 @@ from operator import itemgetter
 import numpy as np
 import pytest
 
-# random_strongly_connected is re-exported so that the tests draw the same
-# digraphs as acceptance criterion 6
-from ftcc.acceptance import AcceptanceContext, random_strongly_connected  # noqa: F401
+# criterion_6_draws and random_strongly_connected are re-exported so that the
+# tests draw the same trials and digraphs as acceptance criterion 6
+from ftcc.acceptance import (  # noqa: F401
+    AcceptanceContext,
+    criterion_6_draws,
+    random_strongly_connected,
+)
 from ftcc.consensus import (
     DEFAULT_REL_TOL,
     agreement_maps,
@@ -47,16 +51,6 @@ def three_cycle() -> Digraph:
 def complete_digraph(n: int) -> Digraph:
     """Every ordered pair of distinct nodes is an edge."""
     return Digraph(n, tuple((a, b) for a in range(n) for b in range(n) if a != b))
-
-
-def criterion_6_draws(rng) -> list:
-    """Acceptance criterion 6's 100 trials, (digraph, initial values), drawn from ``rng``
-    as the criterion draws them from default_rng(2024)."""
-    draws = []
-    for trial in range(100):
-        g = random_strongly_connected(rng, int(rng.integers(2, 11)))
-        draws.append((g, rng.normal(size=(g.node_count, 3 if trial % 3 == 0 else 1))))
-    return draws
 
 
 def bfs_distances(g: Digraph, source: int) -> list[int]:

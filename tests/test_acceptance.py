@@ -16,8 +16,6 @@ from ftcc import acceptance
 from ftcc.graph import Digraph
 from ftcc.plant import LtiSystem
 
-from conftest import criterion_6_draws
-
 
 def _report(result):
     print(result.line())
@@ -100,19 +98,12 @@ def test_criterion_6_finite_time_exactness(acceptance_ctx):
     assert _report(acceptance.criterion_6(acceptance_ctx)).passed
 
 
-def test_criterion_6_draws_the_tests_trials_and_fails_a_wrong_or_late_one(monkeypatch):
-    # the trials the consensus tests replay are the criterion's own
-    seen = []
-
+def test_criterion_6_fails_a_wrong_or_late_one(monkeypatch):
     def bootstrap(g, x0, error=0.0, late=0):   # the mean, stopping by m_bar + late
-        seen.append((g, x0))
         return SimpleNamespace(mu=x0.mean(axis=0) + error, done_rounds=[1 + late], m_bar=1)
 
     monkeypatch.setattr(acceptance, "finite_time_average", bootstrap)
     assert acceptance.criterion_6(None).passed
-    draws = criterion_6_draws(np.random.default_rng(2024))
-    assert [g for g, _ in seen] == [g for g, _ in draws]
-    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(seen, draws))
     for kwargs, late in (({"error": 1e-6}, 0), ({"late": 1}, 1)):
         monkeypatch.setattr(acceptance, "finite_time_average", lambda g, x0: bootstrap(g, x0, **kwargs))
         result = acceptance.criterion_6(None, trials=1)

@@ -501,7 +501,7 @@ class TestTokenProtocol:
 
     def test_only_an_unstable_eigenvalue_must_be_diagonalizable(self):
         # a stable Jordan block passes; an unstable one is rejected (test_defective_unstable_rejected)
-        assert _check_unstable_diagonalizable(np.array([[0.5, 1.0], [0.0, 0.5]]), 1e-9) is None
+        assert _check_unstable_diagonalizable(np.array([[0.5, 1.0], [0.0, 0.5]])) is None
 
     @pytest.mark.parametrize("leader", range(4))
     def test_walk_starts_at_the_leader(self, leader):

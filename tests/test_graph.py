@@ -49,6 +49,11 @@ class TestDigraph:
             Digraph(0, ())
         with pytest.raises(InvalidInputError, match="^edges must be pairs of integer node ids, got float64$"):
             Digraph(3, ((0.0, 1.0),))
+        # a bool is no node id, alone or beside an int that numpy promotes it to
+        with pytest.raises(InvalidInputError, match="^edges must be pairs of integer node ids, got bool$"):
+            Digraph(2, np.array([[True, False]]))
+        with pytest.raises(InvalidInputError, match="^edges must be pairs of integer node ids, got a bool$"):
+            Digraph(3, [(True, 2), (2, 0)])
         for count in (2.5, "3", True):
             message = f"^node count must be an integer, got {count!r}$"
             with pytest.raises(InvalidInputError, match=message):

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import re
 import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from ftcc.acceptance import AcceptanceContext, CriterionResult
 from ftcc.cli import _write, main
 from ftcc.exceptions import ConfigError, DisconnectedGraphError, FtccError, JointSystemError
+from ftcc import scenario
 from ftcc.graph import out_weight_matrix
 from ftcc.scenario import (
     PRECISIONS,
@@ -23,6 +25,8 @@ from ftcc.scenario import (
 )
 
 from conftest import random_joint_system, random_strongly_connected, targets_for_spectrum
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def set_path(doc, path, value):
@@ -39,8 +43,9 @@ MALFORMED = [
     (("taus",), ["x"], "taus"),
     (("graph",), {"edges": [[0]]}, "graph"),
     (("plant", "a"), [[1.5, 0.0], [0.0]], "plant"),
-    (("priorities",), 5, "priorities"),
-    (("graph",), {"weight_matrix": [[0.5, 0.5], [0.5, 0.5]], "edges": [[0, 1]]}, "graph"),
+    # both graph forms, even where they describe the same digraph
+    (("graph",), {"weight_matrix": [[0.5, 0.5], [0.5, 0.5]], "edges": [[0, 1], [1, 0]]}, "graph"),
+    (("graph",), {"weight_matrix": [[0.5, 0.5], [0.5, 0.5]], "node_count": 2}, "graph"),
     (("graph",), {"node_count": 2}, "graph"),
     (("election_values",), ["a", 1, 2, 3], "election_values"),
     (("taus",), [], "taus"),
@@ -49,7 +54,6 @@ MALFORMED = [
     (("horizon",), 2.9, "horizon"),
     # a bool or a numeric string is not a number, and only a string is a name
     (("controller_targets",), [False, 0.2], "controller_targets"),
-    (("stability_margin",), True, "stability_margin"),
     (("rank_rel_tol",), "1e-3", "rank_rel_tol"),
     (("plant", "a"), [["1.5", "0"], ["0", "0.5"]], "plant"),
     (("x0",), [True, 1.0], "x0"),
@@ -57,7 +61,6 @@ MALFORMED = [
     (("graph", "node_count"), "2", "graph"),
     (("graph", "node_count"), 2.7, "graph"),
     (("graph", "edges"), [[0, True], [1, 0]], "graph"),
-    (("priorities",), {"0": [True]}, "priorities"),
     (("controller_targets",), [[0.1, 0.2], 0.3], "controller_targets"),   # not conjugate-closed
     (("controller_targets",), [0.1, 0.2, 0.3], "controller_targets"),   # more than n
     (("plant", "b"), [[[1.0], [0.0], [0.0]], [[0.0], [1.0]]], "plant"),   # 3 rows for n = 2
@@ -68,8 +71,6 @@ MALFORMED = [
     (("rank_rel_tol",), 0.0, "rank_rel_tol"),
     (("rank_rel_tol",), -1.0, "rank_rel_tol"),
     (("rank_rel_tol",), float("nan"), "rank_rel_tol"),
-    (("stability_margin",), -0.5, "stability_margin"),
-    (("stability_margin",), float("nan"), "stability_margin"),
     (("taus",), [float("nan")], "taus"),
     (("x0",), [float("nan"), 1.0], "x0"),
     (("xhat0",), [[float("nan"), 0.0], [0.0, 0.0]], "xhat0"),
@@ -88,7 +89,11 @@ MALFORMED = [
     (("plant", "c"), [[[1.0, 0.0]], [[1.0, 0.0]]], "plant"),   # mode 0.5 is not seen
     (("graph",), {}, "graph"),
     (("graph", "edges"), [[0, 1], [1, 2]], "graph"),
-    (("priorities",), {"x": [1]}, "priorities"),
+    # a key that is no field, at each level: the weights come only in the graph
+    (("horizn",), 5, "horizn"),
+    (("weights",), [[0.5, 0.5], [0.5, 0.5]], "weights"),
+    (("graph", "edgs"), [[0, 1], [1, 0]], "graph"),
+    (("plant", "typo"), 1, "plant"),
 ]
 
 
@@ -142,13 +147,6 @@ class TestLoading:
         with pytest.raises(ConfigError, match=f"^{section}: "):
             scenario_from_dict(doc)
 
-    def test_node_count_must_match_weight_matrix(self, paper_scenario):
-        doc = minimal_doc()
-        doc["graph"] = {"weight_matrix": paper_scenario.weights.tolist(), "node_count": 5}
-        with pytest.raises(ConfigError) as info:
-            scenario_from_dict(doc)
-        assert str(info.value) == "graph: node_count 5 disagrees with the 4x4 weight matrix"
-
     @pytest.mark.parametrize("path, value, message", [
         (("graph", "node_count"), "2", "graph: node_count: must be a whole number, got '2'"),
         (("graph", "edges"), [[0, "1"], [1, 0]],
@@ -161,12 +159,17 @@ class TestLoading:
         (("plant",), {"a": [[1.5, 0.0], [0.0, 0.5]], "b": [[[1.0], [0.0]]] * 3, "c": [[[1.0, 0.0]]] * 3},
          "plant: 3 agents but 2 graph nodes"),
         (("x0",), [1.0, 2.0, 3.0], "x0: must have shape (2,)"),
-        (("priorities",), {"99": []}, "priorities: 99 is not a node id (0..1)"),
         (("precision",), "octuple", "precision: must be one of ('double', 'extended', 'quad')"),
         (("taus",), [0.0], "taus: need at least one, each positive and finite"),
         (("plant", "b"), [[[0.0], [0.0]], [[1.0], [0.0]]], "plant: system is not jointly controllable"),
         (("plant", "c"), [[[1.0, 0.0]], [[1.0, 0.0]]], "plant: system is not jointly observable"),
         (("graph",), {}, "graph: needs either weight_matrix or edges"),
+        (("graph", "weight_matrix"), [[0.5, 0.5], [0.5, 0.5]],
+         "graph: either weight_matrix or edges with node_count, not both"),
+        (("horizn",), 5, "horizn: not a scenario field"),
+        (("weights",), [[0.5, 0.5], [0.5, 0.5]], "weights: not a scenario field"),
+        (("graph", "edgs"), [[0, 1], [1, 0]], "graph: edgs: not a graph field"),
+        (("plant", "typo"), 1, "plant: typo: not a plant field"),
     ])
     def test_message_names_the_key_or_the_value(self, path, value, message):
         doc = minimal_doc()
@@ -175,22 +178,30 @@ class TestLoading:
             scenario_from_dict(doc)
         assert str(info.value) == message
 
-    @pytest.mark.parametrize("priorities", [{"99": []}, {"99": [1]}, {"2": [0]}, {"-1": [0]}])
-    def test_priorities_key_out_of_range_named(self, priorities):
-        doc = minimal_doc()
-        doc["priorities"] = priorities
-        key = next(iter(priorities))
-        with pytest.raises(ConfigError, match=rf"^priorities: {key} is not a node id \(0\.\.1\)$"):
+    @pytest.mark.parametrize(
+        "retired",
+        [{"stability_margin": 1e-9}, {"priorities": {}}, {"priorities": {}, "stability_margin": 1e-9}],
+        ids=["stability_margin", "priorities", "both"],
+    )
+    def test_a_retired_setting_fails_by_name(self, retired):
+        # a file that still sets one, at the one value it ever had, fails instead of loading
+        doc = {**paper_4node().to_dict(), **retired}
+        with pytest.raises(ConfigError) as info:
             scenario_from_dict(doc)
+        assert str(info.value) == f"{next(iter(retired))}: not a scenario field"
 
-    @pytest.mark.parametrize("order", [[0], [1, 0], [1, 2]])
-    def test_priorities_must_be_out_neighbors(self, order):
-        doc = minimal_doc()
-        doc["priorities"] = {"0": order}
-        with pytest.raises(ConfigError, match=r"^priorities\[0\] lists non-out-neighbors$"):
-            scenario_from_dict(doc)
-        doc["priorities"] = {"0": [1]}
-        assert scenario_from_dict(doc).priorities == {0: [1]}
+    @pytest.mark.parametrize("section, keys", [
+        ("scenario", [key for key in scenario._FIELDS if key != "weights"]),
+        ("graph", list(scenario._GRAPH_KEYS)),
+        ("plant", list(scenario._PLANT_KEYS)),
+    ])
+    def test_readme_lists_every_key_the_document_takes(self, section, keys):
+        # the README's "Scenario file" table: one row per key, the graph's forms and
+        # the plant's keys as JSON objects in their rows
+        text = README.read_text(encoding="utf-8").split("\n## Scenario file\n")[1].split("\n## ")[0]
+        rows = dict(re.findall(r"^\| `(\w+)` \|[^|]*\|(.*)\|$", text, re.M))
+        listed = list(rows) if section == "scenario" else re.findall(r'"(\w+)":', rows[section])
+        assert listed == keys
 
     def test_unknown_scenario_name(self):
         with pytest.raises(ConfigError, match=r"^no such scenario file no-such-scenario \(built-ins: \['paper-4node'\]\)$"):
@@ -234,12 +245,7 @@ def small_config(rng) -> ScenarioConfig:
     g = random_strongly_connected(rng, int(rng.integers(2, 4)))
     sys = random_joint_system(rng, g.node_count, int(rng.integers(1, 4)))
     optional = {
-        "priorities": {
-            j: rng.permutation(g.out_neighbors(j)).tolist()
-            for j in range(g.node_count) if rng.random() < 0.5
-        },
         "election_values": rng.normal(size=g.node_count),
-        "stability_margin": rng.uniform(0, 1e-3),
         "rank_rel_tol": rng.uniform(1e-12, 0.5),
         "x0": rng.normal(size=sys.n),
         "xhat0": rng.normal(size=(g.node_count, sys.n)),
@@ -274,7 +280,6 @@ class TestConstruction:
             ("taus", (True,), r"must be an array of numbers, got \(True,\)$"),
             ("taus", ("1",), r"must be an array of numbers, got \('1',\)$"),
             ("taus", (1 + 0j,), r"must be an array of numbers, got \(\(1\+0j\),\)$"),
-            ("stability_margin", True, ""),
             ("name", None, ""),
             # a file's parser rejects this before the check does
             ("controller_targets", ("x",), r"must be numbers, got \('x',\)$"),
@@ -457,6 +462,15 @@ class TestCli:
         code = main([*argv, "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == f"error: could not write {out}: {reason}\n"
+
+    def test_a_file_with_a_retired_setting_is_an_error_line(self, tmp_path, capsys):
+        # a paper-4node file saved while the document still carried both settings
+        path = tmp_path / "old.json"
+        doc = paper_4node().to_dict()
+        doc.update(priorities={}, stability_margin=1e-9)
+        path.write_text(json.dumps(doc))
+        assert main(["init", "--scenario", str(path)]) == 1
+        assert capsys.readouterr().err == "error: priorities: not a scenario field\n"
 
     def test_a_directory_scenario_is_an_error_line(self, tmp_path, capsys):
         code = main(["init", "--scenario", str(tmp_path)])
