@@ -317,21 +317,15 @@ def _ring_scenario(n_nodes: int):
     b_list = tuple(np.eye(n_nodes)[:, [i]] for i in range(n_nodes))
     c_list = tuple(np.eye(n_nodes)[[i], :] for i in range(n_nodes))
     sys = LtiSystem(a=a, b_list=b_list, c_list=c_list)
-    # worst-case priorities: always prefer the counterclockwise neighbor
-    priorities = {
-        j: [(j - 1) % n_nodes, (j + 1) % n_nodes] for j in range(n_nodes)
-    }
     targets = [0.1 + 0.05 * i for i in range(n_nodes)]
-    return g, sys, priorities, targets
+    return g, sys, targets
 
 
 def criterion_10(ctx: AcceptanceContext) -> CriterionResult:
     worst = []
     for n_nodes in range(3, 9):
-        g, sys, priorities, targets = _ring_scenario(n_nodes)
-        res = run_token_protocol(
-            g, sys, targets, mode="control", priorities=priorities, leader=0
-        )
+        g, sys, targets = _ring_scenario(n_nodes)
+        res = run_token_protocol(g, sys, targets, mode="control", leader=0)
         hop_ok = res.hop_count <= (n_nodes - 1) ** 2
         flood_ok = res.flood_count <= len(g.edges)
         worst.append((n_nodes, res.hop_count, (n_nodes - 1) ** 2, hop_ok and flood_ok))
@@ -380,7 +374,6 @@ ALL_CRITERIA = [
 ]
 
 
-def run_all(ctx: AcceptanceContext | None = None) -> list[CriterionResult]:
-    if ctx is None:
-        ctx = AcceptanceContext.build()
+def run_all() -> list[CriterionResult]:
+    ctx = AcceptanceContext.build()
     return [fn(ctx) for fn in ALL_CRITERIA]

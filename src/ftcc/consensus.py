@@ -31,8 +31,8 @@ of the inputs, so an Agreement, prepared from one history of the identity,
 holds the kernels and these functionals as two N x N maps (latest window, one
 window earlier).  The bootstrap prepares one in float64 for its own rounds and
 returns it (``AverageResult.agreement``); the closed loop reuses it when it
-runs in that arithmetic, with that P and tolerance, for that many rounds, and
-otherwise prepares its own (``agreement_maps``).
+runs in that arithmetic, with that P, for that many rounds, and otherwise
+prepares its own (``agreement_maps``).
 Their difference is fixed too, and its l1 norm bounds the gap of every input,
 so the Agreement also lists the nodes that bound cannot clear.  The check, in
 the bootstrap and in every agreement, is one product with the latest map, and
@@ -71,11 +71,12 @@ from .exceptions import DegenerateInitializationError, InvalidInputError, Protoc
 from .graph import Digraph, out_weight_matrix
 from .linalg import as_matrix, common_kernel_vector
 
-DEFAULT_REL_TOL = 1e-8
-# The largest and the smallest normal float64, the largest also as a Decimal:
-# a Decimal compared with a float converts the float anew on every comparison
+# The Hankel rank tolerance: a stack is deficient when its smallest singular
+# value is at most this times its largest, and a window check allows this
+# times the largest input magnitude
+RANK_REL_TOL = 1e-8
+# The largest and the smallest normal float64
 _FLOAT_MAX, _FLOAT_TINY = np.finfo(float).max, np.finfo(float).tiny
-_FLOAT_MAX_DECIMAL = decimal.Decimal(_FLOAT_MAX)
 
 
 def m_bar(m_values) -> int:
@@ -116,7 +117,7 @@ def in_arithmetic(a, dtype) -> np.ndarray:
     return arr.astype(dtype)
 
 
-def _deficient(hist: np.ndarray, shift: int, w: int, nodes: np.ndarray, rel_tol: float) -> list:
+def _deficient(hist: np.ndarray, shift: int, w: int, nodes: np.ndarray) -> list:
     """The (node, stack) pairs of ``nodes`` whose width-``w`` Hankel stack is rank deficient.
 
     Node j's differences hist[k+1, j] - hist[k, j] from k = ``shift`` on, taken
@@ -129,7 +130,7 @@ def _deficient(hist: np.ndarray, shift: int, w: int, nodes: np.ndarray, rel_tol:
     rank test compares like with like, and the blocks of a node's live
     columns are stacked.  The nodes are grouped by their live-column mask,
     one batched SVD per group; a stack has rank below w when its smallest
-    singular value is at most rel_tol times its largest.  The stack is None
+    singular value is at most RANK_REL_TOL times its largest.  The stack is None
     when every column has converged.
     """
     eps, hist = _dtype_eps(hist.dtype), hist[:, nodes]
@@ -151,12 +152,12 @@ def _deficient(hist: np.ndarray, shift: int, w: int, nodes: np.ndarray, rel_tol:
             continue
         stacks = windows[at[:, None], cols].reshape(len(at), -1, w)
         sv = np.linalg.svd(stacks, compute_uv=False)
-        deficient = ~np.all(sv > rel_tol * sv[:, :1], axis=1)
+        deficient = ~np.all(sv > RANK_REL_TOL * sv[:, :1], axis=1)
         hits += zip(nodes[at[deficient]], stacks[deficient])
     return hits
 
 
-def _first_defective(history, shift: int, rel_tol: float) -> list:
+def _first_defective(history, shift: int) -> list:
     """Each node's first rank-deficient Hankel stack of its iterate differences, all nodes at once.
 
     ``history(r)`` gives the iterates to round r, or all it has when it ends
@@ -172,7 +173,7 @@ def _first_defective(history, shift: int, rel_tol: float) -> list:
         hist = history(2 * w - 1 + shift)
         if len(hist) < 2 * w + shift:
             break
-        for j, stack in _deficient(hist, shift, w, searching, rel_tol):
+        for j, stack in _deficient(hist, shift, w, searching):
             found[j] = (w, stack)
         searching = np.array([j for j in searching if found[j] is None], dtype=np.intp)
         w += 1
@@ -211,11 +212,11 @@ def _values(node_count: int, initial_values) -> tuple[np.ndarray, float]:
     if vals.shape[1] == 0:
         raise InvalidInputError("initial values need at least one entry per node")
     # NaN first, by ==, the one comparison a Decimal NaN answers without
-    # signalling; then the float range, which the rank monitor casts to
-    limit = _FLOAT_MAX_DECIMAL if vals.dtype == object else _FLOAT_MAX
-    if not (np.all(vals == vals) and (top := np.max(np.abs(vals))) <= limit):
+    # signalling; then the float range, which the rank monitor casts to: the
+    # largest magnitude must round to a finite float
+    if not (np.all(vals == vals) and (top := float(np.max(np.abs(vals)))) <= _FLOAT_MAX):
         raise InvalidInputError("initial values must be finite in float64")
-    return vals, float(top)
+    return vals, top
 
 
 def _rows(g: Digraph, initial_values) -> tuple[np.ndarray, float]:
@@ -326,7 +327,7 @@ class Agreement:
     roundoff, eps the unit of the arithmetic, so for every input v the
     computed gap is at most b_j max|v|, up to a few ulps, with
     b_j = |W_j - W_lag,j|_1 + N eps (|W_j|_1 + |W_lag,j|_1) in float64.  A
-    node with 2 b_j <= rel_tol thus passes the check whatever the input, with
+    node with 2 b_j <= RANK_REL_TOL thus passes the check whatever the input, with
     a margin of half the tolerance for the ulps; ``checked`` lists, ascending,
     the others: the nodes with no earlier window or a larger (or NaN) b_j.
     The bound holds while the agreements run at the precision the maps were
@@ -336,7 +337,6 @@ class Agreement:
     """
 
     rounds: int
-    rel_tol: float
     p: np.ndarray
     kernels: tuple[np.ndarray, ...]
     w: np.ndarray
@@ -347,7 +347,7 @@ class Agreement:
     reach: float
 
 
-def agreement_maps(pw: np.ndarray, rounds: int, kernels, rel_tol: float) -> Agreement:
+def agreement_maps(pw: np.ndarray, rounds: int, kernels) -> Agreement:
     """The quotient maps, from one history of the identity under a checked P in the arithmetic.
 
     A node's kernel sums over its latest complete window, which suppresses
@@ -372,16 +372,16 @@ def agreement_maps(pw: np.ndarray, rounds: int, kernels, rel_tol: float) -> Agre
         np.abs(m).astype(float).sum(axis=1) for m in (maps[0] - maps[1], *maps)
     )
     bound = gap + len(pw) * _dtype_eps(pw.dtype) * (latest + lagged)
-    checked = np.flatnonzero(~earlier | ~(2 * bound <= rel_tol))   # a NaN bound is checked
+    checked = np.flatnonzero(~earlier | ~(2 * bound <= RANK_REL_TOL))   # a NaN bound is checked
     reach = float(np.max(np.maximum(latest, lagged)))
-    return Agreement(rounds, rel_tol, pw, tuple(kernels), *maps, widths, earlier, checked, reach)
+    return Agreement(rounds, pw, tuple(kernels), *maps, widths, earlier, checked, reach)
 
 
 def _checked_average(agreement: Agreement, vals: np.ndarray, top: float, hist=None) -> np.ndarray:
     """The (N, n) quotients on each node's latest window, each checked against the one before.
 
     The two are equal in exact arithmetic unless beta_j misses a mode: a gap
-    above rel_tol times ``top``, the largest input magnitude, or no earlier window, raises
+    above RANK_REL_TOL times ``top``, the largest input magnitude, or no earlier window, raises
     DegenerateInitializationError naming the lowest-indexed failing node and
     carrying the numerator history, ``hist`` or else rebuilt from ``vals``.
     Only the nodes in ``agreement.checked`` need the earlier quotients, and
@@ -391,7 +391,7 @@ def _checked_average(agreement: Agreement, vals: np.ndarray, top: float, hist=No
     normal range; outside the range, where underflow or overflow adds more
     than the bound allows, every node is checked.
     """
-    mu, tol, rows = agreement.w @ vals, agreement.rel_tol * top, agreement.checked
+    mu, tol, rows = agreement.w @ vals, RANK_REL_TOL * top, agreement.checked
     if not (_FLOAT_TINY <= tol and top * agreement.reach <= _FLOAT_MAX / 2):
         rows = np.arange(len(mu))
     if not len(rows):
@@ -414,11 +414,7 @@ def _checked_average(agreement: Agreement, vals: np.ndarray, top: float, hist=No
 
 
 def finite_time_average(
-    g: Digraph,
-    initial_values,
-    rel_tol: float = DEFAULT_REL_TOL,
-    weights=None,
-    round_cap: int | None = None,
+    g: Digraph, initial_values, weights=None, round_cap: int | None = None
 ) -> AverageResult:
     """Run ratio consensus with distributed termination until every node stops.
 
@@ -432,8 +428,6 @@ def finite_time_average(
     p = out_weight_matrix(g) if weights is None else validate_weights(g, weights)
     if round_cap is None:
         round_cap = 4 * g.node_count + 2
-    if rel_tol <= 0:
-        raise InvalidInputError("rel_tol must be positive")
     pw = in_arithmetic(p, rows.dtype)
     hist = rows[None]
 
@@ -444,7 +438,7 @@ def finite_time_average(
         return hist[: r + 1]
 
     degrees, distance_degrees = (
-        [None if f is None else f[0] - 1 for f in _first_defective(history, shift, rel_tol)]
+        [None if f is None else f[0] - 1 for f in _first_defective(history, shift)]
         for shift in (1, 0)
     )
     ladder = None
@@ -460,13 +454,14 @@ def finite_time_average(
     rounds, done, phi_done = ladder
     hist = _grown(pw, hist, rounds)[: rounds + 1]
     kernels = [
-        None if f is None else np.ones(1) if f[1] is None else common_kernel_vector(f[1], rel_tol)
-        for f in _first_defective(lambda r: hist, 1, rel_tol)
+        None if f is None else np.ones(1) if f[1] is None
+        else common_kernel_vector(f[1], RANK_REL_TOL)
+        for f in _first_defective(lambda r: hist, 1)
     ]
     missing = [j for j, beta in enumerate(kernels) if beta is None]
     if missing:
         raise _degenerate(f"nodes {missing}: no rank-deficient Hankel width", hist[..., :-1])
-    agreement = agreement_maps(pw, rounds, kernels, rel_tol)
+    agreement = agreement_maps(pw, rounds, kernels)
     return AverageResult(
         mu=_checked_average(agreement, rows[:, :-1], top, hist[..., :-1]),
         degrees=degrees,

@@ -28,9 +28,10 @@ Three bookkeeping details:
 * A conjugate eigenvalue pair is placed in real arithmetic with one 2x2
   solve on its real left-invariant subspace, onto a conjugate pair of
   targets or, when none is left, onto two real targets.
-* A holder whose out-neighbors are all visited sends the token one step
-  toward the nearest unvisited node (one breadth-first search backwards from
-  the unvisited set), so a walk takes at most (N - 1) D + 1 hops.
+* A holder sends the token to its unvisited out-neighbor of smallest id;
+  one whose out-neighbors are all visited sends it one step toward the
+  nearest unvisited node (one breadth-first search backwards from the
+  unvisited set), so a walk takes at most (N - 1) D + 1 hops.
 """
 
 from __future__ import annotations
@@ -325,11 +326,9 @@ def _check_placed(closed: np.ndarray, consumed, mode: str) -> None:
         free.pop(k)
 
 
-def _route(g: Digraph, priorities: dict | None, visited: list[int], j: int) -> int:
-    """Next hop from j: unvisited out-neighbor first, else one step toward one."""
+def _route(g: Digraph, visited: list[int], j: int) -> int:
+    """Next hop from j, the smallest id first: an unvisited out-neighbor, else one step toward one."""
     outs = g.out_neighbors(j)   # ascending
-    ranked = [v for v in (priorities or {}).get(j, ()) if v in outs]
-    outs = ranked + [v for v in outs if v not in ranked]
     if not outs:
         raise ProtocolFailureError(f"node {j} has no out-neighbors")
     unvisited_outs = [v for v in outs if v not in visited]
@@ -347,7 +346,7 @@ def _route(g: Digraph, priorities: dict | None, visited: list[int], j: int) -> i
     while layer.any():
         layer = g.adjacency[:, layer].any(axis=1) & ~near
         near |= layer
-        ahead = [v for v in g.out_neighbors(j) if layer[v]]
+        ahead = [v for v in outs if layer[v]]
         if ahead:
             return ahead[0]
     raise ProtocolFailureError(
@@ -356,12 +355,7 @@ def _route(g: Digraph, priorities: dict | None, visited: list[int], j: int) -> i
 
 
 def run_token_protocol(
-    g: Digraph,
-    sys: LtiSystem,
-    targets,
-    leader: int,
-    mode: str = "control",
-    priorities: dict[int, list[int]] | None = None,
+    g: Digraph, sys: LtiSystem, targets, leader: int, mode: str = "control"
 ) -> TokenResult:
     """Run one full token pass: a walk, then a flood over the synchronous fabric.
 
@@ -373,8 +367,8 @@ def run_token_protocol(
 
     Walk: the token starts at the leader.  Its holder first checks the stop
     condition (A + F Schur stable and no unconsumed targets), places what it
-    can on its first visit, and forwards the token in one hop (one round) to an
-    unvisited out-neighbor in priority order, else to the out-neighbor
+    can on its first visit, and forwards the token in one hop (one round) to
+    its unvisited out-neighbor of smallest id, else to the out-neighbor
     closest to the remaining unvisited set.  A holder that fails the stop
     condition after every node's visit raises ProtocolFailureError naming
     what is left, since F can no longer change.  Flood: the node that meets
@@ -422,7 +416,7 @@ def run_token_protocol(
             f = f + inputs[holder] @ gains[holder]
         if n_agents == 1:
             continue   # a lone node re-checks its own token
-        holder = _route(g, priorities, visit_order, holder)
+        holder = _route(g, visit_order, holder)
         hops += 1
 
     reached, senders = {holder}, {holder}   # the holder declares F read-only

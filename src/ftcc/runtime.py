@@ -14,16 +14,15 @@ What does not change between steps is ready before the loop, in the loop
 arithmetic: the agreement's N x N maps and two linear maps over the nonzero
 entries of the agents' factors, which run_closed_loop prepares.  The
 agreement is the bootstrap's own (InitializationResult.agreement) when the
-loop runs in its float64, P and tolerance for its rounds, which are m_bar
-whenever its ladder stopped there; otherwise, in long double or Decimal or
-for another round count, run_closed_loop prepares one too
-(consensus.agreement_maps).  A step is then one agreement (one product with
-the latest-window map, while every node's window check is cleared by its
-bound) and the two maps, u_i = K_i xbar_i and y_i = C_i (x - xbar_i), then
-x' = A x + sum_i B_i u_i and xhat'_i = (A + F) xbar_i + L_i y_i, and its
-record: the run's float64 trace is allocated once, and each step's five
-arrays are written straight into their slices of it, each value converted
-once.
+loop runs in its float64 and P for its rounds, which are m_bar whenever its
+ladder stopped there; otherwise, in long double or Decimal or for another
+round count, run_closed_loop prepares one too (consensus.agreement_maps).
+A step is then one agreement (one product with the latest-window map, while
+every node's window check is cleared by its bound) and the two maps,
+u_i = K_i xbar_i and y_i = C_i (x - xbar_i), then x' = A x + sum_i B_i u_i
+and xhat'_i = (A + F) xbar_i + L_i y_i, and its record: the run's float64
+trace is allocated once, and each step's five arrays are written straight
+into their slices of it, each value converted once.
 
 The loop's settings are the scenario's own: it runs ``cfg.horizon`` steps
 and times them with the first of ``cfg.taus``.  Other settings are another
@@ -85,9 +84,7 @@ def initialize(cfg: ScenarioConfig) -> InitializationResult:
     """
     g, sys = cfg.graph, cfg.plant
     ids = np.arange(g.node_count, dtype=float)
-    bootstrap = finite_time_average(
-        g, ids, rel_tol=cfg.rank_rel_tol, weights=cfg.weights
-    )
+    bootstrap = finite_time_average(g, ids, weights=cfg.weights)
     d_prime = bootstrap.diameter_bound
 
     leader = elect_leader(g, max(d_prime, 1), cfg.election_values)
@@ -234,13 +231,11 @@ def run_closed_loop(cfg: ScenarioConfig, init: InitializationResult) -> ClosedLo
     step's five arrays (x, xbar, xhat, x - xbar_0, x - xhat) are formed in
     the loop arithmetic and written into row k of one float64 record, each
     value converted once, so no Decimal or long double iterate outlives its
-    step; the trace's arrays are views of that record.
+    step; the trace's arrays are views of that record.  The state starts at
+    the scenario's x0 (ones when omitted), every estimate at zero.
     """
-    g, sys, horizon = cfg.graph, cfg.plant, cfg.horizon
-    dtype = PRECISIONS[cfg.precision]
-    x0 = cfg.x0 if cfg.x0 is not None else np.ones(sys.n)
-    xhat0 = cfg.xhat0 if cfg.xhat0 is not None else np.zeros((g.node_count, sys.n))
-    n, agents = sys.n, g.node_count
+    sys, horizon, dtype = cfg.plant, cfg.horizon, PRECISIONS[cfg.precision]
+    n, agents = sys.n, cfg.graph.node_count
     # each row [x | xbar | xhat | x - xbar_0 | x - xhat], n entries a block
     record = np.empty((horizon + 1, 3 * agents + 2, n))
     views = (
@@ -249,19 +244,18 @@ def run_closed_loop(cfg: ScenarioConfig, init: InitializationResult) -> ClosedLo
     )
     # only Decimal arithmetic reads the context, so every precision enters it
     with decimal.localcontext(decimal.Context(prec=QUAD_DIGITS)):
-        x, xhat = in_arithmetic(x0, dtype), in_arithmetic(xhat0, dtype)
+        x = in_arithmetic(np.ones(n) if cfg.x0 is None else cfg.x0, dtype)
+        xhat = in_arithmetic(np.zeros((agents, n)), dtype)
         matrices = _step_matrices(sys, init.k_gains, init.l_gains, init.f_control, dtype)
         agreement = init.agreement
         # the bootstrap's maps serve only the agreement they were prepared for
         if not (
             agreement.p.dtype == dtype
             and agreement.rounds == init.m_bar
-            and agreement.rel_tol == cfg.rank_rel_tol
             and np.array_equal(agreement.p, cfg.weights)
         ):   # the config checked its P on construction
-            agreement = agreement_maps(
-                in_arithmetic(cfg.weights, dtype), init.m_bar, agreement.kernels, cfg.rank_rel_tol
-            )
+            pw = in_arithmetic(cfg.weights, dtype)
+            agreement = agreement_maps(pw, init.m_bar, agreement.kernels)
         for k in range(horizon + 1):
             xbar = exact_average_fixed_rounds(agreement, xhat)
             for view, part in zip(views, (x, xbar, xhat, x - xbar[0], x - xhat)):

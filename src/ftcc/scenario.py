@@ -9,7 +9,8 @@ ScenarioConfig is checked against that table on construction, and again by
 at load time, as a ConfigError whose message starts with the field's name.
 The document's keys are the fields but ``weights``, which come in ``graph``:
 ``{weight_matrix}`` or ``{edges, node_count}``; ``plant`` is ``{a, b, c}``.
-Any other key, at any level, is a ConfigError that names it.
+Any other key, at any level, is a ConfigError that names it.  The Hankel rank
+tolerance is ``consensus.RANK_REL_TOL`` and every estimate starts at zero.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .consensus import DEFAULT_REL_TOL, validate_weights
+from .consensus import validate_weights
 from .exceptions import ConfigError, DisconnectedGraphError
 from .gains import conjugate_closed
 from .graph import Digraph, digraph_from_weight_matrix, is_strongly_connected, out_weight_matrix
@@ -38,11 +39,11 @@ def _is_number(v, kind=numbers.Real) -> bool:
     return isinstance(v, kind) and not isinstance(v, bool)
 
 
-def _number(v, kind=float):
-    """A number as a float, or as an int for ``kind=int``: 60 and 60.0, not true, "60" or 2.9."""
-    if not _is_number(v) or kind is int and not float(v).is_integer():
-        raise ValueError(f"must be a {'whole ' if kind is int else ''}number, got {v!r}")
-    return kind(v)
+def _whole(v) -> int:
+    """A whole number as an int: 60 and 60.0, not true, "60" or 2.9."""
+    if not (_is_number(v) and float(v).is_integer()):
+        raise ValueError(f"must be a whole number, got {v!r}")
+    return int(v)
 
 
 def _numbers(v) -> tuple[float, ...]:
@@ -100,7 +101,7 @@ def _parse_graph(doc) -> tuple[Digraph, np.ndarray]:
                 and all(_is_number(v, numbers.Integral) for v in e)):
             raise ValueError(f"edge {e!r} is not a pair of integer node ids")
     try:
-        n = _number(doc["node_count"], int)
+        n = _whole(doc["node_count"])
     except ValueError as exc:
         raise ValueError(f"node_count: {exc}") from None
     g = Digraph(n, tuple(map(tuple, doc["edges"])))
@@ -132,13 +133,13 @@ def _targets(v, cfg) -> tuple:
     return v
 
 
-def _array(v, shape: tuple) -> np.ndarray | None:
-    """None, or ``v`` (numbers, or rows of them) as a finite float array of ``shape``."""
+def _array(v, length: int) -> np.ndarray | None:
+    """None, or ``v``, ``length`` numbers, as a finite float array."""
     if v is None:
         return None
-    a = np.asarray(_numbers(v) if len(shape) == 1 else [_numbers(r) for r in v], dtype=float)
-    if a.shape != shape:
-        raise ValueError(f"must have shape {shape}")
+    a = np.array(_numbers(v))
+    if a.shape != (length,):
+        raise ValueError(f"must have shape {(length,)}")
     if not np.all(np.isfinite(a)):
         raise ValueError("must be finite")
     return a
@@ -157,11 +158,9 @@ _FIELDS = {
     "plant": (_parse_plant, _joint),
     "controller_targets": (lambda v: tuple(map(_target, v)), _targets),
     "observer_targets": (lambda v: tuple(map(_target, v)), _targets),
-    "election_values": (None, lambda v, cfg: _array(v, (cfg.graph.node_count,))),
-    "rank_rel_tol": (None, _rule(lambda t: 0 < t < 1, "must lie in (0, 1)", _number)),
-    "x0": (None, lambda v, cfg: _array(v, (cfg.plant.n,))),
-    "xhat0": (None, lambda v, cfg: _array(v, (cfg.graph.node_count, cfg.plant.n))),
-    "horizon": (None, _rule(lambda h: h >= 0, "must be nonnegative", lambda v: _number(v, int))),
+    "election_values": (None, lambda v, cfg: _array(v, cfg.graph.node_count)),
+    "x0": (None, lambda v, cfg: _array(v, cfg.plant.n)),
+    "horizon": (None, _rule(lambda h: h >= 0, "must be nonnegative", _whole)),
     "taus": (None, _rule(
         lambda ts: ts and all(0 < t < np.inf for t in ts),
         "need at least one, each positive and finite", _numbers,
@@ -183,9 +182,7 @@ class ScenarioConfig:
     controller_targets: tuple[complex, ...]
     observer_targets: tuple[complex, ...]
     election_values: np.ndarray | None = None
-    rank_rel_tol: float = DEFAULT_REL_TOL
     x0: np.ndarray | None = None
-    xhat0: np.ndarray | None = None       # (N, n); zeros when omitted
     horizon: int = 60
     taus: tuple[float, ...] = (0.1, 1.0, 10.0)
     precision: str = "double"
@@ -211,7 +208,7 @@ class ScenarioConfig:
         for name in ("controller_targets", "observer_targets"):
             d[name] = [t.real if t.imag == 0 else [t.real, t.imag] for t in map(complex, d[name])]
         d["taus"] = list(self.taus)
-        d.update({k: d[k].tolist() for k in ("election_values", "x0", "xhat0") if k in d})
+        d.update({k: d[k].tolist() for k in ("election_values", "x0") if k in d})
         return d
 
 

@@ -14,7 +14,6 @@ from ftcc.acceptance import (  # noqa: F401
     random_strongly_connected,
 )
 from ftcc.consensus import (
-    DEFAULT_REL_TOL,
     agreement_maps,
     exact_average_fixed_rounds,
     finite_time_average,
@@ -105,7 +104,7 @@ def stored_kernels(g, weights=None):
 def agreement_for(g, rounds, kernels, dtype=float, weights=None):
     """The Agreement as the closed loop builds it: agreement_maps over P in ``dtype``."""
     p = out_weight_matrix(g) if weights is None else weights
-    return agreement_maps(in_arithmetic(p, dtype), rounds, kernels, DEFAULT_REL_TOL)
+    return agreement_maps(in_arithmetic(p, dtype), rounds, kernels)
 
 
 def agree(g, values, rounds, kernels, weights=None):

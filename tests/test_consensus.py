@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ftcc.consensus import (
-    DEFAULT_REL_TOL,
+    RANK_REL_TOL,
     _deficient,
     _dtype_eps,
     _first_defective,
@@ -114,7 +114,7 @@ def window_quotient(view, beta, lag: int = 0):
     return (a_win.T @ beta) / (p_win @ beta)
 
 
-def agreement_by_node(g, values, rounds, kernels, rel_tol=DEFAULT_REL_TOL, weights=None):
+def agreement_by_node(g, values, rounds, kernels, weights=None):
     """The node-order agreement the batched one replaced.
 
     [alpha | pi] advance together, then each node in turn forms its two
@@ -124,7 +124,7 @@ def agreement_by_node(g, values, rounds, kernels, rel_tol=DEFAULT_REL_TOL, weigh
     rows = _rows(g, values)[0]
     p = out_weight_matrix(g) if weights is None else weights
     hist = _ratio_history(in_arithmetic(p, rows.dtype), rows, max(rounds, 0))
-    tol = rel_tol * float(np.max(np.abs(rows[:, :-1])))
+    tol = RANK_REL_TOL * float(np.max(np.abs(rows[:, :-1])))
     mu = []
     for j, beta in zip(range(g.node_count), kernels, strict=True):
         if rounds <= len(beta):
@@ -287,7 +287,7 @@ def window_bounds(agreement, dtype) -> np.ndarray:
 
 
 def kernels_with_bounds(g, weights, rounds, kernels, targets):
-    """``kernels`` with beta_j[0] moved so that b_j sits near targets[j] * DEFAULT_REL_TOL.
+    """``kernels`` with beta_j[0] moved so that b_j sits near targets[j] * RANK_REL_TOL.
 
     b_j grows linearly with a small move of one kernel coefficient, so one
     trial move of 1e-6 sizes each node's; a node whose target is None keeps
@@ -299,7 +299,7 @@ def kernels_with_bounds(g, weights, rounds, kernels, targets):
 
     trial = [1e-6] * len(kernels)
     b = window_bounds(agreement_for(g, rounds, moved(trial), weights=weights), float)
-    return moved([s * (t or 0) * DEFAULT_REL_TOL / bj for s, t, bj in zip(trial, targets, b)])
+    return moved([s * (t or 0) * RANK_REL_TOL / bj for s, t, bj in zip(trial, targets, b)])
 
 
 def outcome(average):
@@ -313,11 +313,11 @@ def outcome(average):
 class TestCheckedNodes:
     """The window check compares only the nodes whose bound b_j cannot clear it.
 
-    A node with 2 b_j <= rel_tol has a gap of at most half the tolerance for
+    A node with 2 b_j <= RANK_REL_TOL has a gap of at most half the tolerance for
     every input, so leaving it uncompared changes no outcome.
     """
 
-    # b_j / rel_tol for each node; None keeps the bootstrap kernel (b_j ~ 1e-15)
+    # b_j / RANK_REL_TOL for each node; None keeps the bootstrap kernel (b_j ~ 1e-15)
     TARGETS = {"mixed widths": (0.1, 0.4, 0.6, 1.0, 10.0), "paper-4node": (0.6, 10.0, None, 0.4)}
 
     def cases(self, paper_scenario, paper_init):
@@ -342,7 +342,7 @@ class TestCheckedNodes:
         rng = np.random.default_rng(43)
         with decimal.localcontext(decimal.Context(prec=QUAD_DIGITS)):
             agreement = agreement_for(g, rounds, kernels, dtype, weights=weights)
-            b = window_bounds(agreement, dtype) / DEFAULT_REL_TOL
+            b = window_bounds(agreement, dtype) / RANK_REL_TOL
             for bj, t in zip(b, targets):
                 assert bj < 1e-5 if t is None else 0.8 * t < bj < 1.25 * t
             # cleared and checked nodes share the agreement
@@ -487,7 +487,7 @@ class TestFormulas:
             assert _dtype_eps(object) == 10.0 ** (1 - QUAD_DIGITS)
 
 
-def state_machine_bootstrap(g, x0, rel_tol=DEFAULT_REL_TOL):
+def state_machine_bootstrap(g, x0):
     """The per-node state machine the bootstrap ran before detection and the
     ladder were separated: counters, rank monitors and stop rule interleaved
     round by round.  Returns (rounds_used, done_rounds, phi_done, degrees,
@@ -507,8 +507,7 @@ def state_machine_bootstrap(g, x0, rel_tol=DEFAULT_REL_TOL):
             if c0[j] is None:
                 c[j] += 1
             if (deg if shift else dist)[j] is None and _is_defective(
-                _live_difference_stack(hist[: k + 1, j], width, shift),
-                rel_tol,
+                _live_difference_stack(hist[: k + 1, j], width, shift), RANK_REL_TOL
             ):
                 if shift:
                     deg[j], c0[j], c[j] = width - 1, 2 * width, 2 * width
@@ -591,7 +590,7 @@ class TestTerminationMechanics:
         def degree(rounds, shift, j):
             # node j's entry of the batched search over the iterates up to ``rounds``
             part = hist[: rounds + 1]
-            found = _first_defective(lambda r: part[: r + 1], shift, DEFAULT_REL_TOL)[j]
+            found = _first_defective(lambda r: part[: r + 1], shift)[j]
             return None if found is None else found[0] - 1
 
         for j in range(4):
@@ -729,13 +728,13 @@ class TestGrownHistory:
 
         passes, tested = [], []
 
-        def first(history, shift, rel_tol):
+        def first(history, shift):
             passes.append(shift)
-            return _first_defective(history, shift, rel_tol)
+            return _first_defective(history, shift)
 
-        def deficient(hist, shift, w, nodes, rel_tol):
+        def deficient(hist, shift, w, nodes):
             tested.extend((len(passes), w, j) for j in nodes.tolist())
-            return _deficient(hist, shift, w, nodes, rel_tol)
+            return _deficient(hist, shift, w, nodes)
 
         monkeypatch.setattr(consensus, "_first_defective", first)
         monkeypatch.setattr(consensus, "_deficient", deficient)
@@ -900,3 +899,29 @@ class TestPrecision:
             finite_time_average(g, vals)
         with pytest.raises(InvalidInputError, match="finite"):
             agree(g, vals, 5, stored_kernels(g))
+
+    @staticmethod
+    def past_the_largest_float(precision):
+        """Two values above the largest float64: the first rounds to it, the second to inf."""
+        number = np.longdouble if precision == "extended" else Decimal
+        return (
+            np.array([number(s), number(0), number(0)], dtype=PRECISIONS[precision])
+            for s in ("1.7976931348623158e308", "1.7976931348623159e308")
+        )
+
+    @pytest.mark.parametrize("precision", ["extended", "quad"])
+    def test_the_float_range_is_what_rounds_to_a_finite_float(self, precision):
+        g, (to_max, to_inf) = three_cycle(), self.past_the_largest_float(precision)
+        mu = agree(g, to_max, 5, stored_kernels(g))
+        assert np.allclose(mu.astype(float) / np.finfo(float).max, 1 / 3, rtol=1e-12, atol=0)
+        with pytest.raises(InvalidInputError, match="^initial values must be finite in float64$"):
+            agree(g, to_inf, 5, stored_kernels(g))
+
+    @pytest.mark.parametrize("precision", ["extended", "quad"])
+    def test_the_bootstrap_takes_the_same_float_range(self, precision):
+        # finite_time_average gates its inputs as the agreement does
+        g, (to_max, to_inf) = three_cycle(), self.past_the_largest_float(precision)
+        mu = finite_time_average(g, to_max).mu
+        assert np.allclose(mu.astype(float) / np.finfo(float).max, 1 / 3, rtol=1e-12, atol=0)
+        with pytest.raises(InvalidInputError, match="^initial values must be finite in float64$"):
+            finite_time_average(g, to_inf)

@@ -26,6 +26,7 @@ from ftcc.plant import LtiSystem
 
 from conftest import (
     bfs_distances,
+    complete_digraph,
     diameter,
     random_joint_system,
     random_strongly_connected,
@@ -354,15 +355,10 @@ class TestTokenProtocol:
                     b_list=tuple(e[:, [i]] for i in range(n_agents)),
                     c_list=tuple(e[[i], :] for i in range(n_agents)),
                 )
-                priorities = {
-                    j: [int(v) for v in rng.permutation(g.out_neighbors(j))]
-                    for j in range(n_agents)
-                }
                 res = run_token_protocol(
                     g,
                     sys,
                     rng.uniform(-0.9, 0.9, n_agents).tolist(),
-                    priorities=priorities,
                     leader=int(rng.integers(n_agents)),
                 )
                 assert len(res.visit_order) == n_agents
@@ -488,16 +484,52 @@ class TestTokenProtocol:
         with pytest.raises(InvalidInputError):
             run_token_protocol(g, sys, [0.1, 0.2], leader=0)
 
-    def test_the_walk_follows_the_priorities(self):
-        e = np.eye(3)
-        sys = LtiSystem(np.diag([1.5, 1.6, 1.7]), [e[:, [i]] for i in range(3)], [e[[i]] for i in range(3)])
-        g = Digraph(3, ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)))
-        res = run_token_protocol(g, sys, [0.1, 0.2, 0.3], priorities={0: [2, 1]}, leader=0)
-        assert res.visit_order == [0, 2, 1]   # ascending ids would visit 1 first
-
     def test_a_node_without_out_neighbors_cannot_route(self):
         with pytest.raises(ProtocolFailureError, match="^node 1 has no out-neighbors$"):
-            _route(Digraph(2, ((0, 1),)), {}, [0], 1)
+            _route(Digraph(2, ((0, 1),)), [0], 1)
+
+    @pytest.mark.parametrize(
+        "g, visited, j, hop",
+        [
+            (complete_digraph(4), [3], 3, 0),
+            (complete_digraph(4), [0, 2], 2, 1),
+            # 0's out-neighbours 1 and 2 are visited and both one step from node 3
+            (Digraph(4, ((0, 1), (0, 2), (1, 3), (2, 3), (3, 0))), [0, 1, 2], 0, 1),
+            # node 4 is two steps ahead through 1 and one through 2
+            (Digraph(5, ((0, 1), (0, 2), (1, 3), (3, 4), (2, 4), (4, 0))), [0, 1, 2, 3], 0, 2),
+            (Digraph(5, ((0, 1), (0, 2), (1, 3), (3, 4), (2, 4), (4, 0))), [0, 1, 2, 3, 4], 0, 1),
+        ],
+        ids=[
+            "an unvisited out-neighbor", "the smallest unvisited id", "a tie to the smallest id",
+            "the nearer before the smaller id", "every node visited",
+        ],
+    )
+    def test_route(self, g, visited, j, hop):
+        assert _route(g, visited, j) == hop
+
+    @pytest.mark.parametrize("leader, order", [(0, [0, 1, 2]), (1, [1, 0, 2]), (2, [2, 0, 1])])
+    def test_the_walk_takes_the_smallest_unvisited_id(self, leader, order):
+        e = np.eye(3)
+        sys = LtiSystem(np.diag([1.5, 1.6, 1.7]), [e[:, [i]] for i in range(3)], [e[[i]] for i in range(3)])
+        res = run_token_protocol(complete_digraph(3), sys, [0.1, 0.2, 0.3], leader=leader)
+        assert res.visit_order == order
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_the_ring_walk_goes_once_round_in_ascending_id(self, n):
+        # criterion 10's ring and plant: every node owns an unstable mode, and
+        # node 0 takes out-neighbour 1 before n - 1, so each hop reaches a new
+        # node and the last one hands the token back to 0, which declares F
+        ring = [(i, (i + 1) % n) for i in range(n)]
+        g, e = Digraph(n, ring + [(b, a) for a, b in ring]), np.eye(n)
+        sys = LtiSystem(
+            np.diag(1.1 + 0.1 * np.arange(n)),
+            tuple(e[:, [i]] for i in range(n)),
+            tuple(e[[i], :] for i in range(n)),
+        )
+        for mode in ("control", "observer"):
+            res = run_token_protocol(g, sys, [0.1] * n, leader=0, mode=mode)
+            assert res.visit_order == list(range(n))
+            assert (res.hop_count, res.declared_by) == (n, 0)
 
     def test_only_an_unstable_eigenvalue_must_be_diagonalizable(self):
         # a stable Jordan block passes; an unstable one is rejected (test_defective_unstable_rejected)

@@ -9,8 +9,9 @@ import decimal
 import numpy as np
 import pytest
 
+import ftcc.consensus as consensus
 from ftcc.consensus import (
-    DEFAULT_REL_TOL,
+    RANK_REL_TOL,
     _first_defective,
     _ratio_history,
     _rows,
@@ -36,14 +37,16 @@ def square(hist):
     return lambda r: hist[: r + 1]
 
 
-def degrees(hist, shift, rel_tol=DEFAULT_REL_TOL):
-    return [None if f is None else f[0] - 1 for f in _first_defective(square(hist), shift, rel_tol)]
+def degrees(hist, shift):
+    return [None if f is None else f[0] - 1 for f in _first_defective(square(hist), shift)]
 
 
-def kernels(hist, rel_tol=DEFAULT_REL_TOL):
+def kernels(hist):
+    """The bootstrap's kernels, at the tolerance ``consensus`` holds when called."""
     return [
-        None if f is None else np.ones(1) if f[1] is None else common_kernel_vector(f[1], rel_tol)
-        for f in _first_defective(lambda r: hist, 1, rel_tol)
+        None if f is None else np.ones(1) if f[1] is None
+        else common_kernel_vector(f[1], consensus.RANK_REL_TOL)
+        for f in _first_defective(lambda r: hist, 1)
     ]
 
 
@@ -51,12 +54,12 @@ def as_bytes(arrays):
     return [None if a is None else (a.shape, a.tobytes()) for a in arrays]
 
 
-def assert_same_stacks(hist, shift, rel_tol, tall=False):
+def assert_same_stacks(hist, shift, tall=False):
     """Each node's deciding stack is the per-node one of its width, row for row.
 
     Only live columns give rows, so the rank test sees the same numbers.
     """
-    found = _first_defective((lambda r: hist) if tall else square(hist), shift, rel_tol)
+    found = _first_defective((lambda r: hist) if tall else square(hist), shift)
     views = [
         None if f is None else hist[:, j] if tall else hist[: 2 * f[0] + shift, j]
         for j, f in enumerate(found)
@@ -66,7 +69,7 @@ def assert_same_stacks(hist, shift, rel_tol, tall=False):
     )
 
 
-def assert_matches_reference(g, x0, dtype=float, rel_tol=DEFAULT_REL_TOL):
+def assert_matches_reference(g, x0, dtype=float):
     """Degrees in both windows on the whole history, and kernels on the bootstrap's.
 
     When the bootstrap raises, the kernels are compared on the history's
@@ -74,20 +77,20 @@ def assert_matches_reference(g, x0, dtype=float, rel_tol=DEFAULT_REL_TOL):
     """
     hist = history(g, x0, dtype)
     cap, n = len(hist) - 1, g.node_count
-    expected = [[_degree(hist[:, j], shift, cap, rel_tol) for j in range(n)] for shift in (1, 0)]
-    assert [degrees(hist, 1, rel_tol), degrees(hist, 0, rel_tol)] == expected
-    assert_same_stacks(hist, 1, rel_tol)
-    assert_same_stacks(hist, 0, rel_tol)
+    expected = [[_degree(hist[:, j], shift, cap, RANK_REL_TOL) for j in range(n)] for shift in (1, 0)]
+    assert [degrees(hist, 1), degrees(hist, 0)] == expected
+    assert_same_stacks(hist, 1)
+    assert_same_stacks(hist, 0)
     try:
-        res = finite_time_average(g, in_arithmetic(x0, dtype), rel_tol=rel_tol)
+        res = finite_time_average(g, in_arithmetic(x0, dtype))
         assert [res.degrees, res.distance_degrees] == expected
         rounds, found = res.rounds_used, res.agreement.kernels
     except DegenerateInitializationError:
         rounds = cap // 2
-        found = kernels(hist[: rounds + 1], rel_tol)
+        found = kernels(hist[: rounds + 1])
     part = hist[: rounds + 1]
-    assert as_bytes(found) == as_bytes([_kernel(part[:, j], rel_tol) for j in range(n)])
-    assert_same_stacks(part, 1, rel_tol, tall=True)
+    assert as_bytes(found) == as_bytes([_kernel(part[:, j], RANK_REL_TOL) for j in range(n)])
+    assert_same_stacks(part, 1, tall=True)
     return hist
 
 
@@ -119,7 +122,7 @@ def test_criterion_6_multi_column_draws():
 def test_complete_48_converges_in_every_column():
     g = complete_digraph(48)
     hist = assert_matches_reference(g, np.arange(48.0))
-    assert all(f == (1, None) for f in _first_defective(lambda r: hist, 1, DEFAULT_REL_TOL))
+    assert all(f == (1, None) for f in _first_defective(lambda r: hist, 1))
     kernels = finite_time_average(g, np.arange(48.0)).agreement.kernels
     assert as_bytes(kernels) == as_bytes([np.ones(1)] * 48)
 
@@ -136,19 +139,20 @@ def test_extended_and_decimal_histories():
             assert isinstance(hist[-1, 0, 0], decimal.Decimal)
 
 
-def test_no_kernel_error_is_unchanged():
+def test_no_kernel_error_is_unchanged(monkeypatch):
     # at rel_tol 1e-15 the square Hankels of nodes 0, 1 and 4 look singular,
     # but no stack of the full history does
     g, rel_tol = random_strongly_connected(np.random.default_rng(5012), 5), 1e-15
+    monkeypatch.setattr(consensus, "RANK_REL_TOL", rel_tol)
     with pytest.raises(DegenerateInitializationError) as err:
-        finite_time_average(g, np.arange(5.0), rel_tol=rel_tol)
+        finite_time_average(g, np.arange(5.0))
     assert str(err.value) == "nodes [0, 1, 4]: no rank-deficient Hankel width"
     rounds = err.value.history.shape[1] - 1
     hist = history(g, np.arange(5.0))[: rounds + 1]
     assert np.array_equal(err.value.history, hist[..., :-1].swapaxes(0, 1))
     assert [j for j in range(5) if _kernel(hist[:, j], rel_tol) is None] == [0, 1, 4]
     expected = [_kernel(hist[:, j], rel_tol) for j in range(5)]
-    assert as_bytes(kernels(hist, rel_tol)) == as_bytes(expected)
+    assert as_bytes(kernels(hist)) == as_bytes(expected)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -163,7 +167,7 @@ def test_differences_beyond_float_range_raise():
         outcomes = []
         for search in (
             lambda: degrees(hist, shift),
-            lambda: [_degree(hist[:, j], shift, 22, DEFAULT_REL_TOL) for j in range(5)],
+            lambda: [_degree(hist[:, j], shift, 22, RANK_REL_TOL) for j in range(5)],
         ):
             try:
                 outcomes.append(search())
@@ -171,9 +175,3 @@ def test_differences_beyond_float_range_raise():
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
     assert outcomes[0] == "matrix contains non-finite entries"
-
-
-def test_rel_tol_must_be_positive():
-    g = random_strongly_connected(np.random.default_rng(3), 4)
-    with pytest.raises(InvalidInputError, match="rel_tol must be positive"):
-        finite_time_average(g, np.arange(4.0), rel_tol=0.0)

@@ -188,13 +188,12 @@ class TestBatchedStep:
         assert fillers == 1 and 29 + 190 == nonzero + fillers
 
 
-def with_agreement(cfg, init, rounds=None, dtype=float, kernels=None, rel_tol=None, weights=None):
+def with_agreement(cfg, init, rounds=None, dtype=float, kernels=None, weights=None):
     """``init`` holding an Agreement prepared for the given changes to its own."""
     agreement = consensus.agreement_maps(
         in_arithmetic(cfg.weights if weights is None else weights, dtype),
         init.m_bar if rounds is None else rounds,
         init.agreement.kernels if kernels is None else kernels,
-        cfg.rank_rel_tol if rel_tol is None else rel_tol,
     )
     return dataclasses.replace(init, agreement=agreement)
 
@@ -258,10 +257,9 @@ class TestPreparedOnce:
         [
             lambda cfg, init: {"rounds": init.m_bar + 2},   # a ladder that stopped off m_bar
             lambda cfg, init: {"dtype": np.longdouble},
-            lambda cfg, init: {"rel_tol": cfg.rank_rel_tol / 10},
             lambda cfg, init: {"weights": (cfg.weights + np.eye(len(cfg.weights))) / 2},
         ],
-        ids=["m_bar + 2 rounds", "long double", "another rel_tol", "another P"],
+        ids=["m_bar + 2 rounds", "long double", "another P"],
     )
     def test_another_agreement_is_rebuilt(self, monkeypatch, paper_scenario, paper_init, change):
         # the loop builds its own maps, so the trace is the normal run's, bit for bit
@@ -306,6 +304,16 @@ class TestClosedLoop:
         assert len(trace.x) == cfg.horizon + 1
         assert trace.rounds_used == [2] * (cfg.horizon + 1)   # the lone kernel has width 1
 
+    @pytest.mark.parametrize("precision", ["double", "extended", "quad"])
+    def test_every_estimate_starts_at_zero(self, precision, paper_scenario, paper_init):
+        # so every agent's first error is the whole state, x0
+        cfg = dataclasses.replace(paper_scenario, precision=precision, horizon=1)
+        trace = run_closed_loop(cfg, paper_init)
+        assert not trace.xhat[0].any() and not trace.xbar_nodes[0].any()
+        assert np.array_equal(trace.x[0], cfg.x0)
+        assert np.array_equal(trace.errors[0], np.tile(cfg.x0, (4, 1)))
+        assert trace.xhat[1].any()
+
     def test_errors_are_the_recorded_differences(self, paper_scenario, paper_init):
         # in double the loop arithmetic is float64, so each error row is the
         # difference of the recorded rows, bit for bit
@@ -334,10 +342,10 @@ def recorded_by_array(cfg, init, horizon):
     n_agents, n = cfg.graph.node_count, cfg.plant.n
     with decimal.localcontext(decimal.Context(prec=runtime.QUAD_DIGITS)):
         x = in_arithmetic(np.ones(n) if cfg.x0 is None else cfg.x0, dtype)
-        xhat = in_arithmetic(np.zeros((n_agents, n)) if cfg.xhat0 is None else cfg.xhat0, dtype)
+        xhat = in_arithmetic(np.zeros((n_agents, n)), dtype)
         matrices = _step_matrices(cfg.plant, init.k_gains, init.l_gains, init.f_control, dtype)
         agreement = consensus.agreement_maps(
-            in_arithmetic(cfg.weights, dtype), init.m_bar, init.agreement.kernels, cfg.rank_rel_tol
+            in_arithmetic(cfg.weights, dtype), init.m_bar, init.agreement.kernels
         )
         rows = []
         for k in range(horizon + 1):

@@ -54,7 +54,6 @@ MALFORMED = [
     (("horizon",), 2.9, "horizon"),
     # a bool or a numeric string is not a number, and only a string is a name
     (("controller_targets",), [False, 0.2], "controller_targets"),
-    (("rank_rel_tol",), "1e-3", "rank_rel_tol"),
     (("plant", "a"), [["1.5", "0"], ["0", "0.5"]], "plant"),
     (("x0",), [True, 1.0], "x0"),
     (("name",), 5, "name"),
@@ -66,20 +65,13 @@ MALFORMED = [
     (("plant", "b"), [[[1.0], [0.0], [0.0]], [[0.0], [1.0]]], "plant"),   # 3 rows for n = 2
     (("graph",), {"weight_matrix": [[0.7, 0.5], [0.5, 0.5]]}, "weights"),   # a column off one
     # values out of range
-    (("rank_rel_tol",), 1.0, "rank_rel_tol"),
-    (("rank_rel_tol",), 2.0, "rank_rel_tol"),
-    (("rank_rel_tol",), 0.0, "rank_rel_tol"),
-    (("rank_rel_tol",), -1.0, "rank_rel_tol"),
-    (("rank_rel_tol",), float("nan"), "rank_rel_tol"),
     (("taus",), [float("nan")], "taus"),
     (("x0",), [float("nan"), 1.0], "x0"),
-    (("xhat0",), [[float("nan"), 0.0], [0.0, 0.0]], "xhat0"),
     (("election_values",), [float("nan"), 1.0], "election_values"),
     (("horizon",), -1, "horizon"),
     (("precision",), "octuple", "precision"),
     (("precision",), 5, "precision"),
     # wrong shapes and failed section checks
-    (("xhat0",), [[0.0, 0.0]], "xhat0"),
     (("election_values",), [1.0], "election_values"),
     (("observer_targets",), [1.0, 0.2], "observer_targets"),   # on the unit circle
     (("observer_targets",), [[0.1, 0.2]], "observer_targets"),
@@ -180,8 +172,12 @@ class TestLoading:
 
     @pytest.mark.parametrize(
         "retired",
-        [{"stability_margin": 1e-9}, {"priorities": {}}, {"priorities": {}, "stability_margin": 1e-9}],
-        ids=["stability_margin", "priorities", "both"],
+        [
+            {"stability_margin": 1e-9}, {"priorities": {}},
+            {"priorities": {}, "stability_margin": 1e-9},
+            {"rank_rel_tol": 1e-8}, {"xhat0": [[0.0] * 8] * 4},
+        ],
+        ids=["stability_margin", "priorities", "both", "rank_rel_tol", "xhat0"],
     )
     def test_a_retired_setting_fails_by_name(self, retired):
         # a file that still sets one, at the one value it ever had, fails instead of loading
@@ -246,9 +242,7 @@ def small_config(rng) -> ScenarioConfig:
     sys = random_joint_system(rng, g.node_count, int(rng.integers(1, 4)))
     optional = {
         "election_values": rng.normal(size=g.node_count),
-        "rank_rel_tol": rng.uniform(1e-12, 0.5),
         "x0": rng.normal(size=sys.n),
-        "xhat0": rng.normal(size=(g.node_count, sys.n)),
         "horizon": int(rng.integers(0, 100)),
         "taus": tuple(rng.uniform(0.1, 10, size=rng.integers(1, 4))),
         "precision": str(rng.choice(list(PRECISIONS))),
@@ -471,6 +465,14 @@ class TestCli:
         path.write_text(json.dumps(doc))
         assert main(["init", "--scenario", str(path)]) == 1
         assert capsys.readouterr().err == "error: priorities: not a scenario field\n"
+
+    @pytest.mark.parametrize("key, value", [("rank_rel_tol", 1e-8), ("xhat0", [[0.0] * 8] * 4)])
+    def test_a_file_that_sets_a_constant_is_an_error_line(self, tmp_path, capsys, key, value):
+        # the Hankel tolerance and the zero start estimates are no longer settings
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({**paper_4node().to_dict(), key: value}))
+        assert main(["init", "--scenario", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {key}: not a scenario field\n"
 
     def test_a_directory_scenario_is_an_error_line(self, tmp_path, capsys):
         code = main(["init", "--scenario", str(tmp_path)])

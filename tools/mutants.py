@@ -12,8 +12,8 @@ Module-level assignments and the literal tables of
 ``scenario.paper_4node`` are data, not logic, and are not mutated.
 
 Each mutant runs the whole tier-1 suite in its own temporary copy of
-``src/``, ``tests/``, ``benchmarks/`` and ``tools/`` (which tests read) and
-``pyproject.toml``, at most two suites at once.  A mutant is killed when the
+``src/``, ``tests/``, ``benchmarks/``, ``tools/`` and ``README.md`` (which
+tests read) and ``pyproject.toml``, at most two suites at once.  A mutant is killed when the
 suite fails, or when it runs past ten times the unmutated suite's time (a
 timeout, listed apart).  The working tree is never written.
 
@@ -47,7 +47,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ftcc"
-COPIED = ("src", "tests", "benchmarks", "tools", "pyproject.toml")
+COPIED = ("src", "tests", "benchmarks", "tools", "README.md", "pyproject.toml")
 WORKERS = 2
 TIME_FACTOR = 10
 PYTEST = (
